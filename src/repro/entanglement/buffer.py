@@ -6,17 +6,22 @@ the stored links between one node pair, enforces the buffer-qubit capacity,
 applies an optional storage-cutoff policy (links stored for too long are
 reset to avoid consuming heavily decohered entanglement), and accumulates
 the statistics used in the evaluation (EPR waste, mean stored age).
+
+A stored link is the float pair ``(created, buffered)``: the completion
+time of the attempt that generated it and the time its buffering SWAP
+finished.  It is available to remote gates from ``buffered`` on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro.entanglement.link import EntanglementLink, LinkLocation
 from repro.exceptions import BufferError
 
 __all__ = ["BufferPool", "BufferStatistics"]
+
+Link = Tuple[float, float]
 
 
 @dataclass
@@ -43,41 +48,32 @@ class BufferStatistics:
 
 
 class BufferPool:
-    """Capacity-limited FIFO store of entanglement links for one node pair.
+    """Capacity-limited store of entanglement links for one node pair.
+
+    A link arriving at a full buffer replaces the oldest stored link (the
+    stale link is reset, as in the paper's cutoff policy discussion);
+    remote gates consume the freshest available link, which maximises their
+    fidelity.
 
     Parameters
     ----------
     capacity:
         Maximum number of simultaneously stored links (the per-pair buffer
         qubit budget).  A capacity of zero models the ``original`` design
-        without buffer qubits.
+        without buffer qubits: every link is rejected.
     cutoff:
         Optional storage cutoff: links stored for longer than this duration
         are discarded when the pool is advanced past their expiry time.
-    replace_oldest_when_full:
-        If ``True`` (default) a new link arriving at a full buffer replaces
-        the oldest stored link (the stale link is reset, as in the paper's
-        cutoff policy discussion); if ``False`` the new link is rejected.
-    consumption_order:
-        ``"lifo"`` (default) consumes the freshest available link, which
-        maximises the fidelity of remote gates; ``"fifo"`` consumes the
-        oldest link first (ablation option).
     """
 
-    def __init__(self, capacity: int, cutoff: Optional[float] = None,
-                 replace_oldest_when_full: bool = True,
-                 consumption_order: str = "lifo") -> None:
+    def __init__(self, capacity: int, cutoff: Optional[float] = None) -> None:
         if capacity < 0:
             raise BufferError("buffer capacity must be non-negative")
         if cutoff is not None and cutoff <= 0:
             raise BufferError("buffer cutoff must be positive when given")
-        if consumption_order not in ("lifo", "fifo"):
-            raise BufferError(f"unknown consumption order {consumption_order!r}")
         self.capacity = capacity
         self.cutoff = cutoff
-        self.replace_oldest_when_full = replace_oldest_when_full
-        self.consumption_order = consumption_order
-        self._stored: List[EntanglementLink] = []
+        self._stored: List[Link] = []
         self.statistics = BufferStatistics()
 
     # ------------------------------------------------------------------
@@ -85,92 +81,86 @@ class BufferPool:
         return len(self._stored)
 
     @property
-    def stored_links(self) -> List[EntanglementLink]:
-        """Currently stored links, oldest first (read-only view)."""
+    def stored_links(self) -> List[Link]:
+        """Currently stored ``(created, buffered)`` links, oldest first."""
         return list(self._stored)
-
-    def has_space(self) -> bool:
-        """Whether at least one buffer slot is free."""
-        return len(self._stored) < self.capacity
 
     def count_available(self, time: float) -> int:
         """Number of stored links that are available at ``time``."""
-        return sum(1 for link in self._stored if link.buffered_time is not None
-                   and link.buffered_time <= time + 1e-12)
+        threshold = time + 1e-12
+        return sum(1 for _, buffered in self._stored if buffered <= threshold)
 
     # ------------------------------------------------------------------
-    def store(self, link: EntanglementLink, time: float) -> bool:
-        """Store a link at ``time``; returns ``False`` if it was rejected.
+    def store(self, created: float, buffered: float) -> bool:
+        """Store a link buffered at ``buffered``; ``False`` if it was rejected.
 
-        When the pool is full the behaviour depends on
-        ``replace_oldest_when_full``: either the oldest stored link is reset
-        and the new link takes its slot (default), or the new link is
-        discarded.  With a zero-capacity pool every link is rejected, which
-        models the buffer-less ``original`` design.
+        When the pool is full the oldest stored link is reset and the new
+        link takes its slot.  With a zero-capacity pool every link is
+        rejected, which models the buffer-less ``original`` design.
         """
-        self.expire_until(time)
-        if not self.has_space():
-            if self.capacity > 0 and self.replace_oldest_when_full:
-                stale = self._stored.pop(0)
-                stale.discard(time)
-                self.statistics.expired_total += 1
-            else:
-                link.discard(time)
+        self.expire_until(buffered)
+        if len(self._stored) >= self.capacity:
+            if self.capacity == 0:
                 self.statistics.rejected_total += 1
                 return False
-        link.move_to_buffer(time)
-        self._stored.append(link)
+            self._stored.pop(0)
+            self.statistics.expired_total += 1
+        self._stored.append((created, buffered))
         self.statistics.stored_total += 1
         return True
 
-    def _consume_at(self, position: int, time: float) -> EntanglementLink:
-        link = self._stored.pop(position)
-        age = link.consume(time)
-        self.statistics.consumed_total += 1
-        self.statistics.total_consumed_age += age
-        return link
+    def _consume(self, position: int, time: float) -> Tuple[float, float]:
+        created, _ = self._stored.pop(position)
+        age = max(0.0, time - created)
+        statistics = self.statistics
+        statistics.consumed_total += 1
+        statistics.total_consumed_age += age
+        return created, age
 
-    def pop_available(self, time: float) -> EntanglementLink:
-        """Consume a stored link available at ``time`` (per consumption order)."""
-        self.expire_until(time)
-        positions = [
-            position for position, link in enumerate(self._stored)
-            if link.buffered_time is not None and link.buffered_time <= time + 1e-12
-        ]
-        if not positions:
-            raise BufferError(f"no stored link is available at time {time}")
-        if self.consumption_order == "lifo":
-            # Freshest link = the available link with the latest creation time.
-            chosen = max(positions, key=lambda p: self._stored[p].created_time)
-        else:
-            chosen = min(positions, key=lambda p: self._stored[p].created_time)
-        return self._consume_at(chosen, time)
+    def _freshest(self, threshold: float) -> int:
+        """Position of the latest-created link buffered by ``threshold``, or -1."""
+        best = -1
+        best_created = 0.0
+        for position, (created, buffered) in enumerate(self._stored):
+            if buffered <= threshold and (best < 0 or created > best_created):
+                best, best_created = position, created
+        return best
 
-    def pop_oldest(self, time: float) -> EntanglementLink:
-        """Consume the oldest stored link available at ``time`` (FIFO helper)."""
+    def pop_available(self, time: float) -> Tuple[float, float]:
+        """Consume the freshest link available at ``time``.
+
+        Returns the link's ``(created, age)``, its age at ``time``.
+        """
         self.expire_until(time)
-        positions = [
-            position for position, link in enumerate(self._stored)
-            if link.buffered_time is not None and link.buffered_time <= time + 1e-12
-        ]
-        if not positions:
+        position = self._freshest(time + 1e-12)
+        if position < 0:
             raise BufferError(f"no stored link is available at time {time}")
-        chosen = min(positions, key=lambda p: self._stored[p].created_time)
-        return self._consume_at(chosen, time)
+        return self._consume(position, time)
+
+    def take(self, time: float) -> Optional[Tuple[float, float, float]]:
+        """Consume the link a remote gate ready at ``time`` gets from the pool.
+
+        That is the freshest link available at ``time`` or, if none is, the
+        freshest one available when the earliest in-flight buffering swap
+        finishes.  Returns ``(ready, created, age)`` with ``age`` taken at
+        ``ready``, or ``None`` when the pool is empty.
+        """
+        self.expire_until(time)
+        position = self._freshest(time + 1e-12)
+        if position >= 0:
+            return (time, *self._consume(position, time))
+        if not self._stored:
+            return None
+        ready = min(buffered for _, buffered in self._stored)
+        return (ready, *self.pop_available(ready))
 
     def expire_until(self, time: float) -> int:
         """Apply the cutoff policy up to ``time``; returns the number expired."""
         if self.cutoff is None:
             return 0
-        expired = 0
-        remaining: List[EntanglementLink] = []
-        for link in self._stored:
-            stored_at = link.buffered_time if link.buffered_time is not None else link.created_time
-            if time - stored_at > self.cutoff + 1e-12:
-                link.discard(stored_at + self.cutoff)
-                expired += 1
-            else:
-                remaining.append(link)
+        limit = self.cutoff + 1e-12
+        remaining = [link for link in self._stored if time - link[1] <= limit]
+        expired = len(self._stored) - len(remaining)
         self._stored = remaining
         self.statistics.expired_total += expired
         return expired
@@ -178,8 +168,6 @@ class BufferPool:
     def flush(self, time: float) -> int:
         """Discard every stored link (end of program); returns the count."""
         count = len(self._stored)
-        for link in self._stored:
-            link.discard(time)
         self.statistics.expired_total += count
         self._stored = []
         return count

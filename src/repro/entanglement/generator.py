@@ -1,28 +1,41 @@
-"""Stochastic heralded entanglement generation.
+"""Stochastic heralded entanglement generation on one merged success tape.
 
 Combines an :class:`~repro.entanglement.attempts.AttemptSchedule` with a
 Bernoulli success model: every attempt of every communication-qubit pair
 succeeds independently with probability ``psucc`` (0.4 in the paper's
-evaluation).  The generator exposes the successes of each pair as a lazy,
-reproducible stream so the runtime can pull exactly as much of the future as
-it needs.
+evaluation).
 
-Outcomes are drawn from the per-pair PRNG in *vectorized blocks* (a single
-``Generator.random(n)`` call covers ``n`` attempts) rather than one Python
-call per attempt.  NumPy draws the identical variate sequence whether
-``random()`` is called ``n`` times or once with ``size=n``, so block
-sampling is bit-identical to the historical per-attempt draws — this is
-what lets the batched executor and the legacy reference executor share one
-stochastic process.  Success *times* are materialised alongside the
-outcomes as sorted per-pair arrays, turning interval queries into binary
-searches instead of per-attempt Python loops.
+*Variates.*  Attempt ``k`` of pair ``p`` succeeds iff the ``k``-th uniform
+of that pair's own stream, ``SeedSequence(entropy=seed, spawn_key=(p,))``,
+is below ``psucc``.  All pairs are drawn in lockstep blocks: one
+``Generator.random(n)`` call per pair covers attempts ``[N, N + n)``.
+NumPy draws the identical variates whether ``random()`` is called ``n``
+times or once with ``size=n``, so no block partition changes an outcome,
+and drawing further ahead than a query needs never changes a result.
+
+*Tape.*  The successes of all pairs are kept as three parallel lists —
+completion time, pair, attempt — sorted by ``(time, pair)``.  After ``N``
+attempts per pair the tape is final below the :attr:`frontier`
+``min_p first_p + N * cycle``: every undrawn attempt completes at or after
+it.  When the pairs' first completions span more than one cycle, the
+earliest successes of a new block land before the tail of the previous
+one, so a block is merged into the tape, not appended.
+
+*Interval semantics.*  A success ``(t, p, k)`` lies in ``(start, end]`` iff
+``t > start + 1e-12``, ``t <= end + 1e-12`` and
+``k >= attempt_after(p, start)``, the grid-hit bound of
+:meth:`AttemptSchedule.attempt_index_completing_after`.  Its ``1e-9``
+tolerance can drop a completion that lies just after ``start``; only tape
+entries within about ``1e-9 * cycle`` of ``start`` can fail the bound, so
+queries bisect the tape and check the bound only within ``2e-9 * cycle``
+after ``start``.  :meth:`successes_between` and
+:meth:`first_fresh_success` are the only places that apply this rule.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Collection, List, NamedTuple
 
 import numpy as np
 
@@ -31,14 +44,13 @@ from repro.exceptions import EntanglementError
 
 __all__ = ["GenerationEvent", "EntanglementGenerator"]
 
-#: First vectorized outcome block per pair; subsequent blocks double up to
+#: First lockstep block (attempts per pair); later blocks double up to
 #: :data:`_MAX_BLOCK` so long simulations stay O(log) in RNG calls.
 _MIN_BLOCK = 128
 _MAX_BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class GenerationEvent:
+class GenerationEvent(NamedTuple):
     """One successful entanglement-generation attempt."""
 
     time: float
@@ -47,7 +59,7 @@ class GenerationEvent:
 
 
 class EntanglementGenerator:
-    """Per-pair Bernoulli success process over an attempt schedule.
+    """Bernoulli success process of all pairs of one node pair, as a tape.
 
     Parameters
     ----------
@@ -59,12 +71,14 @@ class EntanglementGenerator:
         Seed of the underlying PRNG; every pair gets an independent,
         reproducible sub-stream.
 
-    Notes
-    -----
-    Success outcomes are drawn lazily but cached, so querying the same
-    attempt twice always gives the same answer — this is what makes the
-    interactive runtime simulation reproducible for a fixed seed regardless
-    of the order in which the executor explores the timeline.
+    Attributes
+    ----------
+    times / pairs / attempts:
+        The tape: parallel lists of every success drawn so far, sorted by
+        ``(time, pair)``.  Lists are only ever extended or have a suffix
+        replaced, so a caller may hold on to them across draws.
+    frontier:
+        Every success completing before this time is on the tape.
     """
 
     def __init__(self, schedule: AttemptSchedule,
@@ -75,292 +89,157 @@ class EntanglementGenerator:
         self.schedule = schedule
         self.success_probability = success_probability
         self.seed = seed
-        # Per-pair sampled state, indexed by pair: number of attempts drawn
-        # so far, the raw outcome blocks, and the sorted success times /
-        # attempt indices.  (A pair-less schedule still allocates one slot
-        # so out-of-range errors surface through the schedule's own checks.)
-        slots = max(1, schedule.num_pairs)
-        self._rngs: List[Optional[np.random.Generator]] = [None] * slots
-        self._drawn: List[int] = [0] * slots
-        self._outcomes: List[List[np.ndarray]] = [[] for _ in range(slots)]
-        self._success_times: List[List[float]] = [[] for _ in range(slots)]
-        self._success_attempts: List[List[int]] = [[] for _ in range(slots)]
-        self._first_completion: List[Optional[float]] = [None] * slots
+        self.cycle = schedule.cycle_time
+        self._firsts = [schedule.first_completion(pair)
+                        for pair in range(schedule.num_pairs)]
+        self._first_min = min(self._firsts, default=float("inf"))
+        self._rngs: List[np.random.Generator] = []
+        self.drawn = 0
+        self.times: List[float] = []
+        self.pairs: List[int] = []
+        self.attempts: List[int] = []
+        self.frontier = self._first_min
 
     # ------------------------------------------------------------------
-    def _rng_for(self, pair_index: int) -> np.random.Generator:
-        rng = self._rngs[pair_index]
-        if rng is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.seed,
-                                       spawn_key=(pair_index,))
-            )
-            self._rngs[pair_index] = rng
-        return rng
+    # drawing
+    # ------------------------------------------------------------------
+    def _draw_block(self) -> None:
+        """Draw the next lockstep block of attempts for every pair."""
+        if not self._rngs:
+            self._rngs = [
+                np.random.default_rng(
+                    np.random.SeedSequence(entropy=self.seed, spawn_key=(pair,)))
+                for pair in range(len(self._firsts))
+            ]
+        drawn = self.drawn
+        block = min(_MAX_BLOCK, max(_MIN_BLOCK, drawn))
+        uniforms = np.empty((len(self._rngs), block))
+        for row, rng in zip(uniforms, self._rngs):
+            rng.random(out=row)
+        pair_index, offset = np.nonzero(uniforms < self.success_probability)
+        attempts = offset + drawn
+        # first + k * cycle: the float arithmetic of
+        # AttemptSchedule.attempt_completion, element by element.
+        times = np.asarray(self._firsts)[pair_index] + attempts * self.cycle
+        order = np.lexsort((pair_index, times))
+        self._merge(times[order].tolist(), pair_index[order].tolist(),
+                    attempts[order].tolist())
+        self.drawn = drawn + block
+        self.frontier = self._first_min + self.drawn * self.cycle
 
-    def _first_completion_of(self, pair_index: int) -> float:
-        first = self._first_completion[pair_index]
-        if first is None:
-            first = self.schedule.first_completion(pair_index)
-            self._first_completion[pair_index] = first
-        return first
+    def _merge(self, times: List[float], pairs: List[int],
+               attempts: List[int]) -> None:
+        """Merge one sorted block into the tape, in place."""
+        if not times:
+            return
+        tape_times, tape_pairs = self.times, self.pairs
+        if not tape_times or (times[0], pairs[0]) > (tape_times[-1],
+                                                     tape_pairs[-1]):
+            tape_times.extend(times)
+            tape_pairs.extend(pairs)
+            self.attempts.extend(attempts)
+            return
+        # The block starts before the tail: re-sort the overlapping suffix.
+        cut = bisect_left(tape_times, times[0])
+        merged = sorted(zip(tape_times[cut:] + times, tape_pairs[cut:] + pairs,
+                            self.attempts[cut:] + attempts))
+        tape_times[cut:] = [entry[0] for entry in merged]
+        tape_pairs[cut:] = [entry[1] for entry in merged]
+        self.attempts[cut:] = [entry[2] for entry in merged]
 
-    def _attempt_after(self, pair_index: int, time: float) -> int:
+    def ensure(self, threshold: float) -> None:
+        """Draw until the tape is final at and below ``threshold``."""
+        while self.frontier <= threshold:
+            self._draw_block()
+
+    # ------------------------------------------------------------------
+    # interval semantics
+    # ------------------------------------------------------------------
+    def attempt_after(self, pair_index: int, time: float) -> int:
         """Inline replica of :meth:`AttemptSchedule.attempt_index_completing_after`.
 
         Identical float arithmetic (including the grid-hit rounding
-        tolerance) on the cached first-completion time, avoiding the
-        five-deep method chain in the per-query hot path.
+        tolerance) on the cached first-completion time.
         """
-        first = self._first_completion[pair_index]
-        if first is None:
-            first = self._first_completion_of(pair_index)
+        first = self._firsts[pair_index]
         if time < first - 1e-12:
             return 0
-        elapsed = (time - first) / self.schedule.cycle_time
+        elapsed = (time - first) / self.cycle
         if abs(elapsed - round(elapsed)) < 1e-9:
             return int(round(elapsed)) + 1
         return int(elapsed) + 1
 
-    # ------------------------------------------------------------------
-    # bulk sampling
-    # ------------------------------------------------------------------
-    def _extend(self, pair_index: int) -> None:
-        """Draw the next vectorized outcome block of one pair.
+    def _bound_window(self, start: float) -> float:
+        """Entries after ``start`` up to this time may fail the attempt bound."""
+        return start + 2e-9 * self.cycle
 
-        One ``Generator.random(block)`` call consumes exactly the same
-        variates as ``block`` scalar draws, so outcomes per attempt index
-        are bit-identical to the per-attempt sampling this replaces.
-        Successful attempts are appended to the pair's sorted success-time
-        arrays (``completion = first + k * cycle``, the same float
-        arithmetic as :meth:`AttemptSchedule.attempt_completion`).
-        """
-        drawn = self._drawn[pair_index]
-        block = min(_MAX_BLOCK, max(_MIN_BLOCK, drawn))
-        outcomes = self._rng_for(pair_index).random(block) < self.success_probability
-        self._outcomes[pair_index].append(outcomes)
-        successes = np.nonzero(outcomes)[0]
-        if successes.size:
-            attempts = successes + drawn
-            times = self.schedule.completion_times(pair_index, attempts)
-            self._success_times[pair_index].extend(times.tolist())
-            self._success_attempts[pair_index].extend(attempts.tolist())
-        self._drawn[pair_index] = drawn + block
-
-    def _ensure_attempts(self, pair_index: int, count: int) -> None:
-        """Materialise at least ``count`` attempt outcomes for one pair."""
-        while self._drawn[pair_index] < count:
-            self._extend(pair_index)
-
-    def _ensure_time(self, pair_index: int, time: float) -> None:
-        """Materialise every attempt completing at or before ``time``."""
-        first = self._first_completion_of(pair_index)
-        cycle = self.schedule.cycle_time
-        threshold = time + 1e-12
-        drawn = self._drawn[pair_index]
-        while drawn == 0 or first + (drawn - 1) * cycle <= threshold:
-            self._extend(pair_index)
-            drawn = self._drawn[pair_index]
-
-    def _check_pair(self, pair_index: int) -> None:
-        if not (0 <= pair_index < max(1, self.schedule.num_pairs)):
-            raise EntanglementError(
-                f"pair index {pair_index} out of range for "
-                f"{self.schedule.num_pairs} pairs"
-            )
-
-    def attempt_succeeds(self, pair_index: int, attempt_index: int) -> bool:
-        """Whether the given attempt of the given pair succeeds (memoised)."""
-        if attempt_index < 0:
-            raise EntanglementError("attempt index must be non-negative")
-        self._check_pair(pair_index)
-        self._ensure_attempts(pair_index, attempt_index + 1)
-        offset = attempt_index
-        for block in self._outcomes[pair_index]:
-            if offset < block.size:
-                return bool(block[offset])
-            offset -= block.size
-        raise EntanglementError(  # pragma: no cover - unreachable by design
-            f"attempt {attempt_index} of pair {pair_index} not materialised"
-        )
+    def _fails_bound(self, index: int, start: float) -> bool:
+        """Whether tape entry ``index`` fails the attempt bound of ``start``."""
+        return self.attempts[index] < self.attempt_after(self.pairs[index],
+                                                         start)
 
     # ------------------------------------------------------------------
-    def successes_between(self, pair_index: int, start: float,
+    # queries
+    # ------------------------------------------------------------------
+    def successes_between(self, start: float,
                           end: float) -> List[GenerationEvent]:
-        """Successful attempts of one pair completing in ``(start, end]``.
-
-        The interval boundaries replicate the historical per-attempt scan
-        exactly: the scan starts at
-        :meth:`AttemptSchedule.attempt_index_completing_after` (whose
-        grid-hit tolerance can skip a completion within ``1e-9`` of
-        ``start``) and keeps completions ``> start + 1e-12`` and
-        ``<= end + 1e-12``.
-        """
-        self._check_pair(pair_index)
+        """Successes of all pairs in ``(start, end]``, in ``(time, pair)`` order."""
         if end < start:
             return []
-        self._ensure_time(pair_index, end)
-        first_attempt = self._attempt_after(pair_index, start)
-        times = self._success_times[pair_index]
-        attempts = self._success_attempts[pair_index]
-        lo = bisect_left(attempts, first_attempt)
-        start_bound = bisect_right(times, start + 1e-12)
-        if start_bound > lo:
-            lo = start_bound
-        hi = bisect_right(times, end + 1e-12)
-        if hi <= lo:
-            return []
+        self.ensure(end + 1e-12)
+        times, pairs, attempts = self.times, self.pairs, self.attempts
+        window = self._bound_window(start)
         return [
-            GenerationEvent(times[i], pair_index, attempts[i])
-            for i in range(lo, hi)
+            GenerationEvent(times[i], pairs[i], attempts[i])
+            for i in range(bisect_right(times, start + 1e-12),
+                           bisect_right(times, end + 1e-12))
+            if times[i] > window or not self._fails_bound(i, start)
         ]
 
-    def first_success_after(self, pair_index: int, time: float,
-                            max_attempts: int = 100000) -> GenerationEvent:
-        """First successful attempt of a pair completing strictly after ``time``.
+    def first_fresh_success(self, time: float,
+                            excluded: Collection = ()) -> GenerationEvent:
+        """Earliest success after ``time`` whose ``(pair, attempt)`` is not excluded.
 
-        Only the ``max_attempts`` attempts following the scan start are
-        considered (block sampling may have drawn further ahead, but a
-        success beyond the window still raises, preserving the historical
-        timeout contract).
+        "After" has the interval semantics of :meth:`successes_between`;
+        ties in time go to the lower pair.  Draws as far ahead as needed.
         """
-        self._check_pair(pair_index)
-        first_attempt = self._attempt_after(pair_index, time)
-        limit = first_attempt + max_attempts
+        if not self._firsts:
+            raise EntanglementError("no communication-qubit pairs to draw from")
         threshold = time + 1e-12
+        self.ensure(threshold)
+        times, pairs, attempts = self.times, self.pairs, self.attempts
+        window = self._bound_window(time)
+        index = bisect_right(times, threshold)
         while True:
-            times = self._success_times[pair_index]
-            attempts = self._success_attempts[pair_index]
-            lo = bisect_left(attempts, first_attempt)
-            lo = max(lo, bisect_right(times, threshold))
-            if lo < len(times):
-                if attempts[lo] < limit:
-                    return GenerationEvent(times[lo], pair_index, attempts[lo])
-            elif self._drawn[pair_index] < limit:
-                self._extend(pair_index)
-                continue
-            raise EntanglementError(
-                f"no success within {max_attempts} attempts (psucc too small?)"
-            )
-
-    def first_fresh_success(self, time: float, excluded,
-                            horizon: float) -> Optional[GenerationEvent]:
-        """Earliest success after ``time`` not in ``excluded``, across pairs.
-
-        Implements the selection rule of the service's direct-consumption
-        path in one fused scan: successes are ordered by ``(completion,
-        pair_index)``, the boundary semantics match
-        :meth:`successes_between` exactly (attempt-index lower bound plus
-        the ``> time + 1e-12`` filter), ``excluded`` holds already-delivered
-        ``(pair_index, attempt_index)`` keys, and attempts are drawn lazily
-        no further than ``horizon`` (or the best candidate found so far).
-        Returns ``None`` when nothing completes by ``horizon``.
-        """
-        cycle = self.schedule.cycle_time
-        threshold = time + 1e-12
-        best_time = float("inf")
-        best_pair = -1
-        best_attempt = -1
-        for pair_index in range(self.schedule.num_pairs):
-            first = self._first_completion_of(pair_index)
-            first_attempt = self._attempt_after(pair_index, time)
-            times = self._success_times[pair_index]
-            attempts = self._success_attempts[pair_index]
-            index = bisect_left(attempts, first_attempt)
-            start_bound = bisect_right(times, threshold)
-            if start_bound > index:
-                index = start_bound
-            # Only successes strictly before the current best can win (a
-            # tie keeps the earlier pair, matching merged (time, pair)
-            # order), so the draw limit shrinks as candidates are found.
-            limit = horizon if best_time > horizon else best_time
-            while True:
-                if index < len(times):
-                    candidate = times[index]
-                    if candidate >= best_time:
-                        break
-                    if (pair_index, attempts[index]) not in excluded:
-                        best_time = candidate
-                        best_pair = pair_index
-                        best_attempt = attempts[index]
-                        break
+            # An entry at the frontier could still tie with an undrawn
+            # attempt of a lower pair; only entries below it are final.
+            if index < len(times) and times[index] < self.frontier:
+                if ((times[index] <= window and self._fails_bound(index, time))
+                        or (pairs[index], attempts[index]) in excluded):
                     index += 1
                     continue
-                drawn = self._drawn[pair_index]
-                if drawn > 0 and first + (drawn - 1) * cycle > limit:
-                    break
-                self._extend(pair_index)
-        if best_pair < 0:
-            return None
-        return GenerationEvent(best_time, best_pair, best_attempt)
+                return GenerationEvent(times[index], pairs[index],
+                                       attempts[index])
+            self._draw_block()
 
-    def earliest_success_bound(self, after: float) -> float:
-        """Lower bound on the completion time of any success after ``after``.
-
-        Returns a time ``T`` such that every success with completion
-        ``t > after + 1e-12`` satisfies ``t >= T``, using only attempts
-        drawn so far (the method never samples).  For pairs whose drawn
-        horizon holds no later success, the earliest *undrawn* attempt
-        completion bounds them.  Consumers (the entanglement service) use
-        this to skip interval scans that provably contain no success.
-        """
-        cycle = self.schedule.cycle_time
-        threshold = after + 1e-12
-        bound = float("inf")
-        for pair_index in range(self.schedule.num_pairs):
-            times = self._success_times[pair_index]
-            index = bisect_right(times, threshold)
-            if index < len(times):
-                candidate = times[index]
-            else:
-                drawn = self._drawn[pair_index]
-                if drawn == 0:
-                    return after
-                # Next undrawn attempt of this pair completes at
-                # first + drawn * cycle; any success of the pair after
-                # ``after`` is at or beyond whichever is later.
-                candidate = self._first_completion_of(pair_index) + drawn * cycle
-                if candidate <= threshold:
-                    return after
-            if candidate < bound:
-                bound = candidate
-        return bound
-
-    def merged_successes_between(self, start: float, end: float) -> List[GenerationEvent]:
-        """Successes of *all* pairs in ``(start, end]``, sorted by time.
-
-        Inlined fusion of per-pair :meth:`successes_between` (identical
-        boundary semantics) — the executor calls this once per service
-        advance, so the per-pair dispatch overhead is on the hot path.
-        """
-        if end < start:
-            return []
-        cycle = self.schedule.cycle_time
-        start_threshold = start + 1e-12
-        end_threshold = end + 1e-12
-        events: List[GenerationEvent] = []
-        for pair_index in range(self.schedule.num_pairs):
-            # _ensure_time, inlined on the cached frontier.
-            first = self._first_completion_of(pair_index)
-            drawn = self._drawn[pair_index]
-            while drawn == 0 or first + (drawn - 1) * cycle <= end_threshold:
-                self._extend(pair_index)
-                drawn = self._drawn[pair_index]
-            times = self._success_times[pair_index]
-            if not times or times[-1] <= start_threshold:
-                continue
-            first_attempt = self._attempt_after(pair_index, start)
-            attempts = self._success_attempts[pair_index]
-            lo = bisect_left(attempts, first_attempt)
-            start_bound = bisect_right(times, start_threshold)
-            if start_bound > lo:
-                lo = start_bound
-            hi = bisect_right(times, end_threshold)
-            for i in range(lo, hi):
-                events.append(GenerationEvent(times[i], pair_index, attempts[i]))
-        if len(events) > 1:
-            events.sort(key=lambda event: (event.time, event.pair_index))
-        return events
+    def attempt_succeeds(self, pair_index: int, attempt_index: int) -> bool:
+        """Whether the given attempt of the given pair succeeds."""
+        if attempt_index < 0:
+            raise EntanglementError("attempt index must be non-negative")
+        if not (0 <= pair_index < len(self._firsts)):
+            raise EntanglementError(
+                f"pair index {pair_index} out of range for "
+                f"{len(self._firsts)} pairs"
+            )
+        completion = self._firsts[pair_index] + attempt_index * self.cycle
+        self.ensure(completion)
+        index = bisect_left(self.times, completion)
+        while index < len(self.times) and self.times[index] == completion:
+            if (self.pairs[index] == pair_index
+                    and self.attempts[index] == attempt_index):
+                return True
+            index += 1
+        return False
 
     # ------------------------------------------------------------------
     def expected_rate(self) -> float:

@@ -1,10 +1,10 @@
 """Interactive entanglement-supply simulation for one node pair.
 
-:class:`EntanglementService` is the component the discrete-event executor
-talks to.  It simulates, forward in time, the stochastic successes of the
-communication-qubit pairs (via :class:`EntanglementGenerator`), stores the
-resulting links in a capacity-limited :class:`BufferPool`, and serves remote
-gates through :meth:`acquire`.
+:class:`EntanglementService` is the component the discrete-event executors
+talk to.  It moves a frontier forward in time over the successes of an
+:class:`EntanglementGenerator`, stores the resulting links in a
+capacity-limited :class:`BufferPool`, and serves remote gates through
+:meth:`acquire`.
 
 Design variants map onto service configurations:
 
@@ -21,12 +21,12 @@ Design variants map onto service configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from repro.entanglement.buffer import BufferPool
-from repro.entanglement.generator import EntanglementGenerator, GenerationEvent
-from repro.entanglement.link import EntanglementLink, LinkLocation
+from repro.entanglement.generator import EntanglementGenerator
+from repro.entanglement.werner import werner_fidelity_after
 from repro.exceptions import EntanglementError
 
 __all__ = ["EntanglementService", "ServiceStatistics"]
@@ -57,7 +57,7 @@ class EntanglementService:
     buffer_capacity:
         Number of links storable between the node pair (0 = no buffer).
     kappa:
-        Decoherence rate used for link-fidelity decay queries.
+        Decoherence rate used for link-fidelity decay.
     initial_fidelity:
         Werner fidelity of freshly generated links (Table II: 0.99).
     swap_latency:
@@ -72,9 +72,19 @@ class EntanglementService:
 
     Notes
     -----
-    The service must be driven with non-decreasing times: the executor's
-    event loop guarantees that ``acquire`` and ``count_available`` are called
-    in chronological order.
+    Queries may go backwards in time: an executor asks for a link when a
+    remote gate's operands are free, and gates on other qubits may already
+    have asked at later times (on the Fig. 5/6 grid about one acquire in
+    eight is earlier than the previous query).  The service keeps a
+    *frontier*, the latest time any query has reached.  Successes up to the
+    frontier have gone to the buffer (or been wasted), and nothing at or
+    before it is ever handed out fresh again.  An :meth:`acquire` at
+    ``after`` is served, in this order, by
+
+    1. a buffered link whose swap has finished by ``after`` (the freshest);
+    2. else the link whose buffering swap finishes first after ``after``;
+    3. else the first success after ``max(after, frontier)`` that was not
+       already consumed, taken straight from the communication qubits.
     """
 
     def __init__(
@@ -87,13 +97,15 @@ class EntanglementService:
         buffer_cutoff: Optional[float] = None,
         prefill: int = 0,
         node_pair: Tuple[int, int] = (0, 1),
-        consumption_order: str = "lifo",
-        replace_oldest_when_full: bool = True,
     ) -> None:
         if kappa < 0:
             raise EntanglementError("decoherence rate must be non-negative")
         if swap_latency < 0:
             raise EntanglementError("swap latency must be non-negative")
+        if not (0.0 < initial_fidelity <= 1.0):
+            raise EntanglementError("initial fidelity must be in (0, 1]")
+        if node_pair[0] == node_pair[1]:
+            raise EntanglementError("a link must connect two different nodes")
         if prefill < 0:
             raise EntanglementError("prefill count must be non-negative")
         if prefill > buffer_capacity:
@@ -101,46 +113,20 @@ class EntanglementService:
                 "cannot pre-fill more links than the buffer capacity"
             )
         self.generator = generator
-        self.buffer = BufferPool(
-            buffer_capacity,
-            cutoff=buffer_cutoff,
-            replace_oldest_when_full=replace_oldest_when_full,
-            consumption_order=consumption_order,
-        )
+        self.buffer = BufferPool(buffer_capacity, cutoff=buffer_cutoff)
         self.kappa = kappa
         self.initial_fidelity = initial_fidelity
         self.swap_latency = swap_latency
         self.node_pair = (min(node_pair), max(node_pair))
         self.statistics = ServiceStatistics()
+        #: The frontier: the latest time any query has reached.
         self._materialized_until = 0.0
-        #: Lower bound on the next success past the materialised frontier
-        #: (0.0 = unknown, forces a scan); lets empty advances skip the
-        #: per-pair interval queries that dominate the execute hot path.
-        self._next_success_bound = 0.0
+        #: (pair, attempt) of successes consumed directly, ahead of the
+        #: frontier; the advance that reaches one drops it (unless the
+        #: attempt bound skips it there, which leaves an inert key).
         self._delivered: set = set()
-        self._prefill_links(prefill)
-
-    # ------------------------------------------------------------------
-    def _prefill_links(self, count: int) -> None:
-        for index in range(count):
-            link = EntanglementLink(
-                node_pair=self.node_pair,
-                created_time=0.0,
-                initial_fidelity=self.initial_fidelity,
-                pair_index=index % max(1, self.generator.schedule.num_pairs),
-            )
-            stored = self.buffer.store(link, 0.0)
-            if not stored:  # pragma: no cover - guarded by the prefill check
-                raise EntanglementError("buffer rejected a pre-filled link")
-
-    def _new_link(self, event: GenerationEvent) -> EntanglementLink:
-        self.statistics.generated_total += 1
-        return EntanglementLink(
-            node_pair=self.node_pair,
-            created_time=event.time,
-            initial_fidelity=self.initial_fidelity,
-            pair_index=event.pair_index,
-        )
+        for _ in range(prefill):
+            self.buffer.store(0.0, 0.0)
 
     # ------------------------------------------------------------------
     # forward simulation
@@ -149,29 +135,20 @@ class EntanglementService:
         """Materialise all generation successes up to ``time``.
 
         Successes are stored into the buffer (or wasted when it is full or
-        absent).  Idempotent: advancing to an earlier time than already
-        materialised is a no-op.
+        absent).  Advancing to a time at or before the frontier is a no-op.
         """
-        if time <= self._materialized_until + 1e-12:
+        start = self._materialized_until
+        if time <= start + 1e-12:
             return
-        if time + 1e-12 < self._next_success_bound:
-            # Provably no success completes in (materialised, time]; move
-            # the frontier without scanning any pair.
-            self._materialized_until = time
-            self.buffer.expire_until(time)
-            return
-        events = self.generator.merged_successes_between(
-            self._materialized_until, time
-        )
-        for event in events:
-            key = (event.pair_index, event.attempt_index)
-            if key in self._delivered:
+        delivered = self._delivered
+        for created, pair, attempt in self.generator.successes_between(start,
+                                                                       time):
+            if (pair, attempt) in delivered:
+                delivered.remove((pair, attempt))
                 continue
-            self._delivered.add(key)
-            link = self._new_link(event)
-            self.buffer.store(link, event.time + self.swap_latency)
+            self.statistics.generated_total += 1
+            self.buffer.store(created, created + self.swap_latency)
         self._materialized_until = time
-        self._next_success_bound = self.generator.earliest_success_bound(time)
         self.buffer.expire_until(time)
 
     def count_available(self, time: float) -> int:
@@ -182,72 +159,34 @@ class EntanglementService:
     # ------------------------------------------------------------------
     # consumption
     # ------------------------------------------------------------------
-    def acquire(self, after: float,
-                max_scan: float = 1e6) -> Tuple[float, EntanglementLink]:
+    def acquire(self, after: float) -> Tuple[float, float, float]:
         """Consume one link for a remote gate that becomes ready at ``after``.
 
-        Returns ``(ready_time, link)`` where ``ready_time >= after`` is the
-        time at which the link is in hand (already buffered, or freshly
-        generated while the gate waits).  The link is marked consumed at
-        ``ready_time``.
+        Returns ``(start, link_created_time, link_fidelity_at_start)``:
+        ``start >= after`` is when the link is in hand (already buffered,
+        or freshly generated while the gate waits), and the fidelity is the
+        link's Werner fidelity after idling from creation until ``start``.
         """
         if after < 0:
             raise EntanglementError("acquisition time must be non-negative")
         self.advance_to(after)
-
-        # 1. A buffered link is already waiting.
-        if self.buffer.count_available(after) > 0:
-            link = self.buffer.pop_available(after)
+        taken = self.buffer.take(after)
+        if taken is not None:
+            start, created, age = taken
             self.statistics.consumed_from_buffer += 1
-            return after, link
-
-        # 2. A link has been generated but its buffering SWAP is still in
-        #    flight (or it was stored while the service ran ahead in time):
-        #    wait for the earliest such link.
-        pending = [
-            link.buffered_time for link in self.buffer.stored_links
-            if link.buffered_time is not None and link.buffered_time > after
-        ]
-        if pending:
-            ready = min(pending)
-            link = self.buffer.pop_available(ready)
-            self.statistics.consumed_from_buffer += 1
-            return ready, link
-
-        # 3. Wait for the next fresh success (consumed directly from the
-        #    communication qubits, no buffering SWAP needed): the earliest
-        #    undelivered success in (time, pair) order after the scan start.
-        scan_start = max(after, self._materialized_until)
-        horizon = scan_start + max_scan
-        best = self.generator.first_fresh_success(
-            scan_start, self._delivered, horizon
-        )
-        if best is None or best.time > horizon + 1e-12:
-            raise EntanglementError(
-                f"no entanglement success found within {max_scan} time units"
-            )
-        self._delivered.add((best.pair_index, best.attempt_index))
-        link = self._new_link(best)
-        ready = max(after, best.time)
-        age = link.consume(ready)
-        self.statistics.consumed_direct += 1
-        self.statistics.direct_consumed_age += age
-        return ready, link
-
-    def acquire_record(self, after: float,
-                       kappa: Optional[float] = None,
-                       max_scan: float = 1e6) -> Tuple[float, float, float]:
-        """:meth:`acquire` flattened for batched (cross-seed) replay.
-
-        Returns ``(start_time, link_created_time, link_fidelity_at_start)``
-        — exactly the scalar fields the executors record per remote gate —
-        so callers that hold many services (one per seed) can consume links
-        without touching :class:`~repro.entanglement.link.EntanglementLink`
-        objects.  The variate stream drawn is identical to :meth:`acquire`.
-        """
-        start, link = self.acquire(after, max_scan=max_scan)
-        decay = self.kappa if kappa is None else kappa
-        return start, link.created_time, link.fidelity_at(start, decay)
+        else:
+            event = self.generator.first_fresh_success(
+                max(after, self._materialized_until), self._delivered)
+            self._delivered.add((event.pair_index, event.attempt_index))
+            created = event.time
+            start = max(after, created)
+            age = max(0.0, start - created)
+            statistics = self.statistics
+            statistics.generated_total += 1
+            statistics.consumed_direct += 1
+            statistics.direct_consumed_age += age
+        return start, created, werner_fidelity_after(
+            self.initial_fidelity, age, self.kappa)
 
     # ------------------------------------------------------------------
     # end-of-run accounting
@@ -268,8 +207,6 @@ class EntanglementService:
         Derived from the recorded consumption ages and the decay law; used in
         reports and tests (higher is better, 0 if nothing was consumed).
         """
-        from repro.entanglement.werner import werner_fidelity_after
-
         total = 0.0
         count = 0
         buffer_stats = self.buffer.statistics

@@ -147,3 +147,11 @@ class FaultError(ConfigurationError):
 
 class BenchmarkError(ReproError):
     """Raised when a benchmark circuit cannot be generated as requested."""
+
+
+class MissingDependencyError(ReproError, ImportError):
+    """An optional helper needs a package that is not installed.
+
+    The message names the package and the ``pip`` extra that installs it;
+    the core simulator never raises this.
+    """

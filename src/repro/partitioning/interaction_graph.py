@@ -13,10 +13,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.circuits.circuit import QuantumCircuit
-from repro.exceptions import PartitionError
+from repro.exceptions import MissingDependencyError, PartitionError
 
 __all__ = ["InteractionGraph"]
 
@@ -148,8 +146,19 @@ class InteractionGraph:
             totals[assignment[vertex]] += self.vertex_weights[vertex]
         return dict(totals)
 
-    def to_networkx(self) -> nx.Graph:
-        """Convert to a :class:`networkx.Graph` (for validation and plotting)."""
+    def to_networkx(self):
+        """Convert to a :class:`networkx.Graph` (for validation and plotting).
+
+        networkx is optional (the ``graph`` extra); without it this raises
+        :class:`~repro.exceptions.MissingDependencyError`.
+        """
+        try:
+            import networkx as nx
+        except ImportError:
+            raise MissingDependencyError(
+                "InteractionGraph.to_networkx needs networkx; install it with "
+                "pip install 'repro-dqc-codesign[graph]'"
+            ) from None
         graph = nx.Graph()
         graph.add_nodes_from(range(self.num_vertices))
         for (a, b), weight in self.weights.items():

@@ -114,7 +114,6 @@ class BatchedExecutor:
                  seed: int) -> ExecutionResult:
         design = self.design
         architecture = self.architecture
-        kappa = architecture.decoherence_rate
         directory = EntanglementDirectory(
             architecture,
             attempt_policy=design.attempt_policy,
@@ -146,7 +145,7 @@ class BatchedExecutor:
                         pair = streams.pair_list[pair_id]
                         service = directory.service(pair[0], pair[1])
                         services[pair_id] = service
-                    start, link = service.acquire(ready)
+                    start, created, fidelity = service.acquire(ready)
                     finish = start + remote_latency
                     avail[a] = finish
                     avail[b] = finish
@@ -161,8 +160,8 @@ class BatchedExecutor:
                         ready_time=ready,
                         start_time=start,
                         finish_time=finish,
-                        link_created_time=link.created_time,
-                        link_fidelity=link.fidelity_at(start, kappa),
+                        link_created_time=created,
+                        link_fidelity=fidelity,
                     ))
                 elif op == OP_LOCAL_2Q:
                     time_a = avail[a]

@@ -211,7 +211,6 @@ class DesignExecutor:
         tracker = DataQubitTracker(program.num_qubits)
         trace = ExecutionTrace() if self.collect_trace else None
         times = self.architecture.gate_times
-        kappa = self.architecture.decoherence_rate
         directory = EntanglementDirectory(
             self.architecture,
             attempt_policy=self.design.attempt_policy,
@@ -239,7 +238,7 @@ class DesignExecutor:
                 if gate.is_remote:
                     record = self._execute_remote(
                         gate, gate_counter - 1, program, tracker, directory,
-                        times, kappa, trace,
+                        times, trace,
                     )
                     remote_records.append(record)
                 else:
@@ -291,7 +290,7 @@ class DesignExecutor:
 
     def _execute_remote(self, gate: Gate, index: int,
                         program: DistributedProgram, tracker: DataQubitTracker,
-                        directory: EntanglementDirectory, times, kappa: float,
+                        directory: EntanglementDirectory, times,
                         trace: Optional[ExecutionTrace]) -> RemoteGateRecord:
         node_a = program.node_of(gate.qubits[0])
         node_b = program.node_of(gate.qubits[1])
@@ -302,10 +301,9 @@ class DesignExecutor:
             )
         ready = tracker.earliest_start(gate.qubits)
         service = directory.service(node_a, node_b)
-        start, link = service.acquire(ready)
+        start, created, link_fidelity = service.acquire(ready)
         duration = times.remote_gate_latency()
         finish = tracker.occupy(gate.qubits, start, duration)
-        link_fidelity = link.fidelity_at(start, kappa)
         if trace is not None:
             trace.record(GateTraceEntry(index, gate.name, gate.qubits,
                                         start, finish, is_remote=True,
@@ -315,7 +313,7 @@ class DesignExecutor:
             ready_time=ready,
             start_time=start,
             finish_time=finish,
-            link_created_time=link.created_time,
+            link_created_time=created,
             link_fidelity=link_fidelity,
         )
 

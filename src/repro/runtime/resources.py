@@ -286,7 +286,6 @@ class EntanglementDirectoryBatch:
         self.architecture = architecture
         self.seeds = list(seeds)
         self.pair_list = tuple(pair_list)
-        self.kappa = architecture.decoherence_rate
         self.directories = [
             EntanglementDirectory(
                 architecture,
@@ -336,13 +335,12 @@ class EntanglementDirectoryBatch:
         starts: List[float] = []
         created: List[float] = []
         fidelities: List[float] = []
-        kappa = self.kappa
         tables = self._services
         for row, after in zip(rows, ready_times):
             service = tables[row][pair_id]
             if service is None:
                 service = self.service(row, pair_id)
-            start, created_time, fidelity = service.acquire_record(after, kappa)
+            start, created_time, fidelity = service.acquire(after)
             starts.append(start)
             created.append(created_time)
             fidelities.append(fidelity)

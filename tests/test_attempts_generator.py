@@ -83,40 +83,47 @@ class TestGenerator:
     def test_outcomes_are_memoised(self):
         generator = self._generator()
         first = [generator.attempt_succeeds(0, k) for k in range(50)]
+        interval = generator.successes_between(0, 500)
         second = [generator.attempt_succeeds(0, k) for k in range(50)]
         assert first == second
+        assert generator.successes_between(0, 500) == interval
 
     def test_reproducible_across_instances(self):
-        a = self._generator(seed=7).merged_successes_between(0, 200)
-        b = self._generator(seed=7).merged_successes_between(0, 200)
-        assert [(e.time, e.pair_index) for e in a] == [(e.time, e.pair_index) for e in b]
+        a = self._generator(seed=7).successes_between(0, 200)
+        b = self._generator(seed=7).successes_between(0, 200)
+        assert a == b
 
     def test_different_seeds_differ(self):
-        a = self._generator(seed=1).merged_successes_between(0, 300)
-        b = self._generator(seed=2).merged_successes_between(0, 300)
+        a = self._generator(seed=1).successes_between(0, 300)
+        b = self._generator(seed=2).successes_between(0, 300)
         assert [(e.time, e.pair_index) for e in a] != [(e.time, e.pair_index) for e in b]
 
     def test_empirical_rate_close_to_psucc(self):
         generator = self._generator(psucc=0.4, seed=3, pairs=10)
-        events = generator.merged_successes_between(0, 2000)
+        events = generator.successes_between(0, 2000)
         # 10 pairs * 200 attempts * 0.4 = 800 expected successes.
         assert 700 <= len(events) <= 900
 
     def test_unit_probability_always_succeeds(self):
         generator = self._generator(psucc=1.0)
-        events = generator.successes_between(0, 0, 100)
-        assert len(events) == 10
+        events = generator.successes_between(0, 100)
+        assert len(events) == 100
+        assert [e.time for e in events if e.pair_index == 0] == \
+            [10.0 * k for k in range(1, 11)]
 
     def test_first_success_after(self):
         generator = self._generator(psucc=1.0)
-        event = generator.first_success_after(0, 25.0)
-        assert event.time == pytest.approx(30.0)
+        event = generator.first_fresh_success(25.0)
+        assert (event.time, event.pair_index) == (30.0, 0)
+        # Excluded successes are skipped in (time, pair) order.
+        event = generator.first_fresh_success(25.0, {(0, 2), (1, 2)})
+        assert (event.time, event.pair_index) == (30.0, 2)
 
     def test_merged_events_sorted(self):
         generator = self._generator(policy=AttemptPolicy.ASYNCHRONOUS, seed=5)
-        events = generator.merged_successes_between(0, 500)
-        times = [e.time for e in events]
-        assert times == sorted(times)
+        events = generator.successes_between(0, 500)
+        keys = [(e.time, e.pair_index) for e in events]
+        assert keys == sorted(keys)
 
     def test_expected_rate(self):
         generator = self._generator(psucc=0.4, pairs=10)

@@ -340,25 +340,32 @@ def test_block_sampling_matches_scalar_rng_stream():
 
 
 def test_bulk_successes_between_matches_attempt_scan():
+    import numpy as np
+
     from repro.entanglement.attempts import AttemptSchedule
     from repro.entanglement.generator import EntanglementGenerator
 
     schedule = AttemptSchedule(num_pairs=3)
     generator = EntanglementGenerator(schedule, success_probability=0.3,
                                       seed=5)
-    for pair in range(3):
-        for start, end in [(0.0, 35.0), (10.0, 10.0), (17.3, 220.0),
-                           (220.0, 221.0), (0.0, 1.0)]:
-            events = generator.successes_between(pair, start, end)
-            expected = []
+    # Reference: each pair's own uniform stream, scanned attempt by attempt.
+    outcomes = [
+        np.random.default_rng(
+            np.random.SeedSequence(entropy=5, spawn_key=(pair,))
+        ).random(100) < 0.3
+        for pair in range(3)
+    ]
+    for start, end in [(0.0, 35.0), (10.0, 10.0), (17.3, 220.0),
+                       (220.0, 221.0), (0.0, 1.0)]:
+        events = generator.successes_between(start, end)
+        expected = []
+        for pair in range(3):
             attempt = schedule.attempt_index_completing_after(pair, start)
             while True:
                 completion = schedule.attempt_completion(pair, attempt)
                 if completion > end + 1e-12:
                     break
-                if completion > start + 1e-12 and \
-                        generator.attempt_succeeds(pair, attempt):
+                if completion > start + 1e-12 and outcomes[pair][attempt]:
                     expected.append((completion, pair, attempt))
                 attempt += 1
-            assert [(e.time, e.pair_index, e.attempt_index)
-                    for e in events] == expected
+        assert [tuple(e) for e in events] == sorted(expected)

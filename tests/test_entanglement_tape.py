@@ -1,0 +1,199 @@
+"""The merged success tape against a brute-force per-attempt scan.
+
+The reference draws each pair's uniforms straight from its own
+``SeedSequence(entropy=seed, spawn_key=(pair,))`` stream and scans attempt
+by attempt with :class:`AttemptSchedule`'s own grid arithmetic, so it
+shares no code with the tape's lockstep blocks, merges, bisects or its
+attempt-bound window.
+"""
+
+from bisect import bisect_left
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.entanglement import (
+    AttemptPolicy,
+    AttemptSchedule,
+    EntanglementGenerator,
+)
+from repro.exceptions import EntanglementError
+
+REFERENCE_ATTEMPTS = 2048
+
+
+class Reference:
+    """Per-attempt scan over each pair's raw uniform stream."""
+
+    def __init__(self, schedule, psucc, seed):
+        self.schedule = schedule
+        self.outcomes = [
+            np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(pair,))
+            ).random(REFERENCE_ATTEMPTS) < psucc
+            for pair in range(schedule.num_pairs)
+        ]
+        self.successes = sorted(
+            (time, pair, attempt)
+            for pair, outcomes in enumerate(self.outcomes)
+            for attempt, time in zip(
+                np.flatnonzero(outcomes).tolist(),
+                schedule.completion_times(pair, np.flatnonzero(outcomes))
+                .tolist())
+        )
+
+    def _scan(self, pair, start):
+        """(completion, pair, attempt) of pair's successes after ``start``."""
+        attempt = self.schedule.attempt_index_completing_after(pair, start)
+        while attempt < REFERENCE_ATTEMPTS:
+            completion = self.schedule.attempt_completion(pair, attempt)
+            if completion > start + 1e-12 and self.outcomes[pair][attempt]:
+                yield completion, pair, attempt
+            attempt += 1
+
+    def between(self, start, end):
+        events = []
+        for pair in range(self.schedule.num_pairs):
+            for event in self._scan(pair, start):
+                if event[0] > end + 1e-12:
+                    break
+                events.append(event)
+        return sorted(events)
+
+    def first_fresh(self, start, excluded):
+        candidates = []
+        for pair in range(self.schedule.num_pairs):
+            for event in self._scan(pair, start):
+                if (event[1], event[2]) not in excluded:
+                    candidates.append(event)
+                    break
+        return min(candidates)
+
+
+def tape(generator):
+    return list(zip(generator.times, generator.pairs, generator.attempts))
+
+
+def assert_tape_consistent(generator, reference):
+    entries = tape(generator)
+    assert entries == sorted(entries)
+    assert generator.drawn <= REFERENCE_ATTEMPTS
+    # Exactly the reference's successes of the drawn attempts, so none
+    # before the frontier is missing.
+    assert entries == [event for event in reference.successes
+                       if event[2] < generator.drawn]
+    below = set(entries[:bisect_left(entries, (generator.frontier,))])
+    assert all(event in below for event in reference.successes
+               if event[0] < generator.frontier)
+
+
+schedules = st.builds(
+    AttemptSchedule,
+    num_pairs=st.integers(1, 16),
+    cycle_time=st.sampled_from([10.0, 3.0, 7.3]),
+    policy=st.sampled_from(list(AttemptPolicy)),
+    num_groups=st.integers(1, 16),
+    stagger=st.sampled_from([1.0, 0.7, 2.5]),
+    steady_state=st.booleans(),
+)
+
+#: Offsets, in units of 1e-9 * cycle, of starts placed on a completion.
+near_offsets = st.sampled_from([-1.5, -1.0, -0.5, -1e-3, 0.0, 1e-3, 0.5,
+                                0.999, 1.0, 1.001, 1.5, 2.5])
+
+
+@st.composite
+def queries(draw, schedule):
+    """A start time: uniform, or within about 1e-9 * cycle of a completion."""
+    if draw(st.booleans()):
+        return draw(st.floats(0.0, 400.0))
+    pair = draw(st.integers(0, schedule.num_pairs - 1))
+    completion = schedule.attempt_completion(pair, draw(st.integers(0, 60)))
+    return completion + draw(near_offsets) * 1e-9 * schedule.cycle_time
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), schedule=schedules,
+       psucc=st.sampled_from([1.0, 0.4, 0.05]), seed=st.integers(0, 2**32))
+def test_tape_queries_match_attempt_scan(data, schedule, psucc, seed):
+    generator = EntanglementGenerator(schedule, psucc, seed=seed)
+    reference = Reference(schedule, psucc, seed)
+    for _ in range(data.draw(st.integers(1, 6))):
+        start = data.draw(queries(schedule))
+        kind = data.draw(st.sampled_from(["between", "fresh", "bound"]))
+        if kind == "between":
+            end = start + data.draw(st.floats(0.0, 200.0))
+            assert [tuple(event) for event in
+                    generator.successes_between(start, end)] == \
+                reference.between(start, end)
+        elif kind == "fresh":
+            ahead = reference.between(start, start + 30 * schedule.cycle_time)
+            excluded = {(pair, attempt) for _, pair, attempt in
+                        data.draw(st.lists(st.sampled_from(ahead), max_size=4)
+                                  if ahead else st.just([]))}
+            assert tuple(generator.first_fresh_success(start, excluded)) == \
+                reference.first_fresh(start, excluded)
+        else:
+            for pair in range(schedule.num_pairs):
+                assert generator.attempt_after(pair, start) == \
+                    schedule.attempt_index_completing_after(pair, start)
+        assert_tape_consistent(generator, reference)
+
+
+def test_blocks_merge_when_first_completions_span_more_than_a_cycle():
+    # 16 sub-groups staggered by 1 against a 10-unit cycle: first
+    # completions 1..15, so each new block lands before the previous tail.
+    schedule = AttemptSchedule(num_pairs=16, cycle_time=10.0, num_groups=16,
+                               policy=AttemptPolicy.ASYNCHRONOUS, stagger=1.0)
+    firsts = [schedule.first_completion(pair) for pair in range(16)]
+    assert max(firsts) - min(firsts) > schedule.cycle_time
+    for seed in range(5):
+        generator = EntanglementGenerator(schedule, 0.4, seed=seed)
+        reference = Reference(schedule, 0.4, seed)
+        generator.ensure(3000.0)
+        assert generator.drawn > 256
+        assert_tape_consistent(generator, reference)
+        assert [tuple(e) for e in generator.successes_between(1270.0, 1300.0)] \
+            == reference.between(1270.0, 1300.0)
+
+
+def test_fresh_success_waits_for_the_frontier_on_ties():
+    # With psucc = 1 and first completions 1..15, the first block ends at
+    # frontier 1281, where pair 11's drawn attempt 127 ties with pair 1's
+    # undrawn attempt 128.  The lower pair wins, so it must be drawn first.
+    schedule = AttemptSchedule(num_pairs=16, cycle_time=10.0, num_groups=16,
+                               policy=AttemptPolicy.ASYNCHRONOUS, stagger=1.0)
+    generator = EntanglementGenerator(schedule, 1.0, seed=0)
+    generator.ensure(1280.5)
+    assert generator.frontier == 1281.0
+    assert (1281.0, 11, 127) in tape(generator)
+    assert tuple(generator.first_fresh_success(1280.5)) == (1281.0, 1, 128)
+
+
+def test_sync_ties_are_ordered_by_pair():
+    schedule = AttemptSchedule(num_pairs=6, policy=AttemptPolicy.SYNCHRONOUS)
+    generator = EntanglementGenerator(schedule, 1.0, seed=2)
+    events = generator.successes_between(0.0, 20.0)
+    assert [(e.time, e.pair_index) for e in events] == \
+        [(t, pair) for t in (10.0, 20.0) for pair in range(6)]
+
+
+def test_block_draws_are_lockstep_and_lazy():
+    schedule = AttemptSchedule(num_pairs=4)
+    generator = EntanglementGenerator(schedule, 0.4, seed=1)
+    assert generator.drawn == 0 and generator.times == []
+    generator.successes_between(0.0, 5.0)
+    assert generator.drawn == 128
+    generator.ensure(2000.0)
+    assert generator.drawn == 128 + 128
+    assert generator.frontier == min(
+        schedule.first_completion(pair) for pair in range(4)) + 256 * 10.0
+
+
+def test_no_pairs_never_succeed():
+    generator = EntanglementGenerator(AttemptSchedule(num_pairs=0), 0.4)
+    assert generator.successes_between(0.0, 1e6) == []
+    with pytest.raises(EntanglementError):
+        generator.first_fresh_success(0.0)

@@ -196,7 +196,7 @@ def test_directory_batch_matches_scalar_directories():
         0, [0.0 for _ in SEEDS])
     node_a, node_b = pair_list[0]
     for row, scalar in enumerate(scalars):
-        start, _, fidelity = scalar.service(node_a, node_b).acquire_record(0.0)
+        start, _, fidelity = scalar.service(node_a, node_b).acquire(0.0)
         assert starts[row] == start
         assert fidelities[row] == fidelity
 

@@ -1,11 +1,9 @@
-"""Unit tests for Werner states and entanglement-link records."""
+"""Unit tests for Werner states and their fidelity decay."""
 
 import numpy as np
 import pytest
 
 from repro.entanglement import (
-    EntanglementLink,
-    LinkLocation,
     WernerState,
     werner_density_matrix,
     werner_fidelity_after,
@@ -76,54 +74,3 @@ class TestWernerState:
             WernerState(0.1)
         with pytest.raises(EntanglementError):
             werner_density_matrix(0.2)
-
-
-class TestEntanglementLink:
-    def test_normalised_node_pair(self):
-        link = EntanglementLink(node_pair=(1, 0), created_time=5.0)
-        assert link.node_pair == (0, 1)
-
-    def test_age_and_fidelity(self):
-        link = EntanglementLink(node_pair=(0, 1), created_time=10.0,
-                                initial_fidelity=0.99)
-        assert link.age(15.0) == pytest.approx(5.0)
-        assert link.fidelity_at(10.0, 0.002) == pytest.approx(0.99)
-        assert link.fidelity_at(60.0, 0.002) < 0.99
-
-    def test_age_before_creation_rejected(self):
-        link = EntanglementLink(node_pair=(0, 1), created_time=10.0)
-        with pytest.raises(EntanglementError):
-            link.age(5.0)
-
-    def test_lifecycle(self):
-        link = EntanglementLink(node_pair=(0, 1), created_time=0.0)
-        assert link.is_available
-        link.move_to_buffer(1.0)
-        assert link.location is LinkLocation.BUFFER
-        age = link.consume(7.0)
-        assert age == pytest.approx(7.0)
-        assert not link.is_available
-        with pytest.raises(EntanglementError):
-            link.consume(8.0)
-
-    def test_discard(self):
-        link = EntanglementLink(node_pair=(0, 1), created_time=0.0)
-        link.discard(3.0)
-        assert link.location is LinkLocation.DISCARDED
-        with pytest.raises(EntanglementError):
-            link.discard(4.0)
-
-    def test_buffer_transition_only_from_comm(self):
-        link = EntanglementLink(node_pair=(0, 1), created_time=0.0)
-        link.move_to_buffer(1.0)
-        with pytest.raises(EntanglementError):
-            link.move_to_buffer(2.0)
-
-    def test_same_node_rejected(self):
-        with pytest.raises(EntanglementError):
-            EntanglementLink(node_pair=(2, 2), created_time=0.0)
-
-    def test_unique_ids(self):
-        a = EntanglementLink(node_pair=(0, 1), created_time=0.0)
-        b = EntanglementLink(node_pair=(0, 1), created_time=0.0)
-        assert a.link_id != b.link_id
