@@ -21,7 +21,6 @@ correction.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -189,7 +188,6 @@ def remote_gate_fidelity(
     cnot_fidelity: float = 0.999,
     measurement_fidelity: float = 0.998,
     correction_fidelity: float = 0.9999,
-    resolution: Optional[float] = None,
 ) -> float:
     """Remote-gate fidelity for a link fidelity, in O(1) after two sims.
 
@@ -200,19 +198,8 @@ def remote_gate_fidelity(
     :func:`_affine_coefficients`) reduces each call to a fused
     multiply-add, with the two anchor simulations cached per local-noise
     configuration.
-
-    ``resolution`` preserves the historical quantise-then-simulate
-    behaviour for callers that relied on it; ``None`` (the default)
-    evaluates the affine form exactly.
     """
     clamped = min(1.0, max(0.25, link_fidelity))
-    if resolution is not None:
-        quantised = round(clamped / resolution) * resolution
-        quantised = min(1.0, max(0.25, quantised))
-        return teleported_cnot_average_fidelity(
-            quantised, cnot_fidelity, measurement_fidelity,
-            correction_fidelity,
-        )
     at_min, slope = _affine_coefficients(
         cnot_fidelity, measurement_fidelity, correction_fidelity
     )

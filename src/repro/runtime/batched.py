@@ -5,8 +5,8 @@ replays a pre-lowered :class:`~repro.runtime.gatestream.CompiledStreams`
 for a whole batch of seeds in one pass, sharing every per-cell artifact
 (gate arrays, static gate counts, segment metadata, the schedule lookup
 table) across the batch.  Only the entanglement process is stochastic, so
-the per-seed replay touches plain floats and the vectorized entanglement
-services — never ``Gate`` objects, latency tables, or circuit walks.
+the per-seed replay touches plain floats and the entanglement services —
+never ``Gate`` objects, latency tables, or circuit walks.
 
 Results are **bit-identical** to the legacy
 :class:`~repro.runtime.executor.DesignExecutor` for the same seed: both
@@ -45,7 +45,7 @@ from repro.scheduling.lookup import ScheduleLookupTable
 from repro.scheduling.policies import AdaptivePolicy
 from repro.scheduling.variants import SchedulingVariant
 
-__all__ = ["BatchedExecutor", "execute_batch"]
+__all__ = ["BatchedExecutor"]
 
 
 class BatchedExecutor:
@@ -334,15 +334,3 @@ class BatchedExecutor:
 
     def _validate_capacity(self, program: DistributedProgram) -> None:
         validate_program_capacity(self.architecture, program)
-
-
-def execute_batch(
-    program: DistributedProgram,
-    architecture: DQCArchitecture,
-    design,
-    seeds: Sequence[int],
-    **kwargs,
-) -> List[ExecutionResult]:
-    """Convenience wrapper: build a batched executor and replay one batch."""
-    executor = BatchedExecutor(architecture, design, **kwargs)
-    return executor.run_batch(program, seeds)

@@ -120,7 +120,6 @@ class SegmentStreams:
     index: int
     qubits: Tuple[int, ...]
     node_pairs: Tuple[NodePair, ...]
-    num_remote: int
     variants: Dict[str, GateStream]
 
 
@@ -275,7 +274,6 @@ def lower_cell(
                 index=segment_index,
                 qubits=tuple(segment.qubits_used()),
                 node_pairs=segment_node_pairs(segment.circuit, program),
-                num_remote=segment.num_remote,
                 variants={
                     name: lower_circuit(
                         variants.get(name), program, architecture, pair_index,

@@ -97,6 +97,29 @@ def test_batched_adaptive_uses_prebuilt_lookup():
     assert any(sum(r.variant_histogram.values()) > 0 for r in batched)
 
 
+def test_batched_adaptive_seeds_genuinely_diverge():
+    """The equivalence only means something if seeds pick different variants.
+
+    On the 4-node system the adaptive design's per-seed lookup decisions
+    differ across seeds, so both cores are compared on several distinct
+    variant schedules rather than one.
+    """
+    system = SystemConfig(num_nodes=4, data_qubits_per_node=8,
+                          comm_qubits_per_node=8, buffer_qubits_per_node=8)
+    cell = CellCompiler(system=system).compile("TLIM-32", "adapt_buf")
+    seeds = list(range(1, 13))
+    batched = cell.execute_batch(seeds, mode="batched")
+    histograms = {tuple(sorted(r.variant_histogram.items())) for r in batched}
+    assert len(histograms) > 1
+    _assert_identical(cell.execute_batch(seeds, mode="legacy"), batched)
+
+
+def test_empty_seed_batch():
+    cell = CellCompiler(system=SystemConfig()).compile("TLIM-16", "original")
+    assert cell.execute_batch([], mode="batched") == []
+    assert cell.execute_batch([], mode="legacy") == []
+
+
 def test_batched_standalone_without_prebuilt_streams():
     """BatchedExecutor lowers on the fly when no compile artifacts exist."""
     from repro.benchmarks.registry import build_benchmark
@@ -189,9 +212,11 @@ def test_execution_mode_resolution(monkeypatch):
     monkeypatch.setenv(EXEC_ENV_VAR, "legacy")
     assert execution_mode() == LEGACY
     assert execution_mode("batched") == BATCHED  # override wins
-    monkeypatch.setenv(EXEC_ENV_VAR, "warp-drive")
-    with pytest.raises(ConfigurationError):
-        execution_mode()
+    for rejected in ("warp-drive", "vector"):
+        monkeypatch.setenv(EXEC_ENV_VAR, rejected)
+        with pytest.raises(ConfigurationError,
+                           match="available: batched, legacy$"):
+            execution_mode()
 
 
 def test_repro_exec_env_selects_legacy(monkeypatch):

@@ -31,7 +31,7 @@ def assert_matches_golden(texts):
         assert text == GOLDEN[name], f"group {name!r} moved off the golden"
 
 
-@pytest.mark.parametrize("core", ["batched", "legacy", "vector"])
+@pytest.mark.parametrize("core", ["batched", "legacy"])
 def test_every_core_reproduces_the_golden(monkeypatch, core):
     monkeypatch.setenv(EXEC_ENV_VAR, core)
     assert_matches_golden(golden.render())

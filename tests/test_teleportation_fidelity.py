@@ -49,11 +49,6 @@ class TestTeleportedCnot:
         with pytest.raises(NoiseError):
             teleported_cnot_process_fidelity(0.1)
 
-    def test_cached_lookup_consistent(self):
-        direct = teleported_cnot_average_fidelity(0.987)
-        cached = remote_gate_fidelity(0.987, resolution=1e-4)
-        assert cached == pytest.approx(direct, abs=1e-3)
-
     def test_resolution_clamps_extremes(self):
         assert remote_gate_fidelity(1.0000001) <= 1.0
         assert remote_gate_fidelity(0.2500001) > 0.0
