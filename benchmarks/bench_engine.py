@@ -29,27 +29,21 @@ import time
 from pathlib import Path
 
 from conftest import emit, repetitions
-from repro.core import ExperimentConfig, SystemConfig
+from repro.core import SystemConfig
 from repro.engine import (
     ArtifactCache,
     CellCompiler,
-    ExperimentEngine,
     PersistentArtifactCache,
     ProcessPoolBackend,
+    SerialBackend,
 )
 from repro.engine.backends import ExecutionTask
+from repro.study import Study
 
 BENCHMARKS = ("TLIM-32", "QAOA-r4-32")
 DESIGNS = ("original", "async_buf", "adapt_buf", "init_buf")
 SYSTEM = SystemConfig()
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
-
-def _config(num_runs: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        benchmarks=BENCHMARKS, designs=DESIGNS, num_runs=num_runs,
-        base_seed=1, system=SYSTEM,
-    )
 
 
 def _compile_grid(cache: ArtifactCache) -> float:
@@ -64,7 +58,6 @@ def _compile_grid(cache: ArtifactCache) -> float:
 def test_engine_benchmark():
     """Time the compile cache and the execution backends, emit JSON."""
     num_runs = repetitions(default=3)
-    config = _config(num_runs)
 
     # --- compile stage: cold vs warm cache -----------------------------
     cold_s = _compile_grid(ArtifactCache())
@@ -88,36 +81,37 @@ def test_engine_benchmark():
                        else float("inf"))
 
     # --- execute stage: serial vs process pool -------------------------
-    serial_engine = ExperimentEngine(config, backend="serial")
-    cells = serial_engine.compile_grid()
-    serial_engine.execute_cells(cells)  # warm up (first-touch allocations)
+    study = Study(benchmarks=list(BENCHMARKS), designs=list(DESIGNS),
+                  num_runs=num_runs, base_seed=1, system=SYSTEM)
+    cells = study.compile_plan()
+    tasks = [ExecutionTask(cell, seed)
+             for cell in cells for seed in study.seeds()]
+    serial = SerialBackend()
+    serial.execute(tasks)  # warm up (first-touch allocations)
     start = time.perf_counter()
-    serial_results = serial_engine.execute_cells(cells)
+    serial_results = serial.execute(tasks)
     serial_s = time.perf_counter() - start
 
     workers = min(4, os.cpu_count() or 1)
     with ProcessPoolBackend(max_workers=workers) as backend:
-        process_engine = ExperimentEngine(config, backend=backend,
-                                          compiler=serial_engine.compiler)
         # Warm the pool (worker spawn) outside the timed region with one
         # real task; an empty batch would return before creating workers.
-        backend.execute([ExecutionTask(cells[0], config.base_seed)])
+        backend.execute(tasks[:1])
         start = time.perf_counter()
-        process_results = process_engine.execute_cells(cells)
+        process_results = backend.execute(tasks)
         process_s = time.perf_counter() - start
 
-    for serial_cell, process_cell in zip(serial_results, process_results):
-        for serial_run, process_run in zip(serial_cell, process_cell):
-            assert serial_run.makespan == process_run.makespan
-            assert serial_run.fidelity == process_run.fidelity
+    assert len(serial_results) == len(process_results) == len(tasks)
+    for serial_run, process_run in zip(serial_results, process_results):
+        assert serial_run.makespan == process_run.makespan
+        assert serial_run.fidelity == process_run.fidelity
 
     # --- report ---------------------------------------------------------
-    tasks = len(cells) * num_runs
     payload = {
         "benchmarks": list(BENCHMARKS),
         "designs": list(DESIGNS),
         "num_runs": num_runs,
-        "tasks": tasks,
+        "tasks": len(tasks),
         "compile": {
             "cold_s": cold_s,
             "warm_s": warm_s,
@@ -144,7 +138,7 @@ def test_engine_benchmark():
         "Engine — compile cache and backend wall-clock",
         "\n".join([
             f"grid: {len(BENCHMARKS)} benchmarks x {len(DESIGNS)} designs "
-            f"x {num_runs} runs ({tasks} tasks)",
+            f"x {num_runs} runs ({len(tasks)} tasks)",
             f"compile cold:   {cold_s * 1e3:8.1f} ms",
             f"compile warm:   {warm_s * 1e3:8.1f} ms  "
             f"(speedup {compile_speedup:.0f}x)",

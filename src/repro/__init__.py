@@ -21,6 +21,12 @@ The package implements the paper's full pipeline from scratch:
   ``SystemConfig`` field — into compile-once engine cells and returns flat,
   serialisable :class:`ResultSet` records.
 
+This package holds the run-and-read API: :class:`DQCSimulator` for single
+runs, :class:`Study` for grids, and the results and stores they return.
+Every registry hook — listing, looking up and registering benchmarks,
+designs, partitioners, topologies and execution backends, plus the compile
+caches — lives in :mod:`repro.api`; the two facades share no name.
+
 Quickstart
 ----------
 >>> from repro import DQCSimulator
@@ -35,47 +41,22 @@ True
 2
 """
 
-from repro.benchmarks import build_benchmark, list_benchmarks
 from repro.circuits import QuantumCircuit
 from repro.core import (
     PAPER_32Q_SYSTEM,
     PAPER_64Q_SYSTEM,
     DQCSimulator,
-    ExperimentConfig,
-    ExperimentRunner,
     SystemConfig,
-    run_comm_qubit_sweep,
-    run_design_comparison,
 )
 from repro.engine import (
-    ArtifactCache,
     CellCompiler,
     CompiledCell,
-    ExecutionBackend,
-    ExperimentEngine,
     ProcessPoolBackend,
     SerialBackend,
-    get_backend,
-    list_backends,
-    register_backend,
 )
-from repro.hardware import (
-    DQCArchitecture,
-    Topology,
-    get_topology,
-    list_topologies,
-    register_topology,
-    two_node_architecture,
-)
-from repro.partitioning import (
-    DistributedProgram,
-    Partitioner,
-    distribute_circuit,
-    get_partitioner,
-    list_partitioners,
-    register_partitioner,
-)
-from repro.runtime import DesignExecutor, ExecutionResult, execute_design, list_designs
+from repro.hardware import DQCArchitecture, two_node_architecture
+from repro.partitioning import DistributedProgram, distribute_circuit
+from repro.runtime import DesignExecutor, ExecutionResult, execute_design
 from repro.study import (
     Axis,
     ExecutionPlan,
@@ -92,42 +73,21 @@ __version__ = "1.1.0"
 
 __all__ = [
     "QuantumCircuit",
-    "build_benchmark",
-    "list_benchmarks",
     "distribute_circuit",
     "DistributedProgram",
-    "Partitioner",
-    "get_partitioner",
-    "list_partitioners",
-    "register_partitioner",
     "DQCArchitecture",
     "two_node_architecture",
-    "Topology",
-    "get_topology",
-    "list_topologies",
-    "register_topology",
     "DesignExecutor",
     "execute_design",
     "ExecutionResult",
-    "list_designs",
     "DQCSimulator",
     "SystemConfig",
     "PAPER_32Q_SYSTEM",
     "PAPER_64Q_SYSTEM",
-    "ExperimentConfig",
-    "ExperimentRunner",
-    "run_design_comparison",
-    "run_comm_qubit_sweep",
-    "ArtifactCache",
     "CellCompiler",
     "CompiledCell",
-    "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "get_backend",
-    "register_backend",
-    "list_backends",
-    "ExperimentEngine",
     "Axis",
     "GridSpec",
     "ExecutionPlan",

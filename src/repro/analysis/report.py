@@ -127,8 +127,10 @@ def sweep_report(sweep: Mapping[int, "BenchmarkComparison"],
     """Fig. 7 style report: one design × qubit-count table for a sweep.
 
     ``sweep`` maps communication/buffer qubit counts to the
-    :class:`BenchmarkComparison` evaluated at that count (the shape returned
-    by :func:`repro.core.experiment.run_comm_qubit_sweep`).
+    :class:`BenchmarkComparison` evaluated at that count: the
+    ``to_comparisons(by="comm_qubits_per_node")`` of a
+    :class:`~repro.study.study.Study` with a zipped
+    ``("comm_qubits_per_node", "buffer_qubits_per_node")`` axis.
     """
     if metric not in ("depth", "fidelity"):
         raise ValueError(f"unknown metric {metric!r}")

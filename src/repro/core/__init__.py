@@ -1,28 +1,21 @@
-"""Public co-design API: simulator, configuration, experiments, results."""
+"""Public co-design API: the single-run simulator, configuration, results.
+
+Experiments over grids of benchmarks × designs × seeds run through
+:class:`~repro.study.study.Study`; its
+:meth:`~repro.study.results.ResultSet.to_comparisons` rebuilds the
+:class:`BenchmarkComparison` / :class:`DesignSummary` shapes the analysis
+reports consume.
+"""
 
 from repro.core.codesign import DQCSimulator
-from repro.core.config import (
-    PAPER_32Q_SYSTEM,
-    PAPER_64Q_SYSTEM,
-    ExperimentConfig,
-    SystemConfig,
-)
-from repro.core.experiment import (
-    ExperimentRunner,
-    run_comm_qubit_sweep,
-    run_design_comparison,
-)
+from repro.core.config import PAPER_32Q_SYSTEM, PAPER_64Q_SYSTEM, SystemConfig
 from repro.core.results import BenchmarkComparison, DesignSummary
 
 __all__ = [
     "DQCSimulator",
     "SystemConfig",
-    "ExperimentConfig",
     "PAPER_32Q_SYSTEM",
     "PAPER_64Q_SYSTEM",
-    "ExperimentRunner",
-    "run_design_comparison",
-    "run_comm_qubit_sweep",
     "BenchmarkComparison",
     "DesignSummary",
 ]

@@ -1,17 +1,18 @@
-"""High-level co-design simulator API.
+"""High-level co-design simulator API for single runs.
 
-:class:`DQCSimulator` is the one-stop entry point of the library: it takes a
-circuit (or a benchmark name), partitions it over the nodes of a
-:class:`~repro.core.config.SystemConfig`, and simulates its execution under
-any of the paper's designs, returning depth / fidelity metrics.
+:class:`DQCSimulator` takes a circuit (or a benchmark name), partitions it
+over the nodes of a :class:`~repro.core.config.SystemConfig`, and simulates
+one execution under any of the paper's designs, returning depth / fidelity
+metrics (and, with ``collect_trace=True``, a per-gate trace).  Grids of
+benchmarks × designs × seeds go through :class:`~repro.study.study.Study`.
 
-Since the compile-once / execute-many refactor the simulator is a thin
-wrapper over :class:`~repro.engine.compiler.CellCompiler`: every
-``simulate`` call first compiles (or fetches from the artifact cache) the
-deterministic :class:`~repro.engine.compiler.CompiledCell` of its
-(benchmark, design) pair, then replays it under the requested seed.  The
-schedule lookup table of an adaptive design is therefore built once per
-cell no matter how many seeds are simulated.
+The simulator is a thin wrapper over
+:class:`~repro.engine.compiler.CellCompiler`: every ``simulate`` call first
+compiles (or fetches from the artifact cache) the deterministic
+:class:`~repro.engine.compiler.CompiledCell` of its (benchmark, design)
+pair, then replays it under the requested seed.  The schedule lookup table
+of an adaptive design is therefore built once per cell no matter how many
+seeds are simulated.
 
 Example
 -------
@@ -56,11 +57,6 @@ class DQCSimulator:
         instance.
     partition_seed:
         Seed of the partitioner (partitioning is deterministic per seed).
-    compiler:
-        Optional pre-configured :class:`CellCompiler`; pass one to share
-        compiled artifacts (partitioned programs, lookup tables) with an
-        :class:`~repro.engine.pipeline.ExperimentEngine`.  When given, the
-        ``system`` / ``partition_*`` arguments are taken from the compiler.
 
     Attributes
     ----------
@@ -72,9 +68,8 @@ class DQCSimulator:
 
     def __init__(self, system: Optional[SystemConfig] = None,
                  partition_method=None,
-                 partition_seed: int = 0,
-                 compiler: Optional[CellCompiler] = None) -> None:
-        self._compiler = compiler or CellCompiler(
+                 partition_seed: int = 0) -> None:
+        self._compiler = CellCompiler(
             system=system,
             partition_method=partition_method,
             partition_seed=partition_seed,

@@ -1,24 +1,23 @@
-"""Experiment and system configuration objects.
+"""Hardware system configuration.
 
 :class:`SystemConfig` captures one evaluated hardware configuration (number
 of nodes, data / communication / buffer qubits per node, Table II
-parameters) and :class:`ExperimentConfig` one full experiment (benchmarks ×
-designs × repetitions), mirroring Sec. IV-A and Sec. V of the paper.
+parameters), mirroring Sec. IV-A and Sec. V of the paper.  A full
+experiment (benchmarks × designs × repetitions on a system) is a
+:class:`~repro.study.study.Study`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
 
 from repro.hardware.architecture import DQCArchitecture, two_node_architecture
 from repro.hardware.parameters import GateFidelities, GateTimes, PhysicalConstants
 from repro.hardware.topology import get_topology
 from repro.partitioning.registry import get_partitioner
-from repro.runtime.designs import list_designs
 from repro.exceptions import ConfigurationError, PartitionError, TopologyError
 
-__all__ = ["SystemConfig", "ExperimentConfig", "PAPER_32Q_SYSTEM", "PAPER_64Q_SYSTEM"]
+__all__ = ["SystemConfig", "PAPER_32Q_SYSTEM", "PAPER_64Q_SYSTEM"]
 
 
 @dataclass(frozen=True)
@@ -140,51 +139,3 @@ PAPER_64Q_SYSTEM = SystemConfig(
     comm_qubits_per_node=20,
     buffer_qubits_per_node=20,
 )
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment: benchmarks × designs × repetitions on one system.
-
-    Attributes
-    ----------
-    benchmarks:
-        Benchmark names from the registry.
-    designs:
-        Design names.  ``None`` (the default) means *every design
-        registered at construction time* — including designs registered
-        after this module was imported — and is resolved to a concrete
-        tuple in ``__post_init__``.
-    num_runs:
-        Number of stochastic repetitions per (benchmark, design) cell
-        (the paper averages 50 runs).
-    base_seed:
-        Seed of the first repetition; runs use ``base_seed + run_index``.
-    system:
-        Hardware configuration.
-    partition_seed:
-        Seed of the (deterministic) graph partitioner.
-    """
-
-    benchmarks: Tuple[str, ...]
-    designs: Optional[Tuple[str, ...]] = None
-    num_runs: int = 50
-    base_seed: int = 1
-    system: SystemConfig = field(default_factory=SystemConfig)
-    partition_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.benchmarks:
-            raise ConfigurationError("experiment needs at least one benchmark")
-        if self.designs is None:
-            # Resolved per instance, not at class definition, so designs
-            # registered after import still appear in default grids.
-            object.__setattr__(self, "designs", tuple(list_designs()))
-        if not self.designs:
-            raise ConfigurationError("experiment needs at least one design")
-        if self.num_runs < 1:
-            raise ConfigurationError("experiment needs at least one run")
-
-    def seeds(self) -> List[int]:
-        """Seeds of the individual repetitions."""
-        return [self.base_seed + index for index in range(self.num_runs)]

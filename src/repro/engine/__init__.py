@@ -1,4 +1,4 @@
-"""Compile-once / execute-many experiment engine.
+"""Compile-once / execute-many engine stages.
 
 The engine splits the simulation pipeline into two explicit stages:
 
@@ -20,8 +20,8 @@ and compiled artifacts are pickled there keyed by their configuration
 fingerprints, so a fresh process starts sweeps with compilation already
 paid.
 
-:class:`~repro.engine.pipeline.ExperimentEngine` ties the stages together
-for full benchmarks × designs × seeds grids.
+:class:`~repro.study.study.Study` drives both stages for full
+benchmarks × designs × seeds grids.
 """
 
 from repro.engine.backends import (
@@ -43,7 +43,6 @@ from repro.engine.cache import (
     resolve_cache_dir,
 )
 from repro.engine.compiler import CellCompiler, CompiledCell
-from repro.engine.pipeline import ExperimentEngine
 
 __all__ = [
     "ArtifactCache",
@@ -62,5 +61,4 @@ __all__ = [
     "get_backend",
     "register_backend",
     "list_backends",
-    "ExperimentEngine",
 ]

@@ -4,11 +4,11 @@ The compile stage of the engine is deterministic: the same (system,
 partitioning, benchmark, design, scheduling parameters) always produces the
 same :class:`~repro.engine.compiler.CompiledCell`.  The caches therefore key
 artifacts by a SHA-256 fingerprint of the *configuration that produced them*
-rather than by object identity, so sweeps such as
-:func:`~repro.core.experiment.run_comm_qubit_sweep` can share one cache
-across system variations and only recompile what actually changed (the
-partitioned program survives a communication-qubit change; the schedule
-lookup table does not).
+rather than by object identity, so a :class:`~repro.study.study.Study`
+sweeping system fields (the Fig. 7 communication-qubit axis, say) shares
+one cache across its system variants and only recompiles what actually
+changed (the partitioned program survives a communication-qubit change;
+the schedule lookup table does not).
 
 Two tiers are available:
 

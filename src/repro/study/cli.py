@@ -221,8 +221,9 @@ def _add_study_options(parser: argparse.ArgumentParser) -> None:
                              "committed layout)")
     parser.add_argument("--store-format", default=None,
                         choices=("jsonl", "npz"), metavar="FMT",
-                        help="shard encoding for a fresh store: 'jsonl' "
-                             "(default, one JSON line per record) or 'npz' "
+                        help="shard encoding for a fresh store (needs "
+                             "--store): 'jsonl' (default, one JSON line "
+                             "per record) or 'npz' "
                              "(columnar binary; ~10x faster load/aggregate "
                              "at scale, byte-identical results); an "
                              "existing store keeps its committed format")
@@ -616,6 +617,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--resume: {store_path} holds no started study; drop "
                 f"--resume to start one, or check the store path"
             )
+    if args.store_format is not None and store_path is None:
+        raise ReproError("--store-format needs --store DIR")
     if args.max_chunks is not None and args.max_chunks < 0:
         raise ReproError("--max-chunks cannot be negative")
     study = _study_from_args(args)
@@ -623,8 +626,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     store = (RunStore(store_path, chunk_size=args.store_chunk_size,
                       shard_format=args.store_format)
              if store_path is not None else None)
-    streamed = (store is not None or args.max_chunks is not None
-                or args.json_progress)
+    # Only runs that persist or stop early draw the progress line.
+    streamed = store is not None or args.max_chunks is not None
     line: Optional[_ProgressLine] = None
     progress = None
     if args.json_progress:
@@ -633,12 +636,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         line = _ProgressLine()
         progress = line
     try:
-        if streamed:
-            results = study.run(plan, store=store, progress=progress,
-                                max_chunks=args.max_chunks,
-                                store_chunk_size=args.store_chunk_size)
-        else:
-            results = study.run(plan)
+        results = study.run(plan, store=store, progress=progress,
+                            max_chunks=args.max_chunks,
+                            store_chunk_size=args.store_chunk_size)
     except KeyboardInterrupt:
         if store is not None:
             print(f"repro: interrupted — completed chunks are durable in "

@@ -475,11 +475,14 @@ class ResultSet:
 
     def to_comparisons(self, by: Optional[str] = None
                        ) -> Dict[Any, BenchmarkComparison]:
-        """Rebuild the legacy nested comparison shapes.
+        """Group the records into the comparisons the analysis reports read.
 
-        ``by=None`` groups by benchmark (the ``run_design_comparison``
-        shape); ``by="<param>"`` groups by a swept parameter with one
-        benchmark per group (the ``run_comm_qubit_sweep`` shape).
+        ``by=None`` maps each benchmark to its
+        :class:`~repro.core.results.BenchmarkComparison` (the Fig. 5/6/8
+        shape, for ``comparison_report``); ``by="<param>"`` maps each value
+        of a swept parameter to the comparison of its one benchmark (the
+        Fig. 7 shape with ``by="comm_qubits_per_node"``, for
+        ``sweep_report``).
         """
         if not self._n:
             return {}

@@ -26,7 +26,7 @@ rejected with :class:`~repro.exceptions.StoreError`.  Because execution is
 deterministic per seed, a resumed study reproduces the uninterrupted run
 bit for bit: completed chunks are read back from the shards, missing chunks
 are executed, and the merged :class:`~repro.study.results.ResultSet`
-serialises byte-identically to the all-in-memory path.
+serialises byte-identically to a run without a store.
 
 Crash safety relies on ordering: shard bytes are flushed and fsynced
 *before* the chunk-log line commits them, so a kill at any point leaves at

@@ -503,10 +503,16 @@ class Study:
             store_format: Optional[str] = None) -> ResultSet:
         """Execute the study and return its flat result set.
 
-        The whole seed × cell grid is submitted to the backend as one flat
-        batch, so a parallel backend balances across every cell of every
-        system variant at once (the legacy sweep ran one system at a time).
-        Pass a pre-expanded ``plan`` to avoid expanding the grid twice.
+        The plan is split into deterministic chunks (cells in plan order,
+        seed ranges within each cell); chunks a ``store`` has already
+        committed are filtered out, and the rest are submitted to the
+        backend as one flat batch, so a parallel backend balances across
+        every cell of every system variant at once.  Streamed results are
+        turned into records (and persisted, with a store) chunk by chunk,
+        and the final records are assembled in plan order from both
+        sources — which is what makes a resumed study byte-identical to an
+        uninterrupted one.  Pass a pre-expanded ``plan`` to avoid
+        expanding the grid twice.
 
         Parameters
         ----------
@@ -527,7 +533,7 @@ class Study:
             complete so far (the store keeps the progress).  ``0`` loads a
             store's existing records without executing anything.
         store_chunk_size:
-            Seeds per chunk for a fresh store (default
+            Seeds per chunk (default
             :data:`~repro.study.store.DEFAULT_CHUNK_SIZE`); an existing
             store keeps its committed layout.
         store_format:
@@ -539,49 +545,6 @@ class Study:
         plan = plan if plan is not None else self.plan()
         if store_chunk_size is not None and store_chunk_size < 1:
             raise ConfigurationError("store chunk size must be positive")
-        if store is None and progress is None and max_chunks is None:
-            return self._run_direct(plan)
-        return self._run_streamed(plan, store=store, progress=progress,
-                                  max_chunks=max_chunks,
-                                  store_chunk_size=store_chunk_size,
-                                  store_format=store_format)
-
-    def _run_direct(self, plan: ExecutionPlan) -> ResultSet:
-        """The all-in-memory path: one flat batch, records on return."""
-        compiled = self.compile_plan(plan)
-        tasks = [
-            ExecutionTask(compiled_cell, seed)
-            for compiled_cell, cell in zip(compiled, plan)
-            for seed in cell.seeds
-        ]
-        results = self.backend.execute(tasks)
-        records: List[RunRecord] = []
-        index = 0
-        for cell in plan:
-            params = {key: param_token(value)
-                      for key, value in cell.params.items()}
-            for _ in cell.seeds:
-                records.append(
-                    RunRecord.from_execution_result(results[index], params)
-                )
-                index += 1
-        return ResultSet(records, metadata=self.describe())
-
-    def _run_streamed(self, plan: ExecutionPlan, *,
-                      store: Union[None, str, Path, RunStore],
-                      progress: Optional[ProgressCallback],
-                      max_chunks: Optional[int],
-                      store_chunk_size: Optional[int],
-                      store_format: Optional[str] = None) -> ResultSet:
-        """The chunked path: durable store and/or progress observation.
-
-        The plan is split into deterministic store chunks (cells in plan
-        order, seed ranges within each cell); chunks the store has already
-        committed are filtered out, the rest run as one flat backend batch
-        whose streamed results are persisted chunk by chunk, and the final
-        records are assembled in plan order from both sources — which is
-        what makes a resumed study byte-identical to an uninterrupted one.
-        """
         if max_chunks is not None and max_chunks < 0:
             raise ConfigurationError("max_chunks cannot be negative")
         if store is not None and not isinstance(store, RunStore):
@@ -645,15 +608,6 @@ class Study:
             if chunk_records is not None:
                 records.extend(chunk_records)
         return ResultSet(records, metadata=self.describe())
-
-    def run_cell(self, benchmark: str, design: Union[str, DesignSpec],
-                 system: Optional[SystemConfig] = None,
-                 seeds: Optional[Sequence[int]] = None):
-        """All repetitions of one ad-hoc cell, as raw execution results."""
-        compiled = self.compiler_for(system).compile(benchmark, design)
-        tasks = [ExecutionTask(compiled, seed)
-                 for seed in (seeds if seeds is not None else self.seeds())]
-        return self.backend.execute(tasks)
 
     # ------------------------------------------------------------------
     # description / persistence
@@ -932,21 +886,6 @@ class Study:
             raise SpecValidationError(
                 f"invalid design entry in spec: {error}", field="designs",
             ) from None
-
-    @classmethod
-    def from_experiment_config(cls, config, backend: BackendLike = None,
-                               cache: Optional[ArtifactCache] = None) -> "Study":
-        """Build a study from a legacy :class:`ExperimentConfig`."""
-        return cls(
-            benchmarks=list(config.benchmarks),
-            designs=list(config.designs),
-            num_runs=config.num_runs,
-            base_seed=config.base_seed,
-            system=config.system,
-            partition_seed=config.partition_seed,
-            backend=backend,
-            cache=cache,
-        )
 
     # ------------------------------------------------------------------
     # lifecycle

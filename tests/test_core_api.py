@@ -1,5 +1,8 @@
 """Tests for the high-level DQCSimulator API, configs, experiments, analysis."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -14,16 +17,22 @@ from repro.analysis import (
 from repro.benchmarks import tlim_circuit
 from repro.core import (
     DQCSimulator,
-    ExperimentConfig,
-    ExperimentRunner,
     PAPER_32Q_SYSTEM,
     PAPER_64Q_SYSTEM,
     SystemConfig,
-    run_comm_qubit_sweep,
-    run_design_comparison,
 )
 from repro.core.results import BenchmarkComparison, DesignSummary
 from repro.exceptions import ConfigurationError
+from repro.study import Axis, Study
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def design_comparisons(designs, num_runs, system):
+    """TLIM-32 under ``designs``, as comparisons keyed by benchmark."""
+    with Study(benchmarks=["TLIM-32"], designs=designs, num_runs=num_runs,
+               system=system) as study:
+        return study.run().to_comparisons()
 
 
 class TestSystemConfig:
@@ -51,13 +60,13 @@ class TestSystemConfig:
             SystemConfig(comm_qubits_per_node=0)
 
     def test_experiment_config(self, small_system):
-        config = ExperimentConfig(benchmarks=("TLIM-32",), num_runs=3,
-                                  base_seed=10, system=small_system)
-        assert config.seeds() == [10, 11, 12]
+        study = Study(benchmarks=["TLIM-32"], num_runs=3, base_seed=10,
+                      system=small_system)
+        assert study.seeds() == [10, 11, 12]
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(benchmarks=())
+            Study(benchmarks=[])
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(benchmarks=("TLIM-32",), num_runs=0)
+            Study(benchmarks=["TLIM-32"], num_runs=0)
 
 
 class TestSimulatorAPI:
@@ -103,20 +112,18 @@ class TestSimulatorAPI:
         assert ideal.design == "ideal"
 
 
-class TestExperimentRunner:
-    def test_runner_aggregates(self, small_system):
-        config = ExperimentConfig(benchmarks=("TLIM-32",), designs=("ideal",),
-                                  num_runs=2, system=SystemConfig(
-                                      data_qubits_per_node=16,
-                                      comm_qubits_per_node=4,
-                                      buffer_qubits_per_node=4))
-        runner = ExperimentRunner(config)
-        comparison = runner.run_benchmark("TLIM-32")
-        assert comparison.design("ideal").num_runs == 2
+class TestStudyComparisons:
+    def test_runner_aggregates(self):
+        comparisons = design_comparisons(
+            ["ideal"], num_runs=2,
+            system=SystemConfig(data_qubits_per_node=16,
+                                comm_qubits_per_node=4,
+                                buffer_qubits_per_node=4))
+        assert comparisons["TLIM-32"].design("ideal").num_runs == 2
 
-    def test_run_design_comparison_helper(self, small_system):
-        comparisons = run_design_comparison(
-            ["TLIM-32"], designs=["sync_buf", "async_buf", "ideal"], num_runs=2,
+    def test_design_comparison(self):
+        comparisons = design_comparisons(
+            ["sync_buf", "async_buf", "ideal"], num_runs=2,
             system=SystemConfig(data_qubits_per_node=16, comm_qubits_per_node=6,
                                 buffer_qubits_per_node=6),
         )
@@ -127,20 +134,19 @@ class TestExperimentRunner:
         assert comparison.depth_reduction_vs("sync_buf", "async_buf") > -0.5
 
     def test_comm_qubit_sweep(self):
-        sweep = run_comm_qubit_sweep(
-            "TLIM-32", [4, 8], designs=["async_buf", "ideal"], num_runs=1,
-            base_system=SystemConfig(data_qubits_per_node=16,
-                                     comm_qubits_per_node=4,
-                                     buffer_qubits_per_node=4),
+        study = Study(
+            benchmarks="TLIM-32", designs=["async_buf", "ideal"], num_runs=1,
+            axes=[Axis(("comm_qubits_per_node", "buffer_qubits_per_node"),
+                       [(4, 4), (8, 8)])],
+            system=SystemConfig(data_qubits_per_node=16,
+                                comm_qubits_per_node=4,
+                                buffer_qubits_per_node=4),
         )
+        sweep = study.run().to_comparisons(by="comm_qubits_per_node")
         assert set(sweep) == {4, 8}
         more = sweep[8].design("async_buf").depth.mean
         fewer = sweep[4].design("async_buf").depth.mean
         assert more <= fewer + 1e-9
-
-    def test_sweep_requires_counts(self):
-        with pytest.raises(ConfigurationError):
-            run_comm_qubit_sweep("TLIM-32", [])
 
 
 class TestAnalysis:
@@ -183,8 +189,8 @@ class TestAnalysis:
         assert "(paper)" in table1
 
     def test_comparison_report(self, small_system):
-        comparisons = run_design_comparison(
-            ["TLIM-32"], designs=["async_buf", "ideal"], num_runs=1,
+        comparisons = design_comparisons(
+            ["async_buf", "ideal"], num_runs=1,
             system=SystemConfig(data_qubits_per_node=16, comm_qubits_per_node=4,
                                 buffer_qubits_per_node=4),
         )
@@ -252,3 +258,48 @@ class TestApiRegistration:
             DESIGNS.pop("adapt_test_cutoff", None)
             if "adapt_test_cutoff" in DESIGN_ORDER:
                 DESIGN_ORDER.remove("adapt_test_cutoff")
+
+
+class TestFacades:
+    """``repro`` holds the run-and-read API, ``repro.api`` every registry."""
+
+    def test_facades_share_no_name(self):
+        import repro
+        import repro.api
+
+        assert set(repro.__all__) & set(repro.api.__all__) == set()
+
+    def test_every_exported_name_resolves(self):
+        import repro
+        import repro.api
+        import repro.core
+        import repro.engine
+
+        for module in (repro, repro.api, repro.core, repro.engine):
+            for name in module.__all__:
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_documented_imports_resolve(self):
+        import repro
+        import repro.api  # noqa: F401 - the docs import it as `from repro import api`
+
+        sources = [REPO_ROOT / "README.md",
+                   REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+                   *sorted((REPO_ROOT / "docs").glob("*.md")),
+                   *sorted((REPO_ROOT / "examples").glob("*.py"))]
+        imported = []
+        for path in sources:
+            text = path.read_text(encoding="utf-8")
+            for match in re.finditer(r"from repro import (\([^)]*\)|[^\n]+)",
+                                     text):
+                body = re.sub(r"#[^\n]*", "", match.group(1)).strip("()")
+                for piece in body.split(","):
+                    # "X as Y" imports X; a trailing backtick or
+                    # parenthesis is markup, not part of the name.
+                    name = re.match(r"\s*(\w*)", piece).group(1)
+                    if name:
+                        imported.append((path.name, name))
+        assert imported
+        missing = [(source, name) for source, name in imported
+                   if not hasattr(repro, name)]
+        assert missing == []

@@ -4,12 +4,11 @@ import pytest
 
 import repro.runtime.executor as executor_module
 from repro.benchmarks import tlim_circuit
-from repro.core import DQCSimulator, ExperimentConfig, ExperimentRunner, SystemConfig
+from repro.core import DQCSimulator, SystemConfig
 from repro.engine import (
     ArtifactCache,
     CellCompiler,
     ExecutionBackend,
-    ExperimentEngine,
     ProcessPoolBackend,
     SerialBackend,
     fingerprint,
@@ -19,24 +18,32 @@ from repro.engine import (
 )
 from repro.engine.backends import ExecutionTask
 from repro.exceptions import ConfigurationError
+from repro.study import Study
+
+SMALL_SYSTEM = SystemConfig(data_qubits_per_node=16, comm_qubits_per_node=4,
+                            buffer_qubits_per_node=4)
+SMALL_SEEDS = [5, 6, 7]
+
+
+def small_study(**overrides) -> Study:
+    """TLIM-32 x (original, adapt_buf) x seeds 5..7 on the small system."""
+    kwargs = dict(benchmarks=["TLIM-32"], designs=["original", "adapt_buf"],
+                  num_runs=len(SMALL_SEEDS), base_seed=SMALL_SEEDS[0],
+                  system=SMALL_SYSTEM)
+    kwargs.update(overrides)
+    return Study(**kwargs)
+
+
+def grid_tasks(study: Study):
+    """The study's compiled cells and its flat cell-major task list."""
+    cells = study.compile_plan()
+    return cells, [ExecutionTask(cell, seed)
+                   for cell in cells for seed in study.seeds()]
 
 
 @pytest.fixture
 def tlim_system() -> SystemConfig:
-    return SystemConfig(data_qubits_per_node=16, comm_qubits_per_node=4,
-                        buffer_qubits_per_node=4)
-
-
-@pytest.fixture
-def small_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        benchmarks=("TLIM-32",),
-        designs=("original", "adapt_buf"),
-        num_runs=3,
-        base_seed=5,
-        system=SystemConfig(data_qubits_per_node=16, comm_qubits_per_node=4,
-                            buffer_qubits_per_node=4),
-    )
+    return SMALL_SYSTEM
 
 
 class CountingBackend(ExecutionBackend):
@@ -208,7 +215,7 @@ class TestCellCompiler:
 
 class TestCompileOnce:
     def test_lookup_built_once_per_cell_regardless_of_num_runs(
-            self, small_config, monkeypatch):
+            self, monkeypatch):
         calls = []
         original = executor_module.build_lookup_table
 
@@ -217,9 +224,8 @@ class TestCompileOnce:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(executor_module, "build_lookup_table", counting)
-        engine = ExperimentEngine(small_config)
-        results = engine.run_cell("TLIM-32", "adapt_buf")
-        assert len(results) == small_config.num_runs
+        results = small_study(designs=["adapt_buf"]).run()
+        assert len(results) == len(SMALL_SEEDS)
         assert len(calls) == 1
 
     def test_simulator_reuses_lookup_across_seeds(self, monkeypatch):
@@ -239,9 +245,9 @@ class TestCompileOnce:
             simulator.simulate("TLIM-32", design="adapt_buf", seed=seed)
         assert len(calls) == 1
 
-    def test_variant_histogram_is_per_run(self, small_config):
-        engine = ExperimentEngine(small_config)
-        results = engine.run_cell("TLIM-32", "adapt_buf")
+    def test_variant_histogram_is_per_run(self):
+        _, tasks = grid_tasks(small_study(designs=["adapt_buf"]))
+        results = SerialBackend().execute(tasks)
         totals = [sum(r.variant_histogram.values()) for r in results]
         # Each run logs one decision per segment; a shared lookup must not
         # leak decisions from earlier seeds into later histograms.
@@ -281,92 +287,52 @@ class TestBackends:
         with ProcessPoolBackend(max_workers=1) as backend:
             assert backend.execute([]) == []
 
-    def test_serial_and_process_backends_are_deterministic(self, small_config):
-        serial_engine = ExperimentEngine(small_config, backend="serial")
-        serial_results = serial_engine.execute_cells(serial_engine.compile_grid())
+    def test_serial_and_process_backends_are_deterministic(self):
+        _, tasks = grid_tasks(small_study())
+        serial_results = SerialBackend().execute(tasks)
         with ProcessPoolBackend(max_workers=2) as backend:
-            process_engine = ExperimentEngine(small_config, backend=backend)
-            process_results = process_engine.execute_cells(
-                process_engine.compile_grid()
-            )
-        assert len(serial_results) == len(process_results)
-        for serial_cell, process_cell in zip(serial_results, process_results):
-            for serial_run, process_run in zip(serial_cell, process_cell):
-                assert serial_run.seed == process_run.seed
-                assert serial_run.makespan == process_run.makespan
-                assert serial_run.fidelity == process_run.fidelity
-                assert (serial_run.variant_histogram
-                        == process_run.variant_histogram)
+            process_results = backend.execute(tasks)
+        assert len(serial_results) == len(process_results) == len(tasks)
+        for serial_run, process_run in zip(serial_results, process_results):
+            assert serial_run.seed == process_run.seed
+            assert serial_run.makespan == process_run.makespan
+            assert serial_run.fidelity == process_run.fidelity
+            assert (serial_run.variant_histogram
+                    == process_run.variant_histogram)
 
 
 # ----------------------------------------------------------------------
-# pipeline
+# the study runs the grid
 # ----------------------------------------------------------------------
-class TestExperimentEngine:
-    def test_run_submits_whole_grid_as_one_batch(self, small_config):
+class TestStudyExecution:
+    def test_run_submits_whole_grid_as_one_batch(self):
         backend = CountingBackend()
-        engine = ExperimentEngine(small_config, backend=backend)
-        comparisons = engine.run()
-        cells = len(small_config.benchmarks) * len(small_config.designs)
-        assert backend.task_log == [cells * small_config.num_runs]
-        assert set(comparisons) == set(small_config.benchmarks)
+        results = small_study(backend=backend).run()
+        assert backend.task_log == [2 * len(SMALL_SEEDS)]
+        assert results.benchmarks() == ["TLIM-32"]
+        assert len(results) == 2 * len(SMALL_SEEDS)
 
-    def test_results_grouped_in_seed_order(self, small_config):
-        engine = ExperimentEngine(small_config)
-        cells = engine.compile_grid()
-        grouped = engine.execute_cells(cells)
-        assert len(grouped) == len(cells)
-        for cell, results in zip(cells, grouped):
-            assert [r.seed for r in results] == small_config.seeds()
-            assert all(r.design == cell.design.name for r in results)
+    def test_results_grouped_in_seed_order(self):
+        study = small_study()
+        # Chunks of two seeds split every cell; records still come back
+        # cell-major with seeds ascending within each cell.
+        records = study.run(store_chunk_size=2).records
+        assert [(r.design, r.seed) for r in records] == [
+            (cell.design_name, seed)
+            for cell in study.plan() for seed in SMALL_SEEDS
+        ]
 
-    def test_run_matches_run_cell(self, small_config):
-        comparisons = ExperimentEngine(small_config).run()
-        engine = ExperimentEngine(small_config)
-        for design in small_config.designs:
-            cell_results = engine.run_cell("TLIM-32", design)
-            summary = comparisons["TLIM-32"].design(design)
-            assert summary.depth.mean == pytest.approx(
-                sum(r.makespan for r in cell_results) / len(cell_results)
-            )
-
-    def test_engine_matches_legacy_per_seed_simulation(self, small_config):
-        engine = ExperimentEngine(small_config)
-        engine_results = engine.run_cell("TLIM-32", "adapt_buf")
-        simulator = DQCSimulator(system=small_config.system)
-        for result in engine_results:
+    def test_engine_matches_legacy_per_seed_simulation(self):
+        records = small_study(designs=["adapt_buf"]).run().records
+        simulator = DQCSimulator(system=SMALL_SYSTEM)
+        assert [r.seed for r in records] == SMALL_SEEDS
+        for record in records:
             legacy = simulator.simulate("TLIM-32", design="adapt_buf",
-                                        seed=result.seed)
-            assert legacy.makespan == result.makespan
-            assert legacy.fidelity == result.fidelity
+                                        seed=record.seed)
+            assert legacy.makespan == record.depth
+            assert legacy.fidelity == record.fidelity
 
-    def test_engine_context_manager_closes_backend(self, small_config):
-        with ExperimentEngine(small_config,
-                              backend=ProcessPoolBackend(max_workers=1)) as engine:
-            results = engine.run_cell("TLIM-32", "original")
-            assert len(results) == small_config.num_runs
-        assert engine.backend._pool is None
-
-
-class TestExperimentRunnerIntegration:
-    def test_runner_uses_engine_and_shares_compiler(self, small_config):
-        runner = ExperimentRunner(small_config)
-        assert runner.simulator.compiler is runner.engine.compiler
-        comparison = runner.run_benchmark("TLIM-32")
-        assert comparison.design("adapt_buf").num_runs == small_config.num_runs
-        # An ad-hoc simulate() after the grid run hits the grid's artifacts.
-        hits_before = runner.engine.compiler.cache.hits
-        runner.simulator.simulate("TLIM-32", design="adapt_buf", seed=99)
-        assert runner.engine.compiler.cache.hits > hits_before
-
-    def test_runner_accepts_backend_name(self, small_config):
-        runner = ExperimentRunner(small_config, backend="serial")
-        results = runner.run_cell("TLIM-32", "original")
-        assert [r.seed for r in results] == small_config.seeds()
-
-    def test_helper_closes_backends_it_created(self, small_config):
-        from repro.core import run_design_comparison
-
+    def test_helper_closes_backends_it_created(self):
         class RecordingBackend(CountingBackend):
             closed = False
 
@@ -381,14 +347,16 @@ class TestExperimentRunnerIntegration:
             return backend
 
         register_backend("recording-test", factory)
-        run_design_comparison(["TLIM-32"], designs=["ideal"], num_runs=1,
-                              system=small_config.system,
-                              backend="recording-test")
-        assert created and created[0].closed  # name -> helper owns and closes
+        study = small_study(designs=["ideal"], num_runs=1,
+                            backend="recording-test")
+        study.run()
+        study.close()
+        assert created and created[0].closed  # name -> study owns and closes
 
         provided = RecordingBackend()
-        run_design_comparison(["TLIM-32"], designs=["ideal"], num_runs=1,
-                              system=small_config.system, backend=provided)
+        with small_study(designs=["ideal"], num_runs=1,
+                         backend=provided) as study:
+            study.run()
         assert not provided.closed  # caller-provided instance stays open
 
 

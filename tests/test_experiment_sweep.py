@@ -3,21 +3,28 @@
 import pytest
 
 from repro.analysis import sweep_report
-from repro.core import SystemConfig, run_comm_qubit_sweep, run_design_comparison
+from repro.core import SystemConfig
 from repro.engine import ArtifactCache, ProcessPoolBackend
-from repro.exceptions import ConfigurationError
+from repro.study import Axis, Study
 
 SWEEP_SYSTEM = SystemConfig(
     data_qubits_per_node=16, comm_qubits_per_node=4, buffer_qubits_per_node=4
 )
 
 
+def comm_sweep(counts, **kwargs):
+    """Fig. 7 sweep: ``n`` communication and ``n`` buffer qubits per count."""
+    axis = Axis(("comm_qubits_per_node", "buffer_qubits_per_node"),
+                [(count, count) for count in counts])
+    with Study(benchmarks="TLIM-32", axes=[axis], system=SWEEP_SYSTEM,
+               **kwargs) as study:
+        return study.run().to_comparisons(by="comm_qubits_per_node")
+
+
 @pytest.fixture(scope="module")
 def small_sweep():
-    return run_comm_qubit_sweep(
-        "TLIM-32", [4, 8], designs=["async_buf", "adapt_buf", "ideal"],
-        num_runs=2, base_system=SWEEP_SYSTEM, base_seed=3,
-    )
+    return comm_sweep([4, 8], designs=["async_buf", "adapt_buf", "ideal"],
+                      num_runs=2, base_seed=3)
 
 
 class TestCommQubitSweep:
@@ -39,27 +46,18 @@ class TestCommQubitSweep:
             small_sweep[8].depth_table()["ideal"]
         )
 
-    def test_empty_counts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_comm_qubit_sweep("TLIM-32", [])
-
     def test_sweep_reuses_partitioned_program(self):
         cache = ArtifactCache()
-        run_comm_qubit_sweep(
-            "TLIM-32", [4, 8], designs=["adapt_buf"], num_runs=1,
-            base_system=SWEEP_SYSTEM, cache=cache,
-        )
+        comm_sweep([4, 8], designs=["adapt_buf"], num_runs=1, cache=cache)
         # One partition for the whole sweep, one lookup-bearing cell per step.
         assert cache.count("program") == 1
         assert cache.count("cell") == 2
 
     def test_sweep_deterministic_across_backends(self):
-        kwargs = dict(designs=["adapt_buf"], num_runs=2,
-                      base_system=SWEEP_SYSTEM, base_seed=11)
-        serial = run_comm_qubit_sweep("TLIM-32", [4, 8], **kwargs)
+        kwargs = dict(designs=["adapt_buf"], num_runs=2, base_seed=11)
+        serial = comm_sweep([4, 8], backend="serial", **kwargs)
         with ProcessPoolBackend(max_workers=2) as backend:
-            parallel = run_comm_qubit_sweep("TLIM-32", [4, 8],
-                                            backend=backend, **kwargs)
+            parallel = comm_sweep([4, 8], backend=backend, **kwargs)
         for count in (4, 8):
             serial_summary = serial[count].design("adapt_buf")
             parallel_summary = parallel[count].design("adapt_buf")
@@ -68,15 +66,15 @@ class TestCommQubitSweep:
 
     def test_design_comparison_accepts_shared_cache(self):
         cache = ArtifactCache()
-        first = run_design_comparison(
-            ["TLIM-32"], designs=["adapt_buf"], num_runs=1,
-            system=SWEEP_SYSTEM, cache=cache,
-        )
+
+        def comparison():
+            study = Study(benchmarks=["TLIM-32"], designs=["adapt_buf"],
+                          num_runs=1, system=SWEEP_SYSTEM, cache=cache)
+            return study.run().to_comparisons()
+
+        first = comparison()
         misses_after_first = cache.misses
-        second = run_design_comparison(
-            ["TLIM-32"], designs=["adapt_buf"], num_runs=1,
-            system=SWEEP_SYSTEM, cache=cache,
-        )
+        second = comparison()
         assert cache.misses == misses_after_first  # fully served from cache
         a = first["TLIM-32"].design("adapt_buf")
         b = second["TLIM-32"].design("adapt_buf")

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro.core import ExperimentConfig, SystemConfig, run_comm_qubit_sweep, run_design_comparison
-from repro.core.results import BenchmarkComparison, DesignSummary
-from repro.engine import ArtifactCache, ExperimentEngine
+from repro.core import SystemConfig
+from repro.core.results import DesignSummary
+from repro.engine import ArtifactCache
 from repro.exceptions import ConfigurationError
 from repro.runtime import get_design
 from repro.study import Axis, ExecutionPlan, GridSpec, ResultSet, RunRecord, Study
@@ -223,14 +223,11 @@ class TestStudyRun:
         assert meta["system"]["comm_qubits_per_node"] == 4
 
     def test_matches_direct_engine_execution(self):
-        """Study results equal the engine path run by run (same seeds)."""
-        config = ExperimentConfig(benchmarks=("TLIM-32",),
-                                  designs=("async_buf",), num_runs=2,
-                                  base_seed=3, system=SMALL_SYSTEM)
-        engine_results = ExperimentEngine(config).run_cell(
-            "TLIM-32", "async_buf")
+        """Study results equal the compiled cell run by run (same seeds)."""
         study = Study(benchmarks=["TLIM-32"], designs=["async_buf"],
                       num_runs=2, base_seed=3, system=SMALL_SYSTEM)
+        [cell] = study.compile_plan()
+        engine_results = cell.execute_batch(study.seeds())
         records = study.run().records
         assert [r.seed for r in records] == [r.seed for r in engine_results]
         assert [r.depth for r in records] == [
@@ -327,25 +324,6 @@ class TestStudyRun:
         assert rebuilt._design_values() == [override]
         assert rebuilt.run().records == study.run().records
 
-    def test_runner_close_spares_caller_backend(self):
-        from repro.core import ExperimentRunner
-        from repro.engine import SerialBackend
-
-        class RecordingBackend(SerialBackend):
-            closed = False
-
-            def close(self):
-                self.closed = True
-
-        provided = RecordingBackend()
-        config = ExperimentConfig(benchmarks=("TLIM-32",), designs=("ideal",),
-                                  num_runs=1, system=SMALL_SYSTEM)
-        with ExperimentRunner(config, backend=provided) as runner:
-            runner.run()
-        assert not provided.closed  # caller-provided instance stays open
-        with ExperimentRunner(config, backend="serial") as runner:
-            runner.run()  # name-resolved backends are owned and closed
-
     def test_spec_round_trip_runs(self):
         study = Study(benchmarks=["TLIM-32"], designs=["ideal"],
                       axes={"comm_qubits_per_node": [4, 8]},
@@ -418,58 +396,16 @@ class TestResultSetSerialization:
 
 
 # ----------------------------------------------------------------------
-# shim equivalence (satellite): legacy wrappers == pre-redesign outputs
+# comparison shapes rebuilt from records
 # ----------------------------------------------------------------------
 class TestShimEquivalence:
-    def _legacy_design_comparison(self, benchmarks, designs, num_runs,
-                                  system, base_seed):
-        """The pre-Study implementation: ExperimentEngine.run() directly."""
-        config = ExperimentConfig(
-            benchmarks=tuple(benchmarks), designs=tuple(designs),
-            num_runs=num_runs, base_seed=base_seed, system=system,
-        )
-        return ExperimentEngine(config).run()
-
-    def _legacy_comm_sweep(self, benchmark, counts, designs, num_runs,
-                           base_system, base_seed):
-        """The pre-Study sweep: one engine per count, one shared cache."""
-        cache = ArtifactCache()
-        sweep = {}
-        for count in counts:
-            system = base_system.with_comm_and_buffer(count, count)
-            comparisons = self._legacy_design_comparison(
-                [benchmark], designs, num_runs, system, base_seed)
-            sweep[count] = comparisons[benchmark]
-        return sweep
-
-    def test_design_comparison_bit_identical(self):
-        kwargs = dict(benchmarks=["TLIM-32"],
-                      designs=["async_buf", "adapt_buf", "ideal"],
-                      num_runs=2, system=SMALL_SYSTEM, base_seed=3)
-        legacy = self._legacy_design_comparison(**kwargs)
-        shimmed = run_design_comparison(
-            kwargs["benchmarks"], designs=kwargs["designs"],
-            num_runs=kwargs["num_runs"], system=kwargs["system"],
-            base_seed=kwargs["base_seed"],
-        )
-        assert shimmed == legacy  # dataclass equality, exact floats
-
-    def test_comm_sweep_bit_identical(self):
-        legacy = self._legacy_comm_sweep(
-            "TLIM-32", [4, 8], ["adapt_buf", "ideal"], 2, SMALL_SYSTEM, 11)
-        shimmed = run_comm_qubit_sweep(
-            "TLIM-32", [4, 8], designs=["adapt_buf", "ideal"], num_runs=2,
-            base_system=SMALL_SYSTEM, base_seed=11,
-        )
-        assert sorted(shimmed) == sorted(legacy)
-        assert shimmed == legacy
-
     def test_to_comparisons_matches_design_summary_formulas(self):
         """Comparison aggregates rebuilt from records are exact."""
         study = Study(benchmarks=["TLIM-32"], designs=["async_buf"],
                       num_runs=3, base_seed=1, system=SMALL_SYSTEM)
-        raw = study.run_cell("TLIM-32", "async_buf", seeds=[1, 2, 3])
-        expected = DesignSummary.from_results(raw)
+        [cell] = study.compile_plan()
+        expected = DesignSummary.from_results(
+            cell.execute_batch(study.seeds()))
         rebuilt = study.run().to_comparisons()["TLIM-32"].design("async_buf")
         assert rebuilt == expected
 
@@ -486,25 +422,9 @@ class TestShimEquivalence:
 # config satellites
 # ----------------------------------------------------------------------
 class TestConfigSatellites:
-    def test_experiment_config_designs_resolved_per_instance(self):
-        from repro.runtime.designs import DESIGNS, DESIGN_ORDER
-
-        spec = get_design("ideal").with_overrides(name="late_design")
-        DESIGNS["late_design"] = spec
-        DESIGN_ORDER.append("late_design")
-        try:
-            config = ExperimentConfig(benchmarks=("TLIM-32",))
-            assert "late_design" in config.designs
-        finally:
-            del DESIGNS["late_design"]
-            DESIGN_ORDER.remove("late_design")
-        # Designs registered later never leak into earlier instances.
-        assert "late_design" not in ExperimentConfig(
-            benchmarks=("TLIM-32",)).designs
-
     def test_empty_designs_tuple_still_rejected(self):
         with pytest.raises(ConfigurationError):
-            ExperimentConfig(benchmarks=("TLIM-32",), designs=())
+            Study(benchmarks=["TLIM-32"], designs=[]).plan()
 
     def test_single_node_system_rejected(self):
         with pytest.raises(ConfigurationError):
