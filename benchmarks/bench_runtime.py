@@ -4,9 +4,10 @@ Measures the wins of the batched execution core on a fig5-style sweep
 (TLIM-32 + QAOA-r4-32, all six designs):
 
 * **executor core** — wall-clock of replaying the full grid through the
-  legacy per-gate :class:`DesignExecutor` (``REPRO_EXEC=legacy``) versus
-  the batched gate-stream replay, asserting the per-run results are
-  identical, and
+  legacy per-gate reference :class:`DesignExecutor`
+  (``CompiledCell.executor``, one per seed) versus the batched gate-stream
+  replay (``CompiledCell.execute_batch``), asserting the per-run results
+  are identical, and
 * **dispatch granularity** — wall-clock of the serial backend versus the
   process-pool backend dispatching ``(cell, seed-chunk)`` batches.
 
@@ -40,13 +41,26 @@ OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 _REPEATS = 3
 
 
-def _time_grid(cells, seeds, mode):
-    """Replay every cell under every seed in one mode; (seconds, results)."""
+def _legacy_batch(cell, seeds):
+    """Replay one cell per seed through the reference DesignExecutor."""
+    return [
+        cell.executor(seed=seed).run(cell.program,
+                                     benchmark_name=cell.benchmark)
+        for seed in seeds
+    ]
+
+
+def _batched_batch(cell, seeds):
+    return cell.execute_batch(seeds)
+
+
+def _time_grid(cells, seeds, replay):
+    """Replay every cell under every seed; (best seconds, results)."""
     best = float("inf")
     results = None
     for _ in range(_REPEATS):
         start = time.perf_counter()
-        results = [cell.execute_batch(seeds, mode=mode) for cell in cells]
+        results = [replay(cell, seeds) for cell in cells]
         best = min(best, time.perf_counter() - start)
     return best, results
 
@@ -77,16 +91,16 @@ def test_runtime_benchmark():
     # Warm both cores once per cell (fidelity caches, stream columns) so the
     # timed regions compare steady-state replay, not first-touch setup.
     for cell in all_cells:
-        cell.execute_batch(seeds[:1], mode="legacy")
-        cell.execute_batch(seeds[:1], mode="batched")
+        _legacy_batch(cell, seeds[:1])
+        _batched_batch(cell, seeds[:1])
 
     # --- executor core: legacy vs batched, per benchmark ----------------
     per_benchmark = {}
     legacy_total = batched_total = 0.0
     identical = True
     for benchmark, cells in cells_by_benchmark.items():
-        legacy_s, legacy_results = _time_grid(cells, seeds, "legacy")
-        batched_s, batched_results = _time_grid(cells, seeds, "batched")
+        legacy_s, legacy_results = _time_grid(cells, seeds, _legacy_batch)
+        batched_s, batched_results = _time_grid(cells, seeds, _batched_batch)
         identical = identical and legacy_results == batched_results
         legacy_total += legacy_s
         batched_total += batched_s

@@ -25,8 +25,6 @@ Once registered, the names work everywhere a built-in does:
 axes (``Axis("partition_method", [...])``), spec files, and the
 ``python -m repro`` CLI.
 
-The ``REPRO_EXEC`` knob (``execution_mode`` / ``BATCHED`` / ``LEGACY``)
-selects between the two execution cores — bit-identical per seed —
 ``REPRO_BACKEND`` picks the default execution backend, and
 ``REPRO_CACHE_DIR`` (``default_cache`` / ``PersistentArtifactCache``)
 persists compile artifacts on disk for cross-process reuse; see
@@ -72,12 +70,6 @@ from repro.runtime.designs import (
     get_design,
     list_designs,
     register_design,
-)
-from repro.runtime.execmode import (
-    BATCHED,
-    EXEC_ENV_VAR,
-    LEGACY,
-    execution_mode,
 )
 from repro.fleet import (
     FleetBackend,
@@ -128,11 +120,6 @@ __all__ = [
     "get_backend",
     "list_backends",
     "register_backend",
-    # execution cores (REPRO_EXEC)
-    "BATCHED",
-    "LEGACY",
-    "EXEC_ENV_VAR",
-    "execution_mode",
     # compile caches (REPRO_CACHE_DIR)
     "ArtifactCache",
     "PersistentArtifactCache",

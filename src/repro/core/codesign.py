@@ -10,9 +10,11 @@ The simulator is a thin wrapper over
 :class:`~repro.engine.compiler.CellCompiler`: every ``simulate`` call first
 compiles (or fetches from the artifact cache) the deterministic
 :class:`~repro.engine.compiler.CompiledCell` of its (benchmark, design)
-pair, then replays it under the requested seed.  The schedule lookup table
-of an adaptive design is therefore built once per cell no matter how many
-seeds are simulated.
+pair, then replays it under the requested seed through the batched core
+(:meth:`~repro.engine.compiler.CompiledCell.execute_batch`), or through
+the reference :class:`~repro.runtime.executor.DesignExecutor` when a trace
+is requested.  The schedule lookup table of an adaptive design is
+therefore built once per cell no matter how many seeds are simulated.
 
 Example
 -------
@@ -62,8 +64,9 @@ class DQCSimulator:
     ----------
     last_executor:
         The :class:`DesignExecutor` of the most recent ``simulate`` call
-        (``None`` until the first call) — exposes the execution trace when
-        ``collect_trace=True``.
+        with ``collect_trace=True`` (``None`` until the first such call);
+        its ``last_trace`` holds that run's per-gate trace.  Untraced calls
+        replay through the batched core and leave it unchanged.
     """
 
     def __init__(self, system: Optional[SystemConfig] = None,
@@ -126,14 +129,17 @@ class DQCSimulator:
         adaptive_policy:
             Optional override of the adaptive thresholds.
         collect_trace:
-            Record a per-gate execution trace (available on the executor).
+            Record a per-gate execution trace through the reference
+            :class:`DesignExecutor`, kept as :attr:`last_executor`.
         """
         cell = self._compiler.compile(
             circuit, design,
             segment_length=segment_length,
             adaptive_policy=adaptive_policy,
         )
-        executor = cell.executor(seed=seed, collect_trace=collect_trace)
+        if not collect_trace:
+            return cell.execute_batch([seed])[0]
+        executor = cell.executor(seed=seed, collect_trace=True)
         result = executor.run(cell.program, benchmark_name=cell.benchmark)
         self.last_executor = executor
         return result

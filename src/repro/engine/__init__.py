@@ -9,10 +9,11 @@ The engine splits the simulation pipeline into two explicit stages:
 * **execute** (:mod:`repro.engine.backends`) — stochastic per seed: replay
   a compiled cell through a pluggable :class:`ExecutionBackend`, serially
   or across a process pool.  Backends dispatch ``(cell, seed-chunk)``
-  batches to the trajectory-batched execution core
-  (:class:`~repro.runtime.batched.BatchedExecutor`); set
-  ``REPRO_EXEC=legacy`` for the reference
-  :class:`~repro.runtime.executor.DesignExecutor`.
+  batches to :meth:`CompiledCell.execute_batch`, which replays them through
+  the trajectory-batched execution core
+  (:class:`~repro.runtime.batched.BatchedExecutor`).  The reference
+  :class:`~repro.runtime.executor.DesignExecutor` is reached only through
+  :meth:`CompiledCell.executor`.
 
 The compile cache can persist across processes: point ``REPRO_CACHE_DIR``
 (or pass ``cache_dir`` / a :class:`PersistentArtifactCache`) at a directory

@@ -68,10 +68,6 @@ class ExecutionTask:
     cell: CompiledCell
     seed: int
 
-    def run(self) -> ExecutionResult:
-        """Execute the task in the current process."""
-        return self.cell.execute(seed=self.seed)
-
 
 def chunk_tasks(tasks: Sequence[ExecutionTask],
                 chunk_size: int) -> List[Tuple[CompiledCell, List[int]]]:
@@ -235,9 +231,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
     A one-worker pool is pure overhead — serial execution plus pickling —
     which is exactly the ``BENCH_engine.json`` regression (0.89x vs serial).
-    When only one worker is available the backend therefore runs the chunks
-    inline on the calling thread: results are identical either way, and the
-    backend never loses to :class:`SerialBackend` on a single-CPU machine.
+    When only one worker is available the backend therefore hands the tasks
+    to :class:`SerialBackend`: results are identical either way, and the
+    backend never loses to it on a single-CPU machine.
     """
 
     name = "process"
@@ -264,7 +260,7 @@ class ProcessPoolBackend(ExecutionBackend):
             usable = count
         # Every usable CPU gets a worker; a machine (or cpuset/affinity
         # mask) with a single usable CPU gets 1, which the execute path
-        # short-circuits to inline execution — multiple workers contending
+        # short-circuits to the serial backend — multiple workers contending
         # for one CPU is strictly worse than the serial backend (the
         # BENCH_engine.json 0.89x regression).
         return usable if usable > 1 else 1
@@ -293,19 +289,13 @@ class ProcessPoolBackend(ExecutionBackend):
         tasks = list(tasks)
         if not tasks:
             return []
+        if self._workers() == 1:
+            return SerialBackend().execute(tasks, sink=sink)
         chunk_size = self._chunk_size(len(tasks))
         hint = _sink_chunk_hint(sink)
         if hint is not None:
             chunk_size = min(chunk_size, hint)
         chunks = chunk_tasks(tasks, chunk_size)
-        if self._workers() == 1:
-            results: List[ExecutionResult] = []
-            for cell, seeds in chunks:
-                batch = cell.execute_batch(seeds)
-                if sink is not None:
-                    sink(len(results), batch)
-                results.extend(batch)
-            return results
         cells = {chunk[0].cache_key: chunk[0] for chunk in chunks}
         pool = self._ensure_pool(cells)
         start_of: Dict[object, int] = {}

@@ -26,7 +26,6 @@ from repro.partitioning.assigner import DistributedProgram, distribute_circuit
 from repro.partitioning.registry import get_partitioner
 from repro.runtime.batched import BatchedExecutor
 from repro.runtime.designs import DesignSpec, get_design
-from repro.runtime.execmode import LEGACY, execution_mode
 from repro.runtime.executor import DesignExecutor
 from repro.runtime.gatestream import CompiledStreams, lower_cell
 from repro.runtime.metrics import ExecutionResult
@@ -44,7 +43,8 @@ class CompiledCell:
 
     Everything deterministic about the cell lives here: the partitioned
     program, the materialised architecture, the resolved design spec, the
-    segment-length override, and — for adaptive designs — the pre-built
+    segment-length override, the lowered gate streams and — for adaptive
+    designs — the pre-built
     :class:`~repro.scheduling.lookup.ScheduleLookupTable`.  Executing the
     cell under a seed touches none of this state except the lookup table's
     decision log, which the executor resets at the start of every run.
@@ -58,12 +58,12 @@ class CompiledCell:
     adaptive_policy: AdaptivePolicy
     lookup: Optional[ScheduleLookupTable]
     cache_key: str
-    streams: Optional[CompiledStreams] = None
+    streams: CompiledStreams
 
     # ------------------------------------------------------------------
     def executor(self, seed: int = 0,
                  collect_trace: bool = False) -> DesignExecutor:
-        """Build a legacy :class:`DesignExecutor` that replays this cell."""
+        """Build the reference :class:`DesignExecutor` for this cell."""
         return DesignExecutor(
             self.architecture,
             self.design,
@@ -74,50 +74,12 @@ class CompiledCell:
             collect_trace=collect_trace,
         )
 
-    def batched_executor(self) -> BatchedExecutor:
-        """Build a :class:`BatchedExecutor` over this cell's gate streams."""
-        return BatchedExecutor(
-            self.architecture,
-            self.design,
-            segment_length=self.segment_length,
-            adaptive_policy=self.adaptive_policy,
-            lookup=self.lookup,
-            streams=self.streams,
-        )
-
-    def execute_batch(self, seeds: Sequence[int],
-                      mode: Optional[str] = None) -> List[ExecutionResult]:
-        """Replay the cell under a batch of seeds, in seed order.
-
-        ``mode`` overrides the process-wide execution core
-        (:func:`~repro.runtime.execmode.execution_mode`): ``"batched"``
-        replays the lowered gate streams once per seed, ``"legacy"`` runs
-        the reference :class:`DesignExecutor` per seed.  Both produce
-        identical results for identical seeds.
-        """
-        resolved = execution_mode(mode)
-        if resolved == LEGACY:
-            return [
-                self.executor(seed=seed).run(
-                    self.program, benchmark_name=self.benchmark
-                )
-                for seed in seeds
-            ]
-        return self.batched_executor().run_batch(
-            self.program, seeds, benchmark_name=self.benchmark
-        )
-
-    def execute(self, seed: int = 0, collect_trace: bool = False,
-                mode: Optional[str] = None) -> ExecutionResult:
-        """Replay the cell under one seed and return its metrics.
-
-        Trace collection is a legacy-executor feature, so ``collect_trace``
-        forces the reference core for that call.
-        """
-        if collect_trace or execution_mode(mode) == LEGACY:
-            executor = self.executor(seed=seed, collect_trace=collect_trace)
-            return executor.run(self.program, benchmark_name=self.benchmark)
-        return self.execute_batch([seed], mode=mode)[0]
+    def execute_batch(self, seeds: Sequence[int]) -> List[ExecutionResult]:
+        """Replay the cell under a batch of seeds, in seed order."""
+        executor = BatchedExecutor(self.architecture, self.design,
+                                   streams=self.streams, lookup=self.lookup)
+        return executor.run_batch(self.program, seeds,
+                                  benchmark_name=self.benchmark)
 
 
 class CellCompiler:
@@ -301,7 +263,7 @@ class CellCompiler:
             cache_key=key,
             # Lower the program (and, for adaptive designs, every segment
             # variant) into flat gate streams once per cell; the batched
-            # executor replays these arrays for every seed.
+            # executor replays these rows for every seed.
             streams=lower_cell(program, self.architecture, spec, lookup=lookup),
         )
         return self.cache.put("cell", key, cell)

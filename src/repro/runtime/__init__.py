@@ -2,21 +2,17 @@
 
 Two execution cores share the same stochastic processes and produce
 bit-identical results per seed: the trajectory-batched
-:class:`~repro.runtime.batched.BatchedExecutor` replaying pre-lowered
-:mod:`~repro.runtime.gatestream` arrays per seed (the default), and the
-legacy per-gate :class:`~repro.runtime.executor.DesignExecutor` (the
-reference and the only core that collects traces, selectable via
-``REPRO_EXEC=legacy``).
+:class:`~repro.runtime.batched.BatchedExecutor`, which replays the
+compiler's :mod:`~repro.runtime.gatestream` rows per seed and is the only
+production core, and the per-gate
+:class:`~repro.runtime.executor.DesignExecutor`, the reference the tests
+compare against and the only core that collects traces.  The reference is
+reached only by constructing it, e.g. through
+:meth:`~repro.engine.compiler.CompiledCell.executor`.
 """
 
 from repro.runtime.batched import BatchedExecutor
 from repro.runtime.designs import DESIGNS, DesignSpec, get_design, list_designs
-from repro.runtime.execmode import (
-    BATCHED,
-    EXEC_ENV_VAR,
-    LEGACY,
-    execution_mode,
-)
 from repro.runtime.executor import DesignExecutor, execute_design
 from repro.runtime.gatestream import CompiledStreams, GateStream, lower_cell
 from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
@@ -36,10 +32,6 @@ __all__ = [
     "CompiledStreams",
     "GateStream",
     "lower_cell",
-    "BATCHED",
-    "LEGACY",
-    "EXEC_ENV_VAR",
-    "execution_mode",
     "ExecutionResult",
     "RemoteGateRecord",
     "ExecutionTrace",

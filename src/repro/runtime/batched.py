@@ -1,22 +1,24 @@
 """Trajectory-batched execution of compiled gate streams.
 
-:class:`BatchedExecutor` is the fast execution core behind the engine: it
-replays a pre-lowered :class:`~repro.runtime.gatestream.CompiledStreams`
-for a whole batch of seeds in one pass, sharing every per-cell artifact
-(gate arrays, static gate counts, segment metadata, the schedule lookup
-table) across the batch.  Only the entanglement process is stochastic, so
-the per-seed replay touches plain floats and the entanglement services —
-never ``Gate`` objects, latency tables, or circuit walks.
+:class:`BatchedExecutor` is the production execution core: it replays a
+pre-lowered :class:`~repro.runtime.gatestream.CompiledStreams` for a whole
+batch of seeds in one pass, sharing every per-cell artifact (gate rows,
+static gate counts, segment metadata, the schedule lookup table) across the
+batch.  Only the entanglement process is stochastic, so the per-seed replay
+touches plain floats and the entanglement services — never ``Gate``
+objects, latency tables, or circuit walks.  The compiler builds both the
+streams and the lookup table;
+:meth:`~repro.engine.compiler.CompiledCell.execute_batch` is the one place
+that constructs this executor.
 
-Results are **bit-identical** to the legacy
+Results are **bit-identical** to the reference
 :class:`~repro.runtime.executor.DesignExecutor` for the same seed: both
 cores drive the same :class:`~repro.runtime.resources.EntanglementDirectory`
 (whose generators draw identical variate streams, see
 :mod:`repro.entanglement.generator`), apply the same float arithmetic in the
-same order for gate timing, and call the same fidelity model.  The legacy
-executor remains selectable with ``REPRO_EXEC=legacy`` as the reference
-implementation; ``tests/test_batched.py`` pins the equivalence across every
-design, topology, and the adaptive scheduling path.
+same order for gate timing, and call the same fidelity model.
+``tests/test_batched.py`` pins the equivalence across every design,
+topology, and the adaptive scheduling path.
 
 The ideal (monolithic) design is deterministic per cell, so a seed batch
 simulates it once and stamps per-seed results from the shared outcome.
@@ -27,22 +29,21 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
+from repro.exceptions import RuntimeSimulationError
 from repro.hardware.architecture import DQCArchitecture
 from repro.noise.fidelity import FidelityModel
 from repro.partitioning.assigner import DistributedProgram
 from repro.runtime.designs import DesignSpec, get_design
-from repro.runtime.executor import build_program_lookup, validate_program_capacity
+from repro.runtime.executor import validate_program_capacity
 from repro.runtime.gatestream import (
     OP_LOCAL_2Q,
     OP_REMOTE,
     CompiledStreams,
     GateStream,
-    lower_cell,
 )
 from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
 from repro.runtime.resources import EntanglementDirectory
 from repro.scheduling.lookup import ScheduleLookupTable
-from repro.scheduling.policies import AdaptivePolicy
 from repro.scheduling.variants import SchedulingVariant
 
 __all__ = ["BatchedExecutor"]
@@ -51,33 +52,33 @@ __all__ = ["BatchedExecutor"]
 class BatchedExecutor:
     """Replays compiled gate streams for batches of seeds.
 
-    Parameters mirror :class:`~repro.runtime.executor.DesignExecutor` minus
-    the per-run ``seed`` (seeds are batch inputs) and ``collect_trace``
-    (tracing stays a legacy-executor feature); ``streams`` accepts the
-    compiler's pre-lowered arrays and is rebuilt on the fly when absent, so
-    the executor also works stand-alone.
+    ``streams`` is the compiler's :func:`~repro.runtime.gatestream.lower_cell`
+    output for ``design``; adaptive designs also need the
+    :class:`ScheduleLookupTable` their segment streams were lowered from.
+    Seeds are batch inputs, and tracing stays a feature of the reference
+    :class:`~repro.runtime.executor.DesignExecutor`.
     """
 
     def __init__(
         self,
         architecture: DQCArchitecture,
         design,
-        fidelity_model: Optional[FidelityModel] = None,
-        segment_length: Optional[int] = None,
-        adaptive_policy: Optional[AdaptivePolicy] = None,
+        streams: CompiledStreams,
         lookup: Optional[ScheduleLookupTable] = None,
-        streams: Optional[CompiledStreams] = None,
     ) -> None:
         self.architecture = architecture
         self.design: DesignSpec = (
             design if isinstance(design, DesignSpec) else get_design(design)
         )
-        self.fidelity_model = fidelity_model or FidelityModel(
+        if streams.segments is not None and lookup is None:
+            raise RuntimeSimulationError(
+                "adaptive segment streams replay the ScheduleLookupTable "
+                "they were lowered from; pass it as lookup"
+            )
+        self.fidelity_model = FidelityModel(
             fidelities=architecture.fidelities,
             kappa=architecture.decoherence_rate,
         )
-        self.segment_length = segment_length
-        self.adaptive_policy = adaptive_policy or AdaptivePolicy()
         self.lookup = lookup
         self.streams = streams
 
@@ -86,33 +87,26 @@ class BatchedExecutor:
                   benchmark_name: Optional[str] = None) -> List[ExecutionResult]:
         """Replay the program under every seed; results in seed order."""
         benchmark_name = benchmark_name or program.name
-        self._validate_capacity(program)
+        validate_program_capacity(self.architecture, program)
         seeds = list(seeds)
         if not seeds:
             return []
-
         if self.design.ideal:
-            streams = self._streams_for(program)
-            return self._run_ideal_batch(streams, benchmark_name, seeds)
-
-        lookup = None
-        if self.design.adaptive_scheduling:
-            lookup = self.lookup if self.lookup is not None else (
-                self._build_lookup(program)
-            )
-        streams = self._streams_for(program, lookup)
+            return self._run_ideal_batch(benchmark_name, seeds)
+        lookup = self.lookup if self.design.adaptive_scheduling else None
         return [
-            self._run_one(program, streams, lookup, benchmark_name, seed)
+            self._run_one(program, lookup, benchmark_name, seed)
             for seed in seeds
         ]
 
     # ------------------------------------------------------------------
     # stochastic (distributed) replay
     # ------------------------------------------------------------------
-    def _run_one(self, program: DistributedProgram, streams: CompiledStreams,
+    def _run_one(self, program: DistributedProgram,
                  lookup: Optional[ScheduleLookupTable], benchmark_name: str,
                  seed: int) -> ExecutionResult:
         design = self.design
+        streams = self.streams
         architecture = self.architecture
         directory = EntanglementDirectory(
             architecture,
@@ -135,7 +129,7 @@ class BatchedExecutor:
 
         def play(stream: GateStream) -> None:
             nonlocal gate_counter
-            for op, a, b, duration, pair_id in stream.rows():
+            for op, a, b, duration, pair_id in stream.rows:
                 if op == OP_REMOTE:
                     time_a = avail[a]
                     time_b = avail[b]
@@ -249,14 +243,15 @@ class BatchedExecutor:
     # ------------------------------------------------------------------
     # deterministic (ideal) replay
     # ------------------------------------------------------------------
-    def _run_ideal_batch(self, streams: CompiledStreams, benchmark_name: str,
+    def _run_ideal_batch(self, benchmark_name: str,
                          seeds: Sequence[int]) -> List[ExecutionResult]:
+        streams = self.streams
         stream = streams.flat
         num_qubits = stream.num_qubits
         avail = [0.0] * num_qubits
         busy = [0.0] * num_qubits
         first_use: List[Optional[float]] = [None] * num_qubits
-        for op, a, b, duration, _pair in stream.rows():
+        for op, a, b, duration, _pair in stream.rows:
             if op == OP_LOCAL_2Q:
                 time_a = avail[a]
                 time_b = avail[b]
@@ -314,23 +309,3 @@ class BatchedExecutor:
             )
             for seed in seeds
         ]
-
-    # ------------------------------------------------------------------
-    # lowering / validation helpers
-    # ------------------------------------------------------------------
-    def _streams_for(self, program: DistributedProgram,
-                     lookup: Optional[ScheduleLookupTable] = None
-                     ) -> CompiledStreams:
-        if self.streams is not None:
-            return self.streams
-        return lower_cell(program, self.architecture, self.design,
-                          lookup=lookup)
-
-    def _build_lookup(self, program: DistributedProgram) -> ScheduleLookupTable:
-        """Stand-alone lookup build, shared with the legacy reference."""
-        return build_program_lookup(self.architecture, program,
-                                    segment_length=self.segment_length,
-                                    policy=self.adaptive_policy)
-
-    def _validate_capacity(self, program: DistributedProgram) -> None:
-        validate_program_capacity(self.architecture, program)

@@ -9,11 +9,14 @@ entanglement service of their node pair.  The executor produces an
 the estimated output fidelity, and the entanglement statistics.
 
 This is the **reference implementation** of the execution semantics,
-selected process-wide with ``REPRO_EXEC=legacy``.  The default execute path
-is the trajectory-batched :class:`~repro.runtime.batched.BatchedExecutor`,
-which replays pre-lowered gate streams and must stay bit-identical to this
-executor per seed (pinned by ``tests/test_batched.py``); execution traces
-(``collect_trace=True``) remain a feature of this executor only.
+reached only by constructing it (directly, through :func:`execute_design`,
+or through :meth:`~repro.engine.compiler.CompiledCell.executor`).  The
+production execute path is the trajectory-batched
+:class:`~repro.runtime.batched.BatchedExecutor`, which replays pre-lowered
+gate streams and must stay bit-identical to this executor per seed (pinned
+by ``tests/test_batched.py`` and ``tests/test_golden_physics.py``);
+execution traces (``collect_trace=True``) remain a feature of this
+executor only.
 """
 
 from __future__ import annotations

@@ -1,25 +1,23 @@
-"""Array-backed gate streams: the lowered IR of the execute stage.
+"""Gate streams: the lowered IR of the execute stage.
 
 Re-walking :class:`~repro.circuits.gate.Gate` objects on every run pays for
 attribute lookups, ``GateSpec`` registry hits, and latency-table dispatch per
 gate × per seed.  All of that is deterministic per compiled cell, so the
 compiler lowers the distributed program *once* into a :class:`GateStream` —
-flat numpy arrays of opcodes, qubit indices, durations, remote-pair ids, and
-segment ids — which the batched executor replays for any number of seeds
-without ever touching a ``Gate`` again.
+one flat tuple of ``(opcode, qubit_a, qubit_b, duration, pair_id)`` rows —
+which the batched executor replays for any number of seeds without ever
+touching a ``Gate`` again.
 
 Adaptive designs additionally pre-lower every ASAP/ALAP/original variant of
 every circuit segment (:class:`SegmentStreams`), so the run-time variant
-selection swaps between pre-lowered arrays instead of re-interpreting the
+selection swaps between pre-lowered streams instead of re-interpreting the
 chosen :class:`~repro.circuits.circuit.QuantumCircuit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.hardware.architecture import DQCArchitecture
@@ -48,69 +46,25 @@ OP_REMOTE = 2
 
 NodePair = Tuple[int, int]
 
+#: One lowered gate: ``(opcode, qubit_a, qubit_b, duration, pair_id)``.
+GateRow = Tuple[int, int, int, float, int]
+
 
 @dataclass(frozen=True, eq=False)
 class GateStream:
-    """One circuit lowered to flat, immutable numpy arrays.
+    """One circuit lowered to an immutable tuple of gate rows.
 
-    ``opcodes[i]`` selects the dispatch path of gate ``i``; ``qubit_a`` /
-    ``qubit_b`` are program-qubit indices (``qubit_b == -1`` for single-qubit
-    gates); ``durations`` is the pre-resolved latency (for remote gates the
-    teleportation latency); ``pair_ids`` indexes the cell-global remote
-    node-pair list (``-1`` for local gates); ``segment_ids`` carries the
-    adaptive segment of every gate (``-1`` outside adaptive designs).
+    Each row is ``(opcode, qubit_a, qubit_b, duration, pair_id)``:
+    ``opcode`` selects the dispatch path; ``qubit_a`` / ``qubit_b`` are
+    program-qubit indices (``qubit_b == -1`` for single-qubit gates);
+    ``duration`` is the pre-resolved latency (for remote gates the
+    teleportation latency); ``pair_id`` indexes the cell-global remote
+    node-pair list (``-1`` for local gates).  The replay loop unpacks one
+    row per gate in its ``for`` header.
     """
 
-    opcodes: np.ndarray
-    qubit_a: np.ndarray
-    qubit_b: np.ndarray
-    durations: np.ndarray
-    pair_ids: np.ndarray
-    segment_ids: np.ndarray
+    rows: Tuple[GateRow, ...]
     num_qubits: int
-
-    @property
-    def num_gates(self) -> int:
-        return int(self.opcodes.shape[0])
-
-    def columns(self) -> Tuple[list, list, list, list, list]:
-        """The stream as plain Python lists (cached).
-
-        The replay loop indexes per gate; list indexing is markedly faster
-        than numpy scalar indexing there, so the conversion is done once per
-        stream and memoised on the instance.
-        """
-        cached = self.__dict__.get("_columns")
-        if cached is None:
-            cached = (
-                self.opcodes.tolist(),
-                self.qubit_a.tolist(),
-                self.qubit_b.tolist(),
-                self.durations.tolist(),
-                self.pair_ids.tolist(),
-            )
-            object.__setattr__(self, "_columns", cached)
-        return cached
-
-    def rows(self) -> list:
-        """``(opcode, qubit_a, qubit_b, duration, pair_id)`` per gate (cached).
-
-        Tuple unpacking in the replay loop's ``for`` header beats five
-        indexed list lookups per gate; built once per stream.
-        """
-        cached = self.__dict__.get("_rows")
-        if cached is None:
-            cached = list(zip(*self.columns()))
-            object.__setattr__(self, "_rows", cached)
-        return cached
-
-    def __getstate__(self) -> dict:
-        # The memoised list/tuple expansions roughly double the pickled
-        # size of a compiled cell; workers rebuild them on first replay.
-        state = dict(self.__dict__)
-        state.pop("_columns", None)
-        state.pop("_rows", None)
-        return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +84,9 @@ class CompiledStreams:
     ``flat`` is the program in partitioner order (the stream non-adaptive
     designs replay directly); ``segments`` holds the per-segment variant
     streams of adaptive designs; ``pair_list`` is the cell-global remote
-    node-pair table indexed by every stream's ``pair_ids``.  The static
-    gate counts of the fidelity model are pre-tallied so no run ever walks
-    the circuit again.
+    node-pair table indexed by the ``pair_id`` of every stream row.  The
+    static gate counts of the fidelity model are pre-tallied so no run ever
+    walks the circuit again.
     """
 
     flat: GateStream
@@ -166,7 +120,6 @@ def lower_circuit(
     architecture: DQCArchitecture,
     pair_index: Dict[NodePair, int],
     treat_remote_as_local: bool = False,
-    segment_ids: Optional[Sequence[int]] = None,
 ) -> GateStream:
     """Lower one (remote-labelled) circuit to a :class:`GateStream`.
 
@@ -175,26 +128,10 @@ def lower_circuit(
     labels are ignored and every gate gets its local latency.
     """
     times = architecture.gate_times
-    remote_latency = times.remote_gate_latency()
-    n = circuit.num_gates
-    opcodes = np.zeros(n, dtype=np.int8)
-    qubit_a = np.zeros(n, dtype=np.int32)
-    qubit_b = np.full(n, -1, dtype=np.int32)
-    durations = np.zeros(n, dtype=np.float64)
-    pair_ids = np.full(n, -1, dtype=np.int32)
-    segments = (
-        np.asarray(segment_ids, dtype=np.int32) if segment_ids is not None
-        else np.full(n, -1, dtype=np.int32)
-    )
-    if segments.shape[0] != n:
-        raise RuntimeSimulationError(
-            f"segment-id array covers {segments.shape[0]} gates, "
-            f"circuit has {n}"
-        )
-
+    remote_latency = float(times.remote_gate_latency())
+    rows = []
     for index, gate in enumerate(circuit.gates):
         qubits = gate.qubits
-        qubit_a[index] = qubits[0]
         if gate.is_remote and not treat_remote_as_local:
             node_a = program.node_of(qubits[0])
             node_b = program.node_of(qubits[1])
@@ -204,27 +141,15 @@ def lower_circuit(
                     f"on node {node_a}"
                 )
             pair = (node_a, node_b) if node_a < node_b else (node_b, node_a)
-            opcodes[index] = OP_REMOTE
-            qubit_b[index] = qubits[1]
-            durations[index] = remote_latency
-            pair_ids[index] = pair_index[pair]
+            rows.append((OP_REMOTE, qubits[0], qubits[1], remote_latency,
+                         pair_index[pair]))
         elif len(qubits) == 2:
-            opcodes[index] = OP_LOCAL_2Q
-            qubit_b[index] = qubits[1]
-            durations[index] = times.duration_of(gate.name)
+            rows.append((OP_LOCAL_2Q, qubits[0], qubits[1],
+                         float(times.duration_of(gate.name)), -1))
         else:
-            opcodes[index] = OP_LOCAL_1Q
-            durations[index] = times.duration_of(gate.name)
-
-    return GateStream(
-        opcodes=opcodes,
-        qubit_a=qubit_a,
-        qubit_b=qubit_b,
-        durations=durations,
-        pair_ids=pair_ids,
-        segment_ids=segments,
-        num_qubits=circuit.num_qubits,
-    )
+            rows.append((OP_LOCAL_1Q, qubits[0], -1,
+                         float(times.duration_of(gate.name)), -1))
+    return GateStream(rows=tuple(rows), num_qubits=circuit.num_qubits)
 
 
 def segment_node_pairs(circuit: QuantumCircuit,
@@ -256,7 +181,6 @@ def lower_cell(
     pair_index = {pair: i for i, pair in enumerate(pair_list)}
     single, local_two, total_two, measure = _gate_counts(circuit)
 
-    segment_ids: Optional[List[int]] = None
     segment_streams: Optional[Tuple[SegmentStreams, ...]] = None
     if design.adaptive_scheduling and not design.ideal:
         if lookup is None:
@@ -264,36 +188,25 @@ def lower_cell(
                 "adaptive designs need a pre-built ScheduleLookupTable to "
                 "lower segment variant streams"
             )
-        segment_ids = []
-        lowered_segments = []
-        for segment_index in range(lookup.num_segments):
-            variants = lookup.variants[segment_index]
-            segment = variants.segment
-            segment_ids.extend([segment_index] * segment.num_gates)
-            lowered_segments.append(SegmentStreams(
+        segment_streams = tuple(
+            SegmentStreams(
                 index=segment_index,
-                qubits=tuple(segment.qubits_used()),
-                node_pairs=segment_node_pairs(segment.circuit, program),
+                qubits=tuple(variants.segment.qubits_used()),
+                node_pairs=segment_node_pairs(variants.segment.circuit,
+                                              program),
                 variants={
                     name: lower_circuit(
                         variants.get(name), program, architecture, pair_index,
                     )
                     for name in SchedulingVariant.ALL
                 },
-            ))
-        segment_streams = tuple(lowered_segments)
-        if len(segment_ids) != circuit.num_gates:
-            # Segments must tile the circuit exactly or the flat stream's
-            # segment-id column would silently misalign.
-            raise RuntimeSimulationError(
-                f"lookup segments cover {len(segment_ids)} gates, "
-                f"program has {circuit.num_gates}"
             )
+            for segment_index, variants in enumerate(lookup.variants)
+        )
 
     flat = lower_circuit(
         circuit, program, architecture, pair_index,
         treat_remote_as_local=design.ideal,
-        segment_ids=segment_ids,
     )
     return CompiledStreams(
         flat=flat,

@@ -3,12 +3,15 @@
 A thin, dependency-free wrapper over :mod:`urllib.request`: every method
 maps to one endpoint, JSON error bodies become :class:`ServiceError`
 (carrying the HTTP status and the structured payload — e.g. a spec
-validation error's ``field`` / ``allowed`` diagnosis), and
-:meth:`ServiceClient.wait` polls a job to a terminal state.
+validation error's ``field`` / ``allowed`` diagnosis), a service that
+cannot be reached or drops the connection becomes a status-0
+``unreachable`` :class:`ServiceError`, and :meth:`ServiceClient.wait`
+polls a job to a terminal state.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import time
@@ -88,6 +91,14 @@ class ServiceClient:
                 "error": "unreachable",
                 "message": f"cannot reach service at {self.url}: "
                            f"{error.reason}",
+            }) from None
+        except (OSError, http.client.HTTPException) as error:
+            # The daemon accepted the request, then the connection dropped
+            # (closed, reset, timed out or cut mid-body).
+            raise ServiceError(0, {
+                "error": "unreachable",
+                "message": f"lost connection to service at {self.url}: "
+                           f"{type(error).__name__}: {error}",
             }) from None
         if not raw and kind.startswith("application/json"):
             return json.loads(text)

@@ -27,7 +27,6 @@ The paper's figures are each one study::
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
@@ -140,10 +139,12 @@ class Study:
         Execute-stage strategy (instance, registered name, or ``None``,
         which honours the ``REPRO_BACKEND`` environment variable and falls
         back to serial).  Backends dispatch the grid as (cell, seed-chunk)
-        batches through the batched execution core — set
-        ``REPRO_EXEC=legacy`` to replay through the reference executor
-        instead.  Backends the study creates from a name / ``None`` are
-        closed by :meth:`close`; caller-provided instances stay open.
+        batches through
+        :meth:`~repro.engine.compiler.CompiledCell.execute_batch`;
+        :meth:`run` calls ``execute(tasks, sink=...)``, so a custom backend
+        must accept the ``sink`` and feed it every finished batch.
+        Backends the study creates from a name / ``None`` are closed by
+        :meth:`close`; caller-provided instances stay open.
     cache:
         Shared compile-artifact cache (one is created if omitted), used by
         every system variant of the study — a sweep therefore partitions
@@ -587,13 +588,7 @@ class Study:
         sink.start()
         try:
             if tasks:
-                if _backend_supports_sink(self.backend):
-                    self.backend.execute(tasks, sink=sink)
-                else:
-                    # Custom backends predating streaming: run the whole
-                    # batch, then route it through the sink in one pass
-                    # (results are durable only once the batch finishes).
-                    sink(0, self.backend.execute(tasks))
+                self.backend.execute(tasks, sink=sink)
         finally:
             if store is not None:
                 # The writer lock is held from begin(); reads below (and
@@ -906,14 +901,6 @@ class Study:
         return (f"Study(benchmarks={self._benchmarks}, "
                 f"axes={[tuple(a.fields) for a in self._custom_axes]}, "
                 f"num_runs={self.num_runs})")
-
-
-def _backend_supports_sink(backend: ExecutionBackend) -> bool:
-    """Whether the backend's ``execute`` accepts the streaming ``sink``."""
-    try:
-        return "sink" in inspect.signature(backend.execute).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
 
 
 class _ChunkSink:

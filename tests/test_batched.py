@@ -28,14 +28,22 @@ from repro.exceptions import ConfigurationError
 from repro.runtime import (
     BatchedExecutor,
     DesignExecutor,
-    execution_mode,
     list_designs,
 )
-from repro.runtime.execmode import BATCHED, EXEC_ENV_VAR, LEGACY
+from repro.runtime.executor import build_program_lookup
 from repro.runtime.gatestream import OP_REMOTE, lower_cell
 from repro.runtime.designs import get_design
 
 SEEDS = [1, 2, 3]
+
+
+def reference_batch(cell, seeds):
+    """Replay ``cell`` per seed through the reference DesignExecutor."""
+    return [
+        cell.executor(seed=seed).run(cell.program,
+                                     benchmark_name=cell.benchmark)
+        for seed in seeds
+    ]
 
 
 def _assert_identical(legacy, batched):
@@ -61,8 +69,8 @@ def _assert_identical(legacy, batched):
 def test_batched_equals_legacy_all_designs(benchmark_name, design):
     compiler = CellCompiler(system=SystemConfig())
     cell = compiler.compile(benchmark_name, design)
-    legacy = cell.execute_batch(SEEDS, mode="legacy")
-    batched = cell.execute_batch(SEEDS, mode="batched")
+    legacy = reference_batch(cell, SEEDS)
+    batched = cell.execute_batch(SEEDS)
     _assert_identical(legacy, batched)
 
 
@@ -78,8 +86,8 @@ def test_batched_equals_legacy_across_topologies(topology, partition_method):
     compiler = CellCompiler(system=system)
     for design in ("original", "async_buf", "adapt_buf"):
         cell = compiler.compile("TLIM-32", design)
-        _assert_identical(cell.execute_batch(SEEDS, mode="legacy"),
-                          cell.execute_batch(SEEDS, mode="batched"))
+        _assert_identical(reference_batch(cell, SEEDS),
+                          cell.execute_batch(SEEDS))
 
 
 def test_batched_adaptive_uses_prebuilt_lookup():
@@ -89,8 +97,8 @@ def test_batched_adaptive_uses_prebuilt_lookup():
     assert cell.lookup is not None
     assert cell.streams is not None and cell.streams.segments is not None
     assert len(cell.streams.segments) == cell.lookup.num_segments
-    legacy = cell.execute_batch(SEEDS, mode="legacy")
-    batched = cell.execute_batch(SEEDS, mode="batched")
+    legacy = reference_batch(cell, SEEDS)
+    batched = cell.execute_batch(SEEDS)
     _assert_identical(legacy, batched)
     # Some run must actually exercise the adaptive rule for this to be a
     # meaningful equivalence case.
@@ -108,32 +116,41 @@ def test_batched_adaptive_seeds_genuinely_diverge():
                           comm_qubits_per_node=8, buffer_qubits_per_node=8)
     cell = CellCompiler(system=system).compile("TLIM-32", "adapt_buf")
     seeds = list(range(1, 13))
-    batched = cell.execute_batch(seeds, mode="batched")
+    batched = cell.execute_batch(seeds)
     histograms = {tuple(sorted(r.variant_histogram.items())) for r in batched}
     assert len(histograms) > 1
-    _assert_identical(cell.execute_batch(seeds, mode="legacy"), batched)
+    _assert_identical(reference_batch(cell, seeds), batched)
 
 
 def test_empty_seed_batch():
     cell = CellCompiler(system=SystemConfig()).compile("TLIM-16", "original")
-    assert cell.execute_batch([], mode="batched") == []
-    assert cell.execute_batch([], mode="legacy") == []
+    assert cell.execute_batch([]) == []
+    assert reference_batch(cell, []) == []
 
 
 def test_batched_standalone_without_prebuilt_streams():
-    """BatchedExecutor lowers on the fly when no compile artifacts exist."""
+    """BatchedExecutor over explicitly lowered streams, outside the compiler.
+
+    The reference DesignExecutor builds its own lookup table; the batched
+    core is handed the lowered streams and the lookup they came from.
+    """
     from repro.benchmarks.registry import build_benchmark
     from repro.partitioning.assigner import distribute_circuit
 
     system = SystemConfig()
     architecture = system.build_architecture()
     program = distribute_circuit(build_benchmark("TLIM-16"), num_nodes=2)
-    for design in ("async_buf", "adapt_buf", "ideal"):
+    for name in ("async_buf", "adapt_buf", "ideal"):
+        design = get_design(name)
         legacy = [
             DesignExecutor(architecture, design, seed=seed).run(program)
             for seed in SEEDS
         ]
-        batched = BatchedExecutor(architecture, design).run_batch(program, SEEDS)
+        lookup = (build_program_lookup(architecture, program)
+                  if design.adaptive_scheduling else None)
+        streams = lower_cell(program, architecture, design, lookup=lookup)
+        batched = BatchedExecutor(architecture, design, streams=streams,
+                                  lookup=lookup).run_batch(program, SEEDS)
         _assert_identical(legacy, batched)
 
 
@@ -143,14 +160,14 @@ def test_batched_custom_segment_length_and_policy():
     compiler = CellCompiler(system=SystemConfig())
     cell = compiler.compile("TLIM-16", "adapt_buf", segment_length=3,
                             adaptive_policy=AdaptivePolicy(asap_threshold=2))
-    _assert_identical(cell.execute_batch(SEEDS, mode="legacy"),
-                      cell.execute_batch(SEEDS, mode="batched"))
+    _assert_identical(reference_batch(cell, SEEDS),
+                      cell.execute_batch(SEEDS))
 
 
 def test_ideal_batch_results_are_independent_objects():
     compiler = CellCompiler(system=SystemConfig())
     cell = compiler.compile("QFT-16", "ideal")
-    results = cell.execute_batch([1, 2], mode="batched")
+    results = cell.execute_batch([1, 2])
     assert results[0].seed == 1 and results[1].seed == 2
     assert results[0].fidelity_breakdown == results[1].fidelity_breakdown
     assert results[0].fidelity_breakdown is not results[1].fidelity_breakdown
@@ -165,13 +182,14 @@ def test_lowered_stream_matches_program():
     cell = compiler.compile("TLIM-16", "async_buf")
     streams = cell.streams
     circuit = cell.program.circuit
-    assert streams.flat.num_gates == circuit.num_gates
+    rows = streams.flat.rows
+    assert len(rows) == circuit.num_gates
     remote = [i for i, gate in enumerate(circuit.gates) if gate.is_remote]
-    assert [i for i in range(streams.flat.num_gates)
-            if streams.flat.opcodes[i] == OP_REMOTE] == remote
+    assert [i for i, row in enumerate(rows) if row[0] == OP_REMOTE] == remote
     for index in remote:
         gate = circuit.gates[index]
-        pair_id = int(streams.flat.pair_ids[index])
+        _op, qubit_a, qubit_b, _duration, pair_id = rows[index]
+        assert (qubit_a, qubit_b) == gate.qubits
         nodes = tuple(sorted(cell.program.node_of(q) for q in gate.qubits))
         assert streams.pair_list[pair_id] == nodes
     assert streams.num_single + streams.num_two_total + streams.num_measure \
@@ -187,55 +205,31 @@ def test_lower_cell_requires_lookup_for_adaptive():
     with pytest.raises(RuntimeSimulationError):
         lower_cell(cell.program, cell.architecture, get_design("adapt_buf"),
                    lookup=None)
+    # Segment streams replay only with the lookup they were lowered from.
+    with pytest.raises(RuntimeSimulationError, match="lookup"):
+        BatchedExecutor(cell.architecture, cell.design, streams=cell.streams)
 
 
 def test_segment_streams_tile_the_circuit():
     compiler = CellCompiler(system=SystemConfig())
     cell = compiler.compile("QAOA-r2-16", "init_buf")
     total = sum(
-        segment.variants["original"].num_gates
+        len(segment.variants["original"].rows)
         for segment in cell.streams.segments
     )
     assert total == cell.program.circuit.num_gates
-    ids = cell.streams.flat.segment_ids
-    assert int(ids.min()) == 0
-    assert int(ids.max()) == len(cell.streams.segments) - 1
-    assert all(ids[i] <= ids[i + 1] for i in range(len(ids) - 1))
 
 
 # ---------------------------------------------------------------------------
-# REPRO_EXEC selection
+# tracing
 # ---------------------------------------------------------------------------
-def test_execution_mode_resolution(monkeypatch):
-    monkeypatch.delenv(EXEC_ENV_VAR, raising=False)
-    assert execution_mode() == BATCHED
-    monkeypatch.setenv(EXEC_ENV_VAR, "legacy")
-    assert execution_mode() == LEGACY
-    assert execution_mode("batched") == BATCHED  # override wins
-    for rejected in ("warp-drive", "vector"):
-        monkeypatch.setenv(EXEC_ENV_VAR, rejected)
-        with pytest.raises(ConfigurationError,
-                           match="available: batched, legacy$"):
-            execution_mode()
-
-
-def test_repro_exec_env_selects_legacy(monkeypatch):
-    compiler = CellCompiler(system=SystemConfig())
-    cell = compiler.compile("TLIM-16", "async_buf")
-    monkeypatch.setenv(EXEC_ENV_VAR, "legacy")
-    via_env = cell.execute(seed=7)
-    monkeypatch.delenv(EXEC_ENV_VAR)
-    via_batched = cell.execute(seed=7)
-    assert via_env == via_batched
-
-
 def test_collect_trace_routes_to_legacy():
     compiler = CellCompiler(system=SystemConfig())
     cell = compiler.compile("TLIM-16", "async_buf")
     executor = cell.executor(seed=1, collect_trace=True)
     result = executor.run(cell.program, benchmark_name=cell.benchmark)
     assert executor.last_trace is not None
-    assert result == cell.execute(seed=1)
+    assert result == cell.execute_batch([1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +263,8 @@ def test_serial_backend_handles_interleaved_cells():
     assert [r.benchmark for r in results] == [
         cell_a.benchmark, cell_b.benchmark, cell_a.benchmark, cell_b.benchmark,
     ]
-    assert results == [task.run() for task in tasks]
+    assert results == [task.cell.execute_batch([task.seed])[0]
+                       for task in tasks]
 
 
 def test_process_backend_chunked_results_match_serial():

@@ -226,12 +226,12 @@ class TestCrossProcessCompileReuse:
         system = SystemConfig()
         seeds = [1, 2, 3]
         direct = CellCompiler(system=system).compile("QAOA-r2-16", "adapt_buf")
-        expected = direct.execute_batch(seeds, mode="batched")
+        expected = direct.execute_batch(seeds)
         CellCompiler(system=system, cache_dir=tmp_path).compile(
             "QAOA-r2-16", "adapt_buf")
         revived = CellCompiler(system=system, cache_dir=tmp_path).compile(
             "QAOA-r2-16", "adapt_buf")
-        assert revived.execute_batch(seeds, mode="batched") == expected
+        assert revived.execute_batch(seeds) == expected
 
     def test_cli_second_run_hits_everything(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

@@ -54,10 +54,13 @@ class CountingBackend(ExecutionBackend):
     def __init__(self):
         self.task_log = []
 
-    def execute(self, tasks):
+    def execute(self, tasks, sink=None):
         tasks = list(tasks)
         self.task_log.append(len(tasks))
-        return [task.run() for task in tasks]
+        results = SerialBackend().execute(tasks)
+        if sink is not None:
+            sink(0, results)
+        return results
 
 
 # ----------------------------------------------------------------------
@@ -324,11 +327,12 @@ class TestStudyExecution:
 
     def test_engine_matches_legacy_per_seed_simulation(self):
         records = small_study(designs=["adapt_buf"]).run().records
-        simulator = DQCSimulator(system=SMALL_SYSTEM)
+        cell = CellCompiler(system=SMALL_SYSTEM).compile("TLIM-32",
+                                                         "adapt_buf")
         assert [r.seed for r in records] == SMALL_SEEDS
         for record in records:
-            legacy = simulator.simulate("TLIM-32", design="adapt_buf",
-                                        seed=record.seed)
+            legacy = cell.executor(seed=record.seed).run(
+                cell.program, benchmark_name=cell.benchmark)
             assert legacy.makespan == record.depth
             assert legacy.fidelity == record.fidelity
 
@@ -371,13 +375,18 @@ class TestSimulatorSatellites:
         simulator = DQCSimulator(system=small_system)
         result = simulator.ideal_reference(tlim_circuit(12, num_steps=1))
         assert result.design == "ideal"
-        assert simulator.last_executor is not None
+        # Untraced runs replay through the batched core, not an executor.
+        assert simulator.last_executor is None
 
-    def test_task_run_matches_cell_execute(self, tlim_system):
-        compiler = CellCompiler(system=tlim_system)
-        cell = compiler.compile("TLIM-32", "original")
-        task = ExecutionTask(cell, seed=7)
-        direct = cell.execute(seed=7)
-        via_task = task.run()
-        assert via_task.makespan == direct.makespan
-        assert via_task.fidelity == direct.fidelity
+    def test_traced_simulate_keeps_its_executor(self, small_system):
+        simulator = DQCSimulator(system=small_system)
+        circuit = tlim_circuit(12, num_steps=1)
+        traced = simulator.simulate(circuit, design="async_buf", seed=4,
+                                    collect_trace=True)
+        executor = simulator.last_executor
+        assert executor is not None and executor.last_trace is not None
+        # The batched core and the traced reference agree per seed, and an
+        # untraced call leaves the traced executor in place.
+        assert simulator.simulate(circuit, design="async_buf",
+                                  seed=4) == traced
+        assert simulator.last_executor is executor

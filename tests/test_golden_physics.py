@@ -1,10 +1,12 @@
 """Golden physics pins: simulated depth, fidelity and EPR counts.
 
 ``tests/data/golden_physics.json`` was written by ``tools/golden_physics.py
---write``.  Every execution core, backend and store shard format must
-reproduce it byte for byte, so a change to the entanglement process or the
-fidelity model cannot move a paper number without regenerating the fixture
-(which needs the flag and a CHANGES.md line).
+--write``.  The batched production core, the reference ``DesignExecutor``
+(run through the whole ``Study.run`` pipeline by a test-side backend), the
+process backend and both store shard formats must reproduce it byte for
+byte, so a change to the entanglement process or the fidelity model cannot
+move a paper number without regenerating the fixture (which needs the flag
+and a CHANGES.md line).
 """
 
 import importlib.util
@@ -13,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.backends import ProcessPoolBackend
+from repro.engine.backends import ExecutionBackend, ProcessPoolBackend
 from repro.runtime import designs as design_registry
-from repro.runtime.execmode import EXEC_ENV_VAR
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_physics.py"
 _spec = importlib.util.spec_from_file_location("golden_physics_tool", _TOOL)
@@ -31,10 +32,26 @@ def assert_matches_golden(texts):
         assert text == GOLDEN[name], f"group {name!r} moved off the golden"
 
 
+class ReferenceBackend(ExecutionBackend):
+    """Replays every task through the reference ``DesignExecutor``."""
+
+    name = "reference"
+
+    def execute(self, tasks, sink=None):
+        results = [
+            task.cell.executor(seed=task.seed).run(
+                task.cell.program, benchmark_name=task.cell.benchmark)
+            for task in tasks
+        ]
+        if sink is not None:
+            sink(0, results)
+        return results
+
+
 @pytest.mark.parametrize("core", ["batched", "legacy"])
-def test_every_core_reproduces_the_golden(monkeypatch, core):
-    monkeypatch.setenv(EXEC_ENV_VAR, core)
-    assert_matches_golden(golden.render())
+def test_every_core_reproduces_the_golden(core):
+    backend = ReferenceBackend() if core == "legacy" else None
+    assert_matches_golden(golden.render(backend=backend))
 
 
 def test_process_backend_reproduces_the_golden():

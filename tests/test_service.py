@@ -11,6 +11,8 @@ wire format's schema pin.
 
 import json
 import os
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -358,6 +360,52 @@ class TestApiErrors:
         with pytest.raises(ServiceError) as excinfo:
             client.jobs(state="bogus")
         assert excinfo.value.status == 400
+
+
+def drop_after_request(reset):
+    """A one-connection server that reads a request, then closes the socket.
+
+    With ``reset`` it closes with ``SO_LINGER`` 0, so the client sees a
+    connection reset instead of an orderly end of stream.  Returns the
+    server's URL and its thread.
+    """
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        with listener:
+            connection, _ = listener.accept()
+            with connection:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    data = connection.recv(65536)
+                    if not data:
+                        break
+                    request += data
+                if reset:
+                    connection.setsockopt(socket.SOL_SOCKET,
+                                          socket.SO_LINGER,
+                                          struct.pack("ii", 1, 0))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return f"http://127.0.0.1:{listener.getsockname()[1]}", thread
+
+
+class TestClientConnectionErrors:
+    @pytest.mark.parametrize("reset", [False, True], ids=["closed", "reset"])
+    @pytest.mark.parametrize("call", [
+        lambda client: client.health(),
+        lambda client: client.job("job-1"),
+    ], ids=["health", "job"])
+    def test_dropped_connection_is_an_unreachable_error(self, reset, call):
+        url, server = drop_after_request(reset)
+        with pytest.raises(ServiceError) as caught:
+            call(ServiceClient(url, client="tester", timeout=10))
+        server.join(timeout=10)
+        assert caught.value.status == 0
+        assert caught.value.payload["error"] == "unreachable"
 
 
 class TestQueuedJobs:

@@ -16,7 +16,7 @@ import pytest
 
 from repro import Study, SystemConfig
 from repro.analysis.report import load_results, store_status_report, summary_report
-from repro.engine.backends import ExecutionBackend
+from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.exceptions import ConfigurationError, StoreError, StoreWriteError
 from repro.faults import failpoint, install_faults, uninstall_faults
 from repro.study import ResultSet, RunStore, aggregate_stream
@@ -390,22 +390,23 @@ class TestProgressEvents:
 
 
 # ----------------------------------------------------------------------
-class _LegacySignatureBackend(ExecutionBackend):
+class _SinklessBackend(ExecutionBackend):
     """A pre-streaming backend: ``execute`` does not accept a sink."""
 
-    name = "legacy-signature"
+    name = "sinkless"
 
     def execute(self, tasks):  # noqa: D102 - intentionally sink-less
-        results = []
-        for task in tasks:
-            results.append(task.run())
-        return results
+        return SerialBackend().execute(tasks)
 
 
-class TestSinklessBackendFallback:
-    def test_store_still_completes(self, tmp_path, baseline_json):
+class TestSinklessBackend:
+    def test_fails_before_committing_a_chunk(self, tmp_path, baseline_json):
         store = tmp_path / "st"
-        with small_study(backend=_LegacySignatureBackend()) as study:
+        with small_study(backend=_SinklessBackend()) as study:
+            with pytest.raises(TypeError, match="sink"):
+                study.run(store=store, store_chunk_size=2)
+        assert RunStore.load(store).completed_ids() == set()
+        with small_study(backend=SerialBackend()) as study:
             results = study.run(store=store, store_chunk_size=2)
         assert results.to_json() == baseline_json
         assert RunStore.load(store).is_complete

@@ -180,7 +180,7 @@ class TestRemotePairValidation:
         system = SystemConfig(num_nodes=4, topology="ring")
         compiler = CellCompiler(system=system)
         cell = compiler.compile("QAOA-r4-32", "ideal")
-        assert cell.execute(seed=1).makespan > 0
+        assert cell.execute_batch([1])[0].makespan > 0
 
     def test_line_topology_runs_contiguous_chain(self):
         # TLIM is a 1D chain: contiguous blocks only touch neighbours, which
@@ -190,4 +190,4 @@ class TestRemotePairValidation:
         compiler = CellCompiler(system=system)
         cell = compiler.compile("TLIM-32", "adapt_buf")
         assert set(cell.program.remote_pairs()) <= {(0, 1), (1, 2), (2, 3)}
-        assert cell.execute(seed=1).makespan > 0
+        assert cell.execute_batch([1])[0].makespan > 0

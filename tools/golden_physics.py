@@ -21,8 +21,9 @@ grid of paper configurations, one entry per group:
   entanglement process across block boundaries where successes of a new
   block land before the tail of the previous one.
 
-``tests/test_golden_physics.py`` asserts the same bytes from every
-execution core, backend and store shard format.  Usage::
+``tests/test_golden_physics.py`` asserts the same bytes from the batched
+core, the reference ``DesignExecutor`` (through a test-side backend), the
+process backend and both store shard formats.  Usage::
 
     python tools/golden_physics.py           # compare; exit 1 naming each group that differs
     python tools/golden_physics.py --write   # regenerate the fixture
