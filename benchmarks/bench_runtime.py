@@ -6,8 +6,9 @@ Measures the wins of the batched execution core on a fig5-style sweep
 * **executor core** — wall-clock of replaying the full grid through the
   legacy per-gate reference :class:`DesignExecutor`
   (``CompiledCell.executor``, one per seed) versus the batched gate-stream
-  replay (``CompiledCell.execute_batch``), asserting the per-run results
-  are identical, and
+  replay (``CompiledCell.execute_batch``, every cell of a benchmark reading
+  one variate table, as ``SerialBackend.execute`` does), asserting the
+  per-run results are identical, and
 * **dispatch granularity** — wall-clock of the serial backend versus the
   process-pool backend dispatching ``(cell, seed-chunk)`` batches.
 
@@ -28,6 +29,7 @@ from conftest import emit, repetitions
 from repro.core import SystemConfig
 from repro.engine import CellCompiler, ProcessPoolBackend, SerialBackend
 from repro.engine.backends import ExecutionTask
+from repro.entanglement import VariateTable
 from repro.runtime import list_designs
 
 BENCHMARKS = ("TLIM-32", "QAOA-r4-32")
@@ -41,17 +43,20 @@ OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 _REPEATS = 3
 
 
-def _legacy_batch(cell, seeds):
-    """Replay one cell per seed through the reference DesignExecutor."""
+def _legacy_grid(cells, seeds):
+    """Replay each cell per seed through the reference DesignExecutor."""
     return [
-        cell.executor(seed=seed).run(cell.program,
-                                     benchmark_name=cell.benchmark)
-        for seed in seeds
+        [cell.executor(seed=seed).run(cell.program,
+                                      benchmark_name=cell.benchmark)
+         for seed in seeds]
+        for cell in cells
     ]
 
 
-def _batched_batch(cell, seeds):
-    return cell.execute_batch(seeds)
+def _batched_grid(cells, seeds):
+    """Replay the cells as seed batches that share one variate table."""
+    variates = VariateTable()
+    return [cell.execute_batch(seeds, variates=variates) for cell in cells]
 
 
 def _time_grid(cells, seeds, replay):
@@ -60,7 +65,7 @@ def _time_grid(cells, seeds, replay):
     results = None
     for _ in range(_REPEATS):
         start = time.perf_counter()
-        results = [replay(cell, seeds) for cell in cells]
+        results = replay(cells, seeds)
         best = min(best, time.perf_counter() - start)
     return best, results
 
@@ -91,16 +96,16 @@ def test_runtime_benchmark():
     # Warm both cores once per cell (fidelity caches, stream columns) so the
     # timed regions compare steady-state replay, not first-touch setup.
     for cell in all_cells:
-        _legacy_batch(cell, seeds[:1])
-        _batched_batch(cell, seeds[:1])
+        _legacy_grid([cell], seeds[:1])
+        _batched_grid([cell], seeds[:1])
 
     # --- executor core: legacy vs batched, per benchmark ----------------
     per_benchmark = {}
     legacy_total = batched_total = 0.0
     identical = True
     for benchmark, cells in cells_by_benchmark.items():
-        legacy_s, legacy_results = _time_grid(cells, seeds, _legacy_batch)
-        batched_s, batched_results = _time_grid(cells, seeds, _batched_batch)
+        legacy_s, legacy_results = _time_grid(cells, seeds, _legacy_grid)
+        batched_s, batched_results = _time_grid(cells, seeds, _batched_grid)
         identical = identical and legacy_results == batched_results
         legacy_total += legacy_s
         batched_total += batched_s

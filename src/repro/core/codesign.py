@@ -27,11 +27,13 @@ True
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, Optional, Sequence, Union
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.config import SystemConfig
 from repro.engine.compiler import CellCompiler
+from repro.exceptions import ConfigurationError
 from repro.hardware.architecture import DQCArchitecture
 from repro.partitioning.assigner import DistributedProgram
 from repro.runtime.designs import list_designs
@@ -123,7 +125,7 @@ class DQCSimulator:
             One of ``original``, ``sync_buf``, ``async_buf``, ``adapt_buf``,
             ``init_buf``, ``ideal``.
         seed:
-            Seed of the stochastic entanglement generation.
+            Non-negative seed of the stochastic entanglement generation.
         segment_length:
             Optional override of the adaptive segment length ``m``.
         adaptive_policy:
@@ -132,6 +134,10 @@ class DQCSimulator:
             Record a per-gate execution trace through the reference
             :class:`DesignExecutor`, kept as :attr:`last_executor`.
         """
+        if (isinstance(seed, bool) or not isinstance(seed, Integral)
+                or seed < 0):
+            raise ConfigurationError(
+                f"seed must be a non-negative integer, got {seed!r}")
         cell = self._compiler.compile(
             circuit, design,
             segment_length=segment_length,

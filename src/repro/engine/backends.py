@@ -25,6 +25,13 @@ a whole chunk of seeds instead of being re-entered (and, for the process
 pool, re-pickled) once per run.  Process workers are persistent and inherit
 the compiled cells of the first batch through the pool initializer; chunks
 then travel as ``(cache_key, seeds)`` pairs, a few bytes each.
+
+The designs and benchmarks of one run seed draw the same entanglement
+variates (:mod:`repro.entanglement.generator`), so the batches of one
+:meth:`SerialBackend.execute` call share one
+:class:`~repro.entanglement.generator.VariateTable`, a local of that call:
+``repro serve`` threads reuse one backend instance and must not share it.
+Each process worker keeps one table for its lifetime.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.compiler import CompiledCell
+from repro.entanglement.generator import VariateTable
 from repro.exceptions import ConfigurationError
 from repro.runtime.metrics import ExecutionResult
 
@@ -156,7 +164,8 @@ class SerialBackend(ExecutionBackend):
     """Run every task in order on the calling thread (the reference).
 
     Consecutive same-cell tasks are replayed as one seed batch so the
-    per-cell replay state (gate-stream columns, lookup resets) is shared.
+    per-cell replay state (gate-stream columns, lookup resets) is shared,
+    and every batch of one call reads one variate table.
     """
 
     name = "serial"
@@ -170,9 +179,10 @@ class SerialBackend(ExecutionBackend):
         hint = _sink_chunk_hint(sink)
         if hint is not None:
             chunk_size = min(chunk_size, hint)
+        variates = VariateTable()
         results: List[ExecutionResult] = []
         for cell, seeds in chunk_tasks(tasks, chunk_size=chunk_size):
-            batch = cell.execute_batch(seeds)
+            batch = cell.execute_batch(seeds, variates=variates)
             if sink is not None:
                 sink(len(results), batch)
             results.extend(batch)
@@ -186,11 +196,15 @@ class SerialBackend(ExecutionBackend):
 #: Worker-side compiled-cell registry, keyed by cell fingerprint; seeded by
 #: the pool initializer so chunks travel as ``(cache_key, seeds)`` pairs.
 _WORKER_CELLS: Dict[str, CompiledCell] = {}
+#: The worker's variate table, shared by every chunk it replays.
+_WORKER_VARIATES: Optional[VariateTable] = None
 
 
 def _init_worker(cells: Dict[str, CompiledCell]) -> None:
-    """Pool initializer: inherit the driver's compiled-cell artifacts."""
+    """Pool initializer: inherit the parent's cells, start the variate table."""
+    global _WORKER_VARIATES
     _WORKER_CELLS.update(cells)
+    _WORKER_VARIATES = VariateTable()
 
 
 def _run_seed_chunk(
@@ -204,7 +218,7 @@ def _run_seed_chunk(
             f"worker has no compiled cell for key {key[:12]}…; "
             f"the pool initializer did not cover this batch"
         )
-    return cell.execute_batch(list(seeds))
+    return cell.execute_batch(list(seeds), variates=_WORKER_VARIATES)
 
 
 class ProcessPoolBackend(ExecutionBackend):

@@ -19,6 +19,7 @@ from repro.benchmarks.registry import build_benchmark
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.config import SystemConfig
 from repro.engine.cache import ArtifactCache, default_cache, fingerprint
+from repro.entanglement.generator import VariateTable
 from repro.exceptions import ConfigurationError
 from repro.hardware.architecture import DQCArchitecture
 from repro.hardware.topology import validate_remote_pairs
@@ -74,12 +75,19 @@ class CompiledCell:
             collect_trace=collect_trace,
         )
 
-    def execute_batch(self, seeds: Sequence[int]) -> List[ExecutionResult]:
-        """Replay the cell under a batch of seeds, in seed order."""
+    def execute_batch(self, seeds: Sequence[int], *,
+                      variates: Optional[VariateTable] = None,
+                      ) -> List[ExecutionResult]:
+        """Replay the cell under a batch of seeds, in seed order.
+
+        Batches that share ``variates`` draw each run seed's entanglement
+        variates once between them; results never depend on it.
+        """
         executor = BatchedExecutor(self.architecture, self.design,
                                    streams=self.streams, lookup=self.lookup)
         return executor.run_batch(self.program, seeds,
-                                  benchmark_name=self.benchmark)
+                                  benchmark_name=self.benchmark,
+                                  variates=variates)
 
 
 class CellCompiler:

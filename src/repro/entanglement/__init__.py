@@ -1,13 +1,17 @@
 """Remote-entanglement-generation substrate.
 
 Werner states and decay, attempt scheduling (synchronous vs asynchronous),
-the stochastic generator and its success tape, buffer pools, and the
-interactive supply service used by the runtime.
+the stochastic generator, its success tape and the variate table generators
+share, buffer pools, and the interactive supply service used by the runtime.
 """
 
 from repro.entanglement.attempts import AttemptPolicy, AttemptSchedule
 from repro.entanglement.buffer import BufferPool, BufferStatistics
-from repro.entanglement.generator import EntanglementGenerator, GenerationEvent
+from repro.entanglement.generator import (
+    EntanglementGenerator,
+    GenerationEvent,
+    VariateTable,
+)
 from repro.entanglement.service import EntanglementService, ServiceStatistics
 from repro.entanglement.werner import WernerState, werner_density_matrix, werner_fidelity_after
 
@@ -20,6 +24,7 @@ __all__ = [
     "GenerationEvent",
     "EntanglementService",
     "ServiceStatistics",
+    "VariateTable",
     "WernerState",
     "werner_density_matrix",
     "werner_fidelity_after",

@@ -12,6 +12,13 @@ is below ``psucc``.  All pairs are drawn in lockstep blocks: one
 NumPy draws the identical variates whether ``random()`` is called ``n``
 times or once with ``size=n``, so no block partition changes an outcome,
 and drawing further ahead than a query needs never changes a result.
+The streams and the success indices of every block drawn so far live in a
+source of a :class:`VariateTable`, keyed by ``(seed, num_pairs, psucc)``
+and not by the attempt schedule: block sizes depend only on the attempts
+already drawn, so every generator of one key reads the same read-only
+blocks, whichever design, schedule or benchmark it belongs to, and each
+still builds its own tape from them.  A generator given no table makes a
+private one.
 
 *Tape.*  The successes of all pairs are kept as three parallel lists —
 completion time, pair, attempt — sorted by ``(time, pair)``.  After ``N``
@@ -28,26 +35,36 @@ one, so a block is merged into the tape, not appended.
 tolerance can drop a completion that lies just after ``start``; only tape
 entries within about ``1e-9 * cycle`` of ``start`` can fail the bound, so
 queries bisect the tape and check the bound only within ``2e-9 * cycle``
-after ``start``.  :meth:`successes_between` and
-:meth:`first_fresh_success` are the only places that apply this rule.
+after ``start``.  :meth:`indices_between` and
+:meth:`first_fresh_success` are the only places that apply this rule;
+:meth:`successes_between` is an event view over the former.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Collection, List, NamedTuple
+from collections import OrderedDict
+from typing import Collection, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from repro.entanglement.attempts import AttemptSchedule
 from repro.exceptions import EntanglementError
 
-__all__ = ["GenerationEvent", "EntanglementGenerator"]
+__all__ = ["GenerationEvent", "EntanglementGenerator", "VariateTable"]
 
 #: First lockstep block (attempts per pair); later blocks double up to
 #: :data:`_MAX_BLOCK` so long simulations stay O(log) in RNG calls.
 _MIN_BLOCK = 128
 _MAX_BLOCK = 8192
+
+#: Most sources one :class:`VariateTable` holds.
+VARIATE_TABLE_SIZE = 128
+
+#: One lockstep block: the attempts per pair drawn through it, then the
+#: pair and attempt indices of its successes (read-only arrays).
+Block = Tuple[int, np.ndarray, np.ndarray]
 
 
 class GenerationEvent(NamedTuple):
@@ -56,6 +73,81 @@ class GenerationEvent(NamedTuple):
     time: float
     pair_index: int
     attempt_index: int
+
+
+class VariateSource:
+    """The per-pair streams of one variate key and the blocks drawn so far."""
+
+    __slots__ = ("_streams", "_psucc", "_blocks", "_drawn")
+
+    def __init__(self, entropy: int, num_pairs: int, psucc: float) -> None:
+        self._streams = [
+            default_rng(SeedSequence(entropy=entropy, spawn_key=(pair,)))
+            for pair in range(num_pairs)
+        ]
+        self._psucc = psucc
+        self._blocks: List[Block] = []
+        self._drawn = 0
+
+    def block(self, index: int) -> Block:
+        """Lockstep block ``index``, drawing the blocks up to it in order."""
+        blocks = self._blocks
+        while len(blocks) <= index:
+            drawn = self._drawn
+            size = min(_MAX_BLOCK, max(_MIN_BLOCK, drawn))
+            uniforms = np.empty((len(self._streams), size))
+            for row, rng in zip(uniforms, self._streams):
+                rng.random(out=row)
+            pairs, offsets = np.nonzero(uniforms < self._psucc)
+            attempts = offsets + drawn
+            pairs.flags.writeable = False
+            attempts.flags.writeable = False
+            self._drawn = drawn + size
+            blocks.append((self._drawn, pairs, attempts))
+        return blocks[index]
+
+
+class VariateTable:
+    """Bounded table of variate sources, keyed by ``(entropy, num_pairs, psucc)``.
+
+    The entropy is a generator's seed, which
+    :class:`~repro.runtime.resources.EntanglementDirectory` derives from the
+    run seed and the node pair, so the generators of one run seed and node
+    pair that read one table share its streams and blocks, whatever their
+    design, schedule or benchmark.  The table holds at most
+    :data:`VARIATE_TABLE_SIZE` sources and evicts the least recently used
+    one; a generator keeps reading the source it was given after that.  A
+    source of 10 pairs with one 128-attempt block takes about 22 KB, most
+    of it the 10 NumPy ``Generator`` objects, so a full table is about
+    3 MB.  A study whose cells each need more sources than the bound (seeds
+    per cell times node pairs) evicts every source before the next design
+    asks for it: it shares nothing, and draws every stream once per run,
+    as generators with private tables do.
+
+    A table is not thread-safe: each serial execute call owns one, and so
+    does each process worker.
+    """
+
+    def __init__(self) -> None:
+        self._sources: "OrderedDict[Tuple[int, int, float], VariateSource]" \
+            = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+    def source(self, entropy: int, num_pairs: int,
+               psucc: float) -> VariateSource:
+        """The source of one key, made (and the oldest evicted) on a miss."""
+        key = (entropy, num_pairs, psucc)
+        sources = self._sources
+        found = sources.get(key)
+        if found is not None:
+            sources.move_to_end(key)
+            return found
+        found = sources[key] = VariateSource(entropy, num_pairs, psucc)
+        if len(sources) > VARIATE_TABLE_SIZE:
+            sources.popitem(last=False)
+        return found
 
 
 class EntanglementGenerator:
@@ -68,8 +160,11 @@ class EntanglementGenerator:
     success_probability:
         Per-attempt success probability ``psucc``.
     seed:
-        Seed of the underlying PRNG; every pair gets an independent,
-        reproducible sub-stream.
+        Non-negative seed of the underlying PRNG; every pair gets an
+        independent, reproducible sub-stream.
+    variates:
+        The :class:`VariateTable` to read the streams from; ``None`` makes
+        a private one.
 
     Attributes
     ----------
@@ -83,9 +178,12 @@ class EntanglementGenerator:
 
     def __init__(self, schedule: AttemptSchedule,
                  success_probability: float = 0.4,
-                 seed: int = 0) -> None:
+                 seed: int = 0,
+                 variates: Optional[VariateTable] = None) -> None:
         if not (0.0 < success_probability <= 1.0):
             raise EntanglementError("success probability must be in (0, 1]")
+        if seed < 0:
+            raise EntanglementError(f"seed must be non-negative, got {seed}")
         self.schedule = schedule
         self.success_probability = success_probability
         self.seed = seed
@@ -93,7 +191,11 @@ class EntanglementGenerator:
         self._firsts = [schedule.first_completion(pair)
                         for pair in range(schedule.num_pairs)]
         self._first_min = min(self._firsts, default=float("inf"))
-        self._rngs: List[np.random.Generator] = []
+        if variates is None:
+            variates = VariateTable()
+        self._variates = variates.source(seed, schedule.num_pairs,
+                                         success_probability)
+        self._blocks_read = 0
         self.drawn = 0
         self.times: List[float] = []
         self.pairs: List[int] = []
@@ -104,28 +206,17 @@ class EntanglementGenerator:
     # drawing
     # ------------------------------------------------------------------
     def _draw_block(self) -> None:
-        """Draw the next lockstep block of attempts for every pair."""
-        if not self._rngs:
-            self._rngs = [
-                np.random.default_rng(
-                    np.random.SeedSequence(entropy=self.seed, spawn_key=(pair,)))
-                for pair in range(len(self._firsts))
-            ]
-        drawn = self.drawn
-        block = min(_MAX_BLOCK, max(_MIN_BLOCK, drawn))
-        uniforms = np.empty((len(self._rngs), block))
-        for row, rng in zip(uniforms, self._rngs):
-            rng.random(out=row)
-        pair_index, offset = np.nonzero(uniforms < self.success_probability)
-        attempts = offset + drawn
+        """Merge the next lockstep block of every pair into the tape."""
+        drawn, pair_index, attempts = self._variates.block(self._blocks_read)
+        self._blocks_read += 1
         # first + k * cycle: the float arithmetic of
         # AttemptSchedule.attempt_completion, element by element.
         times = np.asarray(self._firsts)[pair_index] + attempts * self.cycle
         order = np.lexsort((pair_index, times))
         self._merge(times[order].tolist(), pair_index[order].tolist(),
                     attempts[order].tolist())
-        self.drawn = drawn + block
-        self.frontier = self._first_min + self.drawn * self.cycle
+        self.drawn = drawn
+        self.frontier = self._first_min + drawn * self.cycle
 
     def _merge(self, times: List[float], pairs: List[int],
                attempts: List[int]) -> None:
@@ -181,20 +272,34 @@ class EntanglementGenerator:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def indices_between(self, start: float, end: float) -> Sequence[int]:
+        """Tape indices of the successes in ``(start, end]``, in tape order.
+
+        A ``range`` unless an entry within ``2e-9 * cycle`` after ``start``
+        fails the attempt bound; then a list without those entries.
+        """
+        if end < start:
+            return range(0)
+        self.ensure(end + 1e-12)
+        times = self.times
+        low = bisect_right(times, start + 1e-12)
+        high = bisect_right(times, end + 1e-12)
+        if low == high:
+            return range(low, high)
+        edge = bisect_right(times, self._bound_window(start), low, high)
+        for index in range(low, edge):
+            if self._fails_bound(index, start):
+                return [i for i in range(low, high)
+                        if i >= edge or not self._fails_bound(i, start)]
+        return range(low, high)
+
     def successes_between(self, start: float,
                           end: float) -> List[GenerationEvent]:
         """Successes of all pairs in ``(start, end]``, in ``(time, pair)`` order."""
-        if end < start:
-            return []
-        self.ensure(end + 1e-12)
+        indices = self.indices_between(start, end)
         times, pairs, attempts = self.times, self.pairs, self.attempts
-        window = self._bound_window(start)
-        return [
-            GenerationEvent(times[i], pairs[i], attempts[i])
-            for i in range(bisect_right(times, start + 1e-12),
-                           bisect_right(times, end + 1e-12))
-            if times[i] > window or not self._fails_bound(i, start)
-        ]
+        return [GenerationEvent(times[i], pairs[i], attempts[i])
+                for i in indices]
 
     def first_fresh_success(self, time: float,
                             excluded: Collection = ()) -> GenerationEvent:

@@ -135,19 +135,31 @@ class EntanglementService:
         """Materialise all generation successes up to ``time``.
 
         Successes are stored into the buffer (or wasted when it is full or
-        absent).  Advancing to a time at or before the frontier is a no-op.
+        absent), walked by tape index from
+        :meth:`EntanglementGenerator.indices_between`.  Advancing to a time
+        at or before the frontier is a no-op.
         """
         start = self._materialized_until
         if time <= start + 1e-12:
             return
+        generator = self.generator
+        indices = generator.indices_between(start, time)
+        times, pairs, attempts = (generator.times, generator.pairs,
+                                  generator.attempts)
         delivered = self._delivered
-        for created, pair, attempt in self.generator.successes_between(start,
-                                                                       time):
-            if (pair, attempt) in delivered:
-                delivered.remove((pair, attempt))
-                continue
-            self.statistics.generated_total += 1
-            self.buffer.store(created, created + self.swap_latency)
+        store = self.buffer.store
+        swap_latency = self.swap_latency
+        generated = 0
+        for index in indices:
+            if delivered:
+                key = (pairs[index], attempts[index])
+                if key in delivered:
+                    delivered.remove(key)
+                    continue
+            created = times[index]
+            store(created, created + swap_latency)
+            generated += 1
+        self.statistics.generated_total += generated
         self._materialized_until = time
         self.buffer.expire_until(time)
 

@@ -56,6 +56,9 @@ def werner_fidelity_after(initial_fidelity: float, elapsed: float,
         raise EntanglementError("elapsed time must be non-negative")
     if kappa < 0:
         raise EntanglementError("decoherence rate must be non-negative")
+    if elapsed == 0.0:
+        # exp(-0.0) is exactly 1.0, so this is the decay path's value.
+        return float(initial_fidelity)
     decay = np.exp(-2.0 * kappa * elapsed)
     return float(initial_fidelity * decay + (1.0 - decay) / 4.0)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from repro.hardware.parameters import GateFidelities
-from repro.noise.teleportation import remote_gate_fidelity
+from repro.noise.teleportation import remote_gate_fidelity, remote_gate_product
 from repro.exceptions import NoiseError
 
 __all__ = ["FidelityModel", "FidelityBreakdown"]
@@ -126,10 +126,12 @@ class FidelityModel:
             self.fidelities.local_cnot ** num_local_two_qubit
         )
         breakdown.measurement_factor = self.fidelities.measurement ** num_measurements
-        remote = 1.0
-        for link_fidelity in remote_link_fidelities:
-            remote *= self.remote_fidelity(link_fidelity)
-        breakdown.remote_factor = remote
+        breakdown.remote_factor = remote_gate_product(
+            remote_link_fidelities,
+            cnot_fidelity=self.fidelities.local_cnot,
+            measurement_fidelity=self.fidelities.measurement,
+            correction_fidelity=self.fidelities.single_qubit,
+        )
         breakdown.idling_factor = self.idling_factor(makespan, qubit_idle_total)
         return breakdown
 

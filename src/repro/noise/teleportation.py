@@ -21,6 +21,7 @@ correction.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "teleported_cnot_process_fidelity",
     "teleported_cnot_average_fidelity",
     "remote_gate_fidelity",
+    "remote_gate_product",
 ]
 
 # Register layout used for the Choi-state evaluation:
@@ -199,8 +201,26 @@ def remote_gate_fidelity(
     multiply-add, with the two anchor simulations cached per local-noise
     configuration.
     """
-    clamped = min(1.0, max(0.25, link_fidelity))
+    return remote_gate_product((link_fidelity,), cnot_fidelity,
+                               measurement_fidelity, correction_fidelity)
+
+
+def remote_gate_product(
+    link_fidelities: Iterable[float],
+    cnot_fidelity: float = 0.999,
+    measurement_fidelity: float = 0.998,
+    correction_fidelity: float = 0.9999,
+) -> float:
+    """Product of :func:`remote_gate_fidelity` over ``link_fidelities``.
+
+    Looks the cached affine coefficients up once for the whole sequence, so
+    a run's remote factor costs one multiply-add per link.
+    """
     at_min, slope = _affine_coefficients(
         cnot_fidelity, measurement_fidelity, correction_fidelity
     )
-    return at_min + slope * (clamped - 0.25)
+    product = 1.0
+    for link_fidelity in link_fidelities:
+        clamped = min(1.0, max(0.25, link_fidelity))
+        product *= at_min + slope * (clamped - 0.25)
+    return product

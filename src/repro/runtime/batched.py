@@ -20,6 +20,12 @@ same order for gate timing, and call the same fidelity model.
 ``tests/test_batched.py`` pins the equivalence across every design,
 topology, and the adaptive scheduling path.
 
+A batch's generators read their variates from the caller's
+:class:`~repro.entanglement.generator.VariateTable`: a backend passes one
+table to every batch of a call, so the designs and benchmarks of a run
+seed draw its variates once.  The reference executor reads a private table
+per generator; the variates, and so the results, are the same.
+
 The ideal (monolithic) design is deterministic per cell, so a seed batch
 simulates it once and stamps per-seed results from the shared outcome.
 """
@@ -29,6 +35,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
+from repro.entanglement.generator import VariateTable
 from repro.exceptions import RuntimeSimulationError
 from repro.hardware.architecture import DQCArchitecture
 from repro.noise.fidelity import FidelityModel
@@ -84,8 +91,14 @@ class BatchedExecutor:
 
     # ------------------------------------------------------------------
     def run_batch(self, program: DistributedProgram, seeds: Sequence[int],
-                  benchmark_name: Optional[str] = None) -> List[ExecutionResult]:
-        """Replay the program under every seed; results in seed order."""
+                  benchmark_name: Optional[str] = None, *,
+                  variates: Optional[VariateTable] = None,
+                  ) -> List[ExecutionResult]:
+        """Replay the program under every seed; results in seed order.
+
+        ``variates`` is the table the entanglement generators read their
+        variates from; the caller may share it with other cells' batches.
+        """
         benchmark_name = benchmark_name or program.name
         validate_program_capacity(self.architecture, program)
         seeds = list(seeds)
@@ -95,7 +108,7 @@ class BatchedExecutor:
             return self._run_ideal_batch(benchmark_name, seeds)
         lookup = self.lookup if self.design.adaptive_scheduling else None
         return [
-            self._run_one(program, lookup, benchmark_name, seed)
+            self._run_one(program, lookup, benchmark_name, seed, variates)
             for seed in seeds
         ]
 
@@ -104,7 +117,8 @@ class BatchedExecutor:
     # ------------------------------------------------------------------
     def _run_one(self, program: DistributedProgram,
                  lookup: Optional[ScheduleLookupTable], benchmark_name: str,
-                 seed: int) -> ExecutionResult:
+                 seed: int,
+                 variates: Optional[VariateTable]) -> ExecutionResult:
         design = self.design
         streams = self.streams
         architecture = self.architecture
@@ -116,6 +130,7 @@ class BatchedExecutor:
             buffer_cutoff=design.buffer_cutoff,
             seed=seed,
             async_groups=design.async_groups,
+            variates=variates,
         )
 
         num_qubits = program.num_qubits

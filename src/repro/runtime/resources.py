@@ -7,7 +7,9 @@ Two trackers back the executors:
   evaluation setting), so availability is the only constraint on local gates.
 * :class:`EntanglementDirectory` — one
   :class:`~repro.entanglement.service.EntanglementService` per connected node
-  pair, created from the architecture and the design configuration.
+  pair, created from the architecture and the design configuration; its
+  generators read their variates from an optional shared
+  :class:`~repro.entanglement.generator.VariateTable`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.entanglement.attempts import AttemptPolicy, AttemptSchedule
-from repro.entanglement.generator import EntanglementGenerator
+from repro.entanglement.generator import EntanglementGenerator, VariateTable
 from repro.entanglement.service import EntanglementService
 from repro.hardware.architecture import DQCArchitecture
 from repro.exceptions import RuntimeSimulationError
@@ -133,6 +135,9 @@ class EntanglementDirectory:
         Optional storage cutoff for buffered links.
     seed:
         Base seed; every node pair derives an independent sub-seed.
+    variates:
+        Table the generators read their variates from; ``None`` gives each
+        generator a private one.  Results are the same either way.
     """
 
     def __init__(
@@ -144,6 +149,7 @@ class EntanglementDirectory:
         buffer_cutoff: Optional[float] = None,
         seed: int = 0,
         async_groups: Optional[int] = None,
+        variates: Optional[VariateTable] = None,
     ) -> None:
         self.architecture = architecture
         self.attempt_policy = attempt_policy
@@ -152,6 +158,7 @@ class EntanglementDirectory:
         self.buffer_cutoff = buffer_cutoff
         self.seed = seed
         self.async_groups = async_groups
+        self.variates = variates
         self._services: Dict[NodePair, EntanglementService] = {}
 
     # ------------------------------------------------------------------
@@ -195,6 +202,7 @@ class EntanglementDirectory:
             schedule,
             success_probability=architecture.physics.epr_success_probability,
             seed=self.seed + 1009 * (pair[0] * architecture.num_nodes + pair[1]),
+            variates=self.variates,
         )
         capacity = (
             architecture.buffer_capacity_between(*pair) if self.use_buffer else 0

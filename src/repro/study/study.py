@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import fields as dataclass_fields, replace
+from numbers import Integral
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -124,7 +125,8 @@ class Study:
         fastest of all).
     num_runs / base_seed:
         Default repetition seeds ``base_seed .. base_seed + num_runs - 1``
-        per cell; an explicit ``seed`` axis overrides both.
+        per cell; an explicit ``seed`` axis overrides both.  Seeds are
+        non-negative integers.
     system:
         Base hardware configuration (defaults to the paper's 32-qubit
         system).  Carries the default partitioning strategy and interconnect
@@ -179,6 +181,11 @@ class Study:
     ) -> None:
         if num_runs < 1:
             raise ConfigurationError("study needs at least one run")
+        if (isinstance(base_seed, bool)
+                or not isinstance(base_seed, Integral) or base_seed < 0):
+            raise ConfigurationError(
+                f"base_seed must be a non-negative integer, got {base_seed!r}"
+            )
         self.name = name
         self.num_runs = num_runs
         self.base_seed = base_seed
@@ -383,9 +390,11 @@ class Study:
                         f"(or None for the design default), got {item!r}"
                     )
             elif field == "seed":
-                if isinstance(item, bool) or not isinstance(item, int):
+                if (isinstance(item, bool) or not isinstance(item, int)
+                        or item < 0):
                     raise ConfigurationError(
-                        f"'seed' axis values must be integers, got {item!r}"
+                        f"'seed' axis values must be non-negative integers, "
+                        f"got {item!r}"
                     )
 
     # ------------------------------------------------------------------
@@ -812,6 +821,7 @@ class Study:
         """Best-effort spec field named by a constructor validation error."""
         message = str(error)
         for token, field in (
+            ("base_seed", "base_seed"),
             ("benchmark", "benchmarks"),
             ("design", "designs"),
             ("axis", "axes"),

@@ -267,6 +267,36 @@ def test_serial_backend_handles_interleaved_cells():
                        for task in tasks]
 
 
+def test_serial_backend_draws_each_seeds_variates_once(monkeypatch):
+    import repro.entanglement.generator as generator_module
+
+    compiler = CellCompiler(system=SystemConfig())
+    cells = [compiler.compile(benchmark, design)
+             for benchmark in ("TLIM-32", "QAOA-r4-32")
+             for design in list_designs() if design != "ideal"]
+    assert len(cells) == 10
+    tasks = [ExecutionTask(cell, seed) for cell in cells for seed in SEEDS]
+    entropies = []
+    seed_sequence = generator_module.SeedSequence
+
+    def counted(*args, **kwargs):
+        entropies.append(kwargs["entropy"])
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(generator_module, "SeedSequence", counted)
+    results = SerialBackend().execute(tasks)
+    # One node pair of 10 communication-qubit pairs: 10 streams per seed,
+    # shared by both benchmarks and all five stochastic designs.
+    assert len(entropies) == len(SEEDS) * 10
+    assert sorted(set(entropies)) == [seed + 1009 for seed in SEEDS]
+    monkeypatch.undo()
+    assert results == [
+        task.cell.executor(seed=task.seed).run(
+            task.cell.program, benchmark_name=task.cell.benchmark)
+        for task in tasks
+    ]
+
+
 def test_process_backend_chunked_results_match_serial():
     compiler = CellCompiler(system=SystemConfig())
     cells = [compiler.compile("TLIM-16", design)

@@ -66,6 +66,12 @@ class TestRunCommand:
         assert code == 2
         assert "unknown benchmark" in capsys.readouterr().err
 
+    def test_negative_seed_exits_with_typed_error(self, capsys):
+        code = main(["run", "--benchmark", "TLIM-32", "--design", "original",
+                     "--runs", "1", "--seed", "-5000", *SMALL_SYSTEM_FLAGS])
+        assert code == 2
+        assert "non-negative integer, got -5000" in capsys.readouterr().err
+
     def test_missing_benchmark_exits_nonzero(self, capsys):
         code = main(["run", "--runs", "1"])
         assert code == 2

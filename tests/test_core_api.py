@@ -93,6 +93,10 @@ class TestSimulatorAPI:
         assert set(results) == {"original", "sync_buf", "async_buf", "adapt_buf",
                                 "init_buf", "ideal"}
 
+    def test_negative_seed_rejected(self, small_simulator):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            small_simulator.simulate("TLIM-32", design="original", seed=-5)
+
     def test_circuit_too_large_rejected(self, small_simulator):
         with pytest.raises(ConfigurationError):
             small_simulator.prepare(tlim_circuit(40, num_steps=1))

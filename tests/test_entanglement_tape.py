@@ -4,9 +4,10 @@ The reference draws each pair's uniforms straight from its own
 ``SeedSequence(entropy=seed, spawn_key=(pair,))`` stream and scans attempt
 by attempt with :class:`AttemptSchedule`'s own grid arithmetic, so it
 shares no code with the tape's lockstep blocks, merges, bisects or its
-attempt-bound window.
+attempt-bound window, nor with the variate table the generators share.
 """
 
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -18,7 +19,9 @@ from repro.entanglement import (
     AttemptPolicy,
     AttemptSchedule,
     EntanglementGenerator,
+    VariateTable,
 )
+from repro.entanglement.generator import VARIATE_TABLE_SIZE
 from repro.exceptions import EntanglementError
 
 REFERENCE_ATTEMPTS = 2048
@@ -114,6 +117,33 @@ def queries(draw, schedule):
     return completion + draw(near_offsets) * 1e-9 * schedule.cycle_time
 
 
+def check_query(data, generator, reference, kind):
+    """Draw one query of ``kind`` and check it against the reference."""
+    schedule = generator.schedule
+    start = data.draw(queries(schedule))
+    if kind == "between":
+        end = start + data.draw(st.floats(0.0, 200.0))
+        assert [tuple(event) for event in
+                generator.successes_between(start, end)] == \
+            reference.between(start, end)
+    elif kind == "fresh":
+        ahead = reference.between(start, start + 30 * schedule.cycle_time)
+        excluded = {(pair, attempt) for _, pair, attempt in
+                    data.draw(st.lists(st.sampled_from(ahead), max_size=4)
+                              if ahead else st.just([]))}
+        assert tuple(generator.first_fresh_success(start, excluded)) == \
+            reference.first_fresh(start, excluded)
+    elif kind == "ensure":
+        # Far ahead, but within the reference's attempts: frontier
+        # first_min + drawn * cycle passes 1000 cycles at drawn = 1024.
+        generator.ensure(data.draw(st.floats(0.0, 1000.0))
+                         * schedule.cycle_time)
+    else:
+        for pair in range(schedule.num_pairs):
+            assert generator.attempt_after(pair, start) == \
+                schedule.attempt_index_completing_after(pair, start)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), schedule=schedules,
        psucc=st.sampled_from([1.0, 0.4, 0.05]), seed=st.integers(0, 2**32))
@@ -121,25 +151,108 @@ def test_tape_queries_match_attempt_scan(data, schedule, psucc, seed):
     generator = EntanglementGenerator(schedule, psucc, seed=seed)
     reference = Reference(schedule, psucc, seed)
     for _ in range(data.draw(st.integers(1, 6))):
-        start = data.draw(queries(schedule))
         kind = data.draw(st.sampled_from(["between", "fresh", "bound"]))
-        if kind == "between":
-            end = start + data.draw(st.floats(0.0, 200.0))
-            assert [tuple(event) for event in
-                    generator.successes_between(start, end)] == \
-                reference.between(start, end)
-        elif kind == "fresh":
-            ahead = reference.between(start, start + 30 * schedule.cycle_time)
-            excluded = {(pair, attempt) for _, pair, attempt in
-                        data.draw(st.lists(st.sampled_from(ahead), max_size=4)
-                                  if ahead else st.just([]))}
-            assert tuple(generator.first_fresh_success(start, excluded)) == \
-                reference.first_fresh(start, excluded)
-        else:
-            for pair in range(schedule.num_pairs):
-                assert generator.attempt_after(pair, start) == \
-                    schedule.attempt_index_completing_after(pair, start)
+        check_query(data, generator, reference, kind)
         assert_tape_consistent(generator, reference)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), num_pairs=st.integers(1, 16),
+       cycle_time=st.sampled_from([10.0, 3.0, 7.3]),
+       num_groups=st.integers(1, 16),
+       stagger=st.sampled_from([1.0, 0.7, 2.5]),
+       steady_state=st.booleans(),
+       psucc=st.sampled_from([1.0, 0.4, 0.05]), seed=st.integers(0, 2**32))
+def test_sync_and_async_generators_share_one_table(
+        data, num_pairs, cycle_time, num_groups, stagger, steady_state,
+        psucc, seed):
+    variates = VariateTable()
+    generators, references = [], []
+    for policy in (AttemptPolicy.SYNCHRONOUS, AttemptPolicy.ASYNCHRONOUS):
+        schedule = AttemptSchedule(num_pairs=num_pairs, cycle_time=cycle_time,
+                                   policy=policy, num_groups=num_groups,
+                                   stagger=stagger, steady_state=steady_state)
+        generators.append(EntanglementGenerator(schedule, psucc, seed=seed,
+                                                variates=variates))
+        references.append(Reference(schedule, psucc, seed))
+    assert len(variates) == 1
+    for _ in range(data.draw(st.integers(1, 10))):
+        which = data.draw(st.integers(0, 1))
+        kind = data.draw(st.sampled_from(["between", "fresh", "ensure"]))
+        check_query(data, generators[which], references[which], kind)
+        for generator, reference in zip(generators, references):
+            assert_tape_consistent(generator, reference)
+
+
+def test_variate_table_keeps_its_bound_and_redraws_evicted_sources():
+    table = VariateTable()
+    first = table.source(0, 3, 0.4)
+    blocks = [first.block(index) for index in range(3)]
+    assert [drawn for drawn, _, _ in blocks] == [128, 256, 512]
+    for entropy in range(1, VARIATE_TABLE_SIZE):
+        table.source(entropy, 3, 0.4)
+    assert len(table) == VARIATE_TABLE_SIZE
+    # A hit refreshes the source, so the next miss evicts entropy 1 instead.
+    assert table.source(0, 3, 0.4) is first
+    table.source(VARIATE_TABLE_SIZE, 3, 0.4)
+    assert len(table) == VARIATE_TABLE_SIZE
+    assert table.source(0, 3, 0.4) is first
+    for entropy in range(VARIATE_TABLE_SIZE + 1, 2 * VARIATE_TABLE_SIZE + 1):
+        table.source(entropy, 3, 0.4)
+    assert len(table) == VARIATE_TABLE_SIZE
+    again = table.source(0, 3, 0.4)
+    assert again is not first
+    for index, (drawn, pairs, attempts) in enumerate(blocks):
+        redrawn, redrawn_pairs, redrawn_attempts = again.block(index)
+        assert redrawn == drawn
+        assert np.array_equal(redrawn_pairs, pairs)
+        assert np.array_equal(redrawn_attempts, attempts)
+        for array in (pairs, attempts, redrawn_pairs, redrawn_attempts):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+def test_generators_of_one_key_read_the_same_block_arrays():
+    variates = VariateTable()
+    generators = [
+        EntanglementGenerator(AttemptSchedule(num_pairs=4, policy=policy),
+                              0.4, seed=9, variates=variates)
+        for policy in AttemptPolicy
+    ]
+    for generator in generators:
+        generator.ensure(2000.0)
+    assert len(variates) == 1
+    source = variates.source(9, 4, 0.4)
+    assert all(generator._variates is source for generator in generators)
+    # Another psucc or pair count is another key.
+    EntanglementGenerator(AttemptSchedule(num_pairs=4), 0.3, seed=9,
+                          variates=variates)
+    EntanglementGenerator(AttemptSchedule(num_pairs=5), 0.4, seed=9,
+                          variates=variates)
+    assert len(variates) == 3
+
+
+def test_variate_source_bytes():
+    # The VariateTable docstring states about 22 KB per source of 10 pairs
+    # with one 128-attempt block.
+    VariateTable().source(10**6, 10, 0.4).block(0)  # first-use allocations
+    count = 32
+    tracemalloc.start()
+    try:
+        table = VariateTable()
+        before = tracemalloc.get_traced_memory()[0]
+        for entropy in range(count):
+            table.source(entropy, 10, 0.4).block(0)
+        per_source = (tracemalloc.get_traced_memory()[0] - before) / count
+    finally:
+        tracemalloc.stop()
+    assert 16 * 1024 < per_source < 24 * 1024
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(EntanglementError, match="non-negative"):
+        EntanglementGenerator(AttemptSchedule(num_pairs=2), 0.4, seed=-1)
 
 
 def test_blocks_merge_when_first_completions_span_more_than_a_cycle():

@@ -332,6 +332,12 @@ class TestApiErrors:
         assert excinfo.value.payload["field"] == "designs"
         assert "ideal" in excinfo.value.payload["allowed"]
 
+    def test_negative_seed_is_structured_400(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(small_spec(base_seed=-5000))
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["field"] == "base_seed"
+
     def test_non_object_body_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/jobs", body=None,

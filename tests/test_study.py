@@ -7,7 +7,7 @@ import pytest
 from repro.core import SystemConfig
 from repro.core.results import DesignSummary
 from repro.engine import ArtifactCache
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SpecValidationError
 from repro.runtime import get_design
 from repro.study import Axis, ExecutionPlan, GridSpec, ResultSet, RunRecord, Study
 from repro.study.plan import PlanCell
@@ -111,6 +111,30 @@ class TestStudyPlan:
                       axes={"seed": [7, 9]}, num_runs=50, system=SMALL_SYSTEM)
         assert study.seeds() == [7, 9]
         assert study.plan().num_tasks == 2
+
+    def test_negative_base_seed_rejected_at_construction(self):
+        # Before any chunk runs or commits: a negative seed used to fail
+        # only once the first stochastic cell reached numpy, after the
+        # ideal chunks had committed.
+        for seed in (-5000, -1):
+            with pytest.raises(ConfigurationError, match="base_seed"):
+                Study(benchmarks="TLIM-32", designs=["ideal", "original"],
+                      num_runs=2, base_seed=seed)
+
+    def test_negative_seed_axis_value_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            Study(benchmarks=["TLIM-32"], designs=["original"],
+                  axes={"seed": [-7000, 3]})
+
+    def test_negative_seeds_in_spec_name_their_field(self):
+        base = {"benchmarks": ["TLIM-32"], "designs": ["original"]}
+        with pytest.raises(SpecValidationError) as excinfo:
+            Study.from_spec({**base, "base_seed": -5000})
+        assert excinfo.value.field == "base_seed"
+        with pytest.raises(SpecValidationError) as excinfo:
+            Study.from_spec({**base, "axes": [
+                {"fields": ["seed"], "values": [-7000, 3]}]})
+        assert excinfo.value.field == "axes"
 
     def test_unknown_axis_field_rejected(self):
         with pytest.raises(ConfigurationError):
