@@ -238,7 +238,13 @@ class BenchLedger:
     def record(self, metrics: Mapping[str, float],
                run: Optional[str] = None,
                timestamp: Optional[float] = None) -> Dict[str, Any]:
-        """Durably append one run's metrics; returns the committed entry."""
+        """Durably append one run's metrics; returns the committed entry.
+
+        The append that creates the ledger also fsyncs its directory, so
+        a power cut cannot lose the file itself.
+        """
+        from repro.study.store import sync_directory
+
         entry = {
             "ts": float(timestamp if timestamp is not None else time.time()),
             "run": run,
@@ -246,10 +252,13 @@ class BenchLedger:
         }
         line = (json.dumps(entry, separators=(",", ":")) + "\n").encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        created = not self.path.exists()
         with open(self.path, "ab") as handle:
             handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
+        if created:
+            sync_directory(self.path.parent)
         return entry
 
     def check(self, current: Mapping[str, float],

@@ -54,9 +54,13 @@ CACHE_FORMAT_VERSION = 2
 #: Internal sentinel distinguishing "nothing stored" from a stored ``None``.
 _MISSING = object()
 
+_PRIMITIVES = frozenset({str, int, float, bool, type(None)})
+
 
 def _canonical(value: Any) -> Any:
     """Reduce ``value`` to a deterministic, repr-stable structure."""
+    if type(value) in _PRIMITIVES:
+        return value  # the common case, ahead of the subclass checks
     if isinstance(value, enum.Enum):
         return (type(value).__name__, value.name)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

@@ -46,6 +46,10 @@ __all__ = ["ServiceConfig", "StudyDaemon", "QuotaError", "JobNotReady"]
 #: Default TCP port of the service (REPRO, loosely, on a phone keypad).
 DEFAULT_PORT = 8765
 
+#: The progress fields a job status reports as its resume point.
+_RESUME_KEYS = ("done_chunks", "total_chunks", "done_tasks", "total_tasks",
+                "complete")
+
 
 class QuotaError(ReproError):
     """A client exceeded its active-job quota (HTTP 429)."""
@@ -253,14 +257,21 @@ class StudyDaemon:
         return job
 
     def job_status(self, job_id: str) -> Dict[str, Any]:
-        """Full status of one job: fields, live progress, resume point."""
+        """Full status of one job: fields, live progress, resume point.
+
+        The resume point comes from the scheduler's live progress, which
+        fires right after each chunk commits, so it lags the durable store
+        by at most one chunk.  Only a job without live progress (queued,
+        just started, or finished before a daemon restart) reads its store
+        for it.
+        """
         job = self.registry.get(job_id)
         status = job.to_dict()
         progress = self.scheduler.progress(job_id)
-        resume = self._store_resume_point(job)
-        if progress["latest"] is None and resume is not None:
-            # No live events (queued after a restart, or another worker's
-            # era) — derive the resume point from the durable store.
+        if progress["latest"] is not None:
+            resume = {key: progress["latest"][key] for key in _RESUME_KEYS}
+        else:
+            resume = self._store_resume_point(job)
             progress["latest"] = resume
         status["progress"] = progress
         status["resume_point"] = resume
@@ -272,13 +283,7 @@ class StudyDaemon:
             summary = RunStore.load(store_path).summary()
         except StoreError:
             return None
-        return {
-            "done_chunks": summary["done_chunks"],
-            "total_chunks": summary["total_chunks"],
-            "done_tasks": summary["done_tasks"],
-            "total_tasks": summary["total_tasks"],
-            "complete": summary["complete"],
-        }
+        return {key: summary[key] for key in _RESUME_KEYS}
 
     def results(self, job_id: str, fmt: str = "json") -> str:
         """Serialised results of a finished job, straight from its store."""
@@ -349,10 +354,11 @@ class StudyDaemon:
     def prune(self, ttl: Optional[float] = None) -> Dict[str, Any]:
         """Garbage-collect terminal jobs older than ``ttl`` seconds.
 
-        A prune removes three things, in a crash-safe order: the journal
-        gains a ``prune`` event (so a restart forgets the job too), the
-        job's directory under ``jobs/`` is deleted, and finally any store
-        under ``stores/`` no surviving job references is deleted —
+        A prune removes, in a crash-safe order: the job itself (a
+        ``prune`` event in the journal, so a restart forgets it too, and
+        its progress in the scheduler), the job's directory under
+        ``jobs/``, and finally any store under ``stores/`` that no
+        surviving job references —
         *surviving* includes queued/running jobs and fresher terminal
         jobs, so shared-fingerprint stores outlive individual prunes.
         A pruned job's spec can simply be resubmitted; with its store
@@ -371,6 +377,7 @@ class StudyDaemon:
                     else job.created
                 if job.is_terminal and finished <= cutoff:
                     self.registry.prune(job.id)
+                    self.scheduler.forget(job.id)
                     shutil.rmtree(self.data_root / "jobs" / job.id,
                                   ignore_errors=True)
                     pruned.append(job.id)

@@ -33,6 +33,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.exceptions import ReproError
 from repro.faults import crash_now, failpoint
+from repro.study.store import sync_directory
 
 __all__ = ["Job", "JobState", "JobJournal", "JobRegistry", "JobError"]
 
@@ -208,11 +209,16 @@ class JobJournal:
             yield event
 
     def open(self) -> None:
-        """Open for appending, truncating any torn tail first."""
+        """Open for appending, truncating any torn tail first.
+
+        Creating the journal fsyncs its directory once, so the file
+        itself, not just its later appends, survives a power cut.
+        """
         if self._handle is not None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
+        created = not self.path.exists()
+        if not created:
             data = self.path.read_bytes()
             good = len(data)
             if data and not data.endswith(b"\n"):
@@ -221,6 +227,8 @@ class JobJournal:
                 with open(self.path, "rb+") as handle:
                     handle.truncate(good)
         self._handle = open(self.path, "ab")
+        if created:
+            sync_directory(self.path.parent)
 
     def append(self, event: Mapping[str, Any]) -> None:
         """Durably append one event (fsynced before returning).

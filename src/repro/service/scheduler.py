@@ -137,6 +137,12 @@ class Scheduler:
             events = list(self._events.get(job_id, ()))
         return {"latest": latest, "events": events}
 
+    def forget(self, job_id: str) -> None:
+        """Drop a job's progress ring and last event (the job was pruned)."""
+        with self._state_lock:
+            self._events.pop(job_id, None)
+            self._latest.pop(job_id, None)
+
     def fleet_workers(self) -> Optional[int]:
         """Connected fleet workers across worker-thread backends.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.config import SystemConfig
@@ -85,9 +86,11 @@ class PlanCell:
         """Flat design label used in records and reports."""
         return self.design.name if isinstance(self.design, DesignSpec) else self.design
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Configuration fingerprint used for plan deduplication."""
+        """Configuration fingerprint used for plan deduplication (computed
+        once per cell; the plan and the run-store fingerprint both read
+        it)."""
         design_token = (self.design if isinstance(self.design, DesignSpec)
                         else str(self.design).lower())
         return fingerprint(
@@ -125,10 +128,8 @@ class ExecutionPlan:
             unique: Dict[str, PlanCell] = {}
             dropped = 0
             for cell in self._source or ():
-                if cell.key in unique:
+                if unique.setdefault(cell.key, cell) is not cell:
                     dropped += 1
-                    continue
-                unique[cell.key] = cell
             self._cells = list(unique.values())
             self.duplicates_dropped = dropped
             self._source = None

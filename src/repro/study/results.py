@@ -34,6 +34,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field, fields as dataclass_fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
@@ -177,6 +178,88 @@ def _object_column(values: Sequence[Any]) -> np.ndarray:
 
 
 GroupKey = Union[Any, Tuple[Any, ...]]
+
+
+# ----------------------------------------------------------------------
+# JSON text straight from columns (ResultSet.to_json)
+# ----------------------------------------------------------------------
+_INFINITY = float("inf")
+
+
+def _float_json(value: float) -> str:
+    """``json.dumps`` of one float: its repr, or the non-finite spellings."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+#: ``json.dumps`` of the scalar types, keyed by exact type (a ``bool`` is
+#: not encoded as an ``int``, nor a ``str`` subclass as a ``str``).
+_SCALAR_JSON: Dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_newlines(indent: Union[None, int, str]) -> List[str]:
+    """What ``json.dumps`` puts before an item at nesting depth 0..4."""
+    if indent is None:
+        return [""] * 5
+    unit = indent if isinstance(indent, str) else " " * indent
+    return ["\n" + unit * depth for depth in range(5)]
+
+
+def _value_json(value: Any, indent: Union[None, int, str],
+                newline: str) -> str:
+    """``json.dumps`` of one value nested where ``newline`` indents.
+
+    Scalars take the fast path; anything else goes through ``json.dumps``
+    itself, whose continuation lines are re-indented to the value's depth
+    (JSON strings never hold a raw newline, so that is exact).
+    """
+    encode = _SCALAR_JSON.get(type(value))
+    if encode is not None:
+        return encode(value)
+    return json.dumps(value, indent=indent).replace("\n", newline)
+
+
+def _column_json(column: np.ndarray, indent: Union[None, int, str],
+                 newline: str) -> List[str]:
+    """The ``json.dumps`` text of every value of one column."""
+    values = column.tolist()
+    if column.dtype.kind == "f" and np.isfinite(column).all():
+        return list(map(float.__repr__, values))
+    if column.dtype.kind == "i":
+        return list(map(int.__repr__, values))
+    if all(type(value) is str for value in values):
+        # Axis-like columns repeat a few names: escape each name once.
+        escaped = {value: encode_basestring_ascii(value)
+                   for value in set(values)}
+        return list(map(escaped.__getitem__, values))
+    return [_value_json(value, indent, newline) for value in values]
+
+
+def _params_json(params: Any, indent: Union[None, int, str],
+                 newlines: Sequence[str], sep: str) -> str:
+    """``json.dumps`` of one record's params mapping at record depth."""
+    if type(params) is not dict:
+        return _value_json(params, indent, newlines[0])
+    if not params:
+        return "{}"
+    items = []
+    for key, value in params.items():
+        if type(key) is not str:
+            return _value_json(params, indent, newlines[0])
+        items.append(encode_basestring_ascii(key) + ": "
+                     + _value_json(value, indent, newlines[1]))
+    return "{" + newlines[1] + sep.join(items) + newlines[0] + "}"
 
 
 class ResultSet:
@@ -495,20 +578,6 @@ class ResultSet:
     # ------------------------------------------------------------------
     # serialisation
     # ------------------------------------------------------------------
-    def _row_dicts(self) -> List[Dict[str, Any]]:
-        """One :meth:`RunRecord.to_dict`-shaped dict per record, built
-        straight from the columns (no record materialisation)."""
-        lists = {name: self._columns[name].tolist() for name in FIXED_FIELDS}
-        params = self._params
-        rows = []
-        for i in range(self._n):
-            row = {name: lists[name][i] for name in KEY_FIELDS}
-            row["params"] = dict(params[i])
-            for name in METRIC_FIELDS:
-                row[name] = lists[name][i]
-            rows.append(row)
-        return rows
-
     def to_records(self) -> List[Dict[str, Any]]:
         """Fully flat rows: params merged into the columns.
 
@@ -530,13 +599,34 @@ class ResultSet:
 
     def to_json(self, path: Optional[Union[str, Path]] = None,
                 indent: Optional[int] = 2) -> str:
-        """Serialise to JSON text, optionally also writing ``path``."""
-        payload = {
-            "schema": self.SCHEMA_VERSION,
-            "metadata": self.metadata,
-            "records": self._row_dicts(),
-        }
-        text = json.dumps(payload, indent=indent) + "\n"
+        """Serialise to JSON text, optionally also writing ``path``.
+
+        The text is exactly ``json.dumps(payload, indent=indent) + "\\n"``
+        of ``{"schema", "metadata", "records"}``, each record shaped like
+        :meth:`RunRecord.to_dict`, but it is built from the columns: every
+        column is encoded once (float and int reprs, ASCII-escaped
+        strings) and every record fills one template.
+        """
+        newline = _json_newlines(indent)
+        sep = [("," + nl) if indent is not None else ", " for nl in newline]
+        fields = (*KEY_FIELDS, "params", *METRIC_FIELDS)
+        keys = [encode_basestring_ascii(name) + ": " for name in fields]
+        between = ["{" + newline[3] + keys[0],
+                   *(sep[3] + key for key in keys[1:]), newline[2] + "}"]
+        template = "%s".join(text.replace("%", "%%") for text in between)
+        columns = {name: _column_json(column, indent, newline[3])
+                   for name, column in self._columns.items()}
+        columns["params"] = [_params_json(params, indent, newline[3:5], sep[4])
+                             for params in self._params.tolist()]
+        rows = [template % row
+                for row in zip(*(columns[name] for name in fields))]
+        records = ("[" + newline[2] + sep[2].join(rows) + newline[1] + "]"
+                   if rows else "[]")
+        text = ("{" + newline[1]
+                + '"schema": ' + _value_json(self.SCHEMA_VERSION, indent, "")
+                + sep[1] + '"metadata": '
+                + _value_json(self.metadata, indent, newline[1])
+                + sep[1] + '"records": ' + records + newline[0] + "}\n")
         if path is not None:
             Path(path).write_text(text)
         return text

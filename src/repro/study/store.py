@@ -66,7 +66,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError, StoreError, StoreWriteError
 from repro.faults import failpoint
 from repro.study.results import (
-    KEY_FIELDS, METRIC_FIELDS, ResultSet, RunRecord,
+    FIXED_FIELDS, KEY_FIELDS, METRIC_FIELDS, ResultSet, RunRecord,
 )
 
 __all__ = [
@@ -78,6 +78,7 @@ __all__ = [
     "decode_chunk",
     "DEFAULT_CHUNK_SIZE",
     "SHARD_FORMATS",
+    "sync_directory",
 ]
 
 #: Seeds per store chunk when the caller does not choose one.  Small enough
@@ -276,19 +277,23 @@ def decode_chunk_columns(data: bytes, shard_format: str,
                         field, sorted(available)) from None
             return columns, []
     try:
-        rows = [json.loads(line)
-                for line in data.decode("utf-8").splitlines()]
+        lines = data.decode("utf-8").splitlines()
+        # One parse per chunk: the lines joined into one JSON array.
+        rows = json.loads("[" + ",".join(lines) + "]")
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise StoreError(f"unreadable record: {error}") from None
+    if len(rows) != len(lines) or not all(type(row) is dict for row in rows):
+        raise StoreError("unreadable record: a line is not one JSON object")
     if fields is None:
         try:
             columns = {name: [row[name] for row in rows]
-                       for name in KEY_FIELDS + METRIC_FIELDS}
-            return columns, [row["params"] for row in rows]
+                       for name in FIXED_FIELDS}
         except KeyError as error:
             raise StoreError(
                 f"record row is missing column {error.args[0]!r}"
             ) from None
+        # Like RunRecord.from_dict: a row without params swept nothing.
+        return columns, [row.get("params", {}) for row in rows]
     columns = {}
     for field in fields:
         values = []
@@ -303,6 +308,28 @@ def decode_chunk_columns(data: bytes, shard_format: str,
                 values.append(params[field])
         columns[field] = values
     return columns, []
+
+
+def sync_directory(directory: Union[str, Path]) -> None:
+    """Fsync a directory, so the files created or renamed in it survive a
+    power cut.
+
+    Fsyncing a new file persists its bytes but not its directory entry;
+    every durable file the library creates (store manifests, shards and
+    chunk logs, the service journal, the bench ledger) is pinned with one
+    call here when it is created.  Best-effort on filesystems that refuse
+    to fsync a directory handle.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - exotic filesystems
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - exotic filesystems
+        pass
+    finally:
+        os.close(fd)
 
 
 def _holder_alive(holder: str) -> bool:
@@ -533,15 +560,7 @@ class RunStore:
         store lock is held until :meth:`release`.
         """
         if self.is_started:
-            manifest = self._read_manifest()
-            if manifest.get("fingerprint") != fingerprint:
-                raise StoreError(
-                    f"store {self.path} holds a different study "
-                    f"(plan fingerprint {str(manifest.get('fingerprint'))[:12]}… "
-                    f"!= {fingerprint[:12]}…); point --store at a fresh "
-                    f"directory or re-run the original plan"
-                )
-            self._manifest = manifest
+            self._manifest = self._read_plan_manifest(fingerprint)
             self._acquire_lock()
             self._chunks = self._read_chunk_log(repair=True)
             self._repair_shards()
@@ -575,6 +594,33 @@ class RunStore:
         }
         self._chunks = {}
         self._write_manifest()
+
+    def committed_for(self, fingerprint: str) -> set:
+        """Read-only look: the chunk ids this store has committed for the
+        plan ``fingerprint`` (empty for a directory with no store yet).
+
+        Takes no lock and repairs nothing, so it is safe beside a running
+        writer; a store of another plan raises
+        :class:`~repro.exceptions.StoreError` as :meth:`begin` would.
+        Committed chunks only ever grow, so the set this returns is a
+        subset of what a later :meth:`begin` finds.
+        """
+        if not self.is_started:
+            return set()
+        self._manifest = self._read_plan_manifest(fingerprint)
+        self._chunks = self._read_chunk_log(repair=False)
+        return set(self._chunks)
+
+    def _read_plan_manifest(self, fingerprint: str) -> Dict[str, Any]:
+        manifest = self._read_manifest()
+        if manifest.get("fingerprint") != fingerprint:
+            raise StoreError(
+                f"store {self.path} holds a different study "
+                f"(plan fingerprint {str(manifest.get('fingerprint'))[:12]}… "
+                f"!= {fingerprint[:12]}…); point --store at a fresh "
+                f"directory or re-run the original plan"
+            )
+        return manifest
 
     # ------------------------------------------------------------------
     # locking
@@ -684,22 +730,7 @@ class RunStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.manifest_path)
-        self._sync_directory()
-
-    def _sync_directory(self, directory: Optional[Path] = None) -> None:
-        # Persist renames/creations themselves; best-effort on filesystems
-        # that refuse to fsync a directory handle.
-        try:
-            fd = os.open(directory if directory is not None else self.path,
-                         os.O_RDONLY)
-        except OSError:  # pragma: no cover - exotic filesystems
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - exotic filesystems
-            pass
-        finally:
-            os.close(fd)
+        sync_directory(self.path)
 
     def _read_chunk_log(self, repair: bool) -> Dict[str, Dict[str, Any]]:
         """Parse the chunk-commit log, discarding a torn final line.
@@ -916,7 +947,7 @@ class RunStore:
                 # A fsynced file whose directory entry is lost to a power
                 # cut would make the committed chunk unreadable; pin the
                 # creation before the log line commits it.
-                self._sync_directory(shard.parent)
+                sync_directory(shard.parent)
             entry = {
                 "id": chunk.id,
                 "cell": chunk.cell,
@@ -943,7 +974,7 @@ class RunStore:
                 failpoint("store.fsync")
                 os.fsync(handle.fileno())
             if log_is_new:
-                self._sync_directory()
+                sync_directory(self.path)
         except OSError as error:
             committed_runs = sum(e["count"] for e in chunks.values())
             raise StoreWriteError(
@@ -1092,9 +1123,12 @@ class RunStore:
         order, metadata from the stored study description.  An incomplete
         store raises unless ``allow_partial`` is set.
 
-        Binary (npz) stores load straight into the result set's columnar
-        backing without materialising record objects, which is where the
-        order-of-magnitude load speedup comes from.
+        Both shard formats load straight into the result set's columnar
+        backing without materialising record objects: jsonl chunks decode
+        into value lists through :func:`decode_chunk_columns`, and npz
+        chunks keep their typed members as numpy arrays, concatenated per
+        column (json-fallback members degrade that one column to a list,
+        values intact).
         """
         if not allow_partial and not self.is_complete:
             raise StoreError(
@@ -1104,61 +1138,64 @@ class RunStore:
                 f"resume the study to finish it, or pass allow_partial=True "
                 f"to load what exists"
             )
-        if self.shard_format == "npz":
-            # Hot path: keep each chunk's typed members as numpy arrays
-            # and concatenate per column, so a 100k-record load never
-            # round-trips through python objects (json-fallback members
-            # degrade that one column to an object array, values intact).
-            parts: Dict[str, List[Any]] = {
-                name: [] for name in KEY_FIELDS + METRIC_FIELDS}
-            params: List[Dict[str, Any]] = []
-            completed = self.completed_ids()
-            for chunk in self.chunks():
-                if chunk.id not in completed:
-                    continue
-                data, shard, entry = self._read_chunk_bytes(chunk)
-                try:
-                    with _npz_open(data) as npz:
-                        for name in parts:
-                            if name in npz.files:
-                                parts[name].append(npz[name])
-                            else:
-                                member = _npz_member(npz, name)
-                                if member is None:
-                                    raise _missing_column_error(
-                                        name, _npz_available(npz))
-                                parts[name].append(member)
-                        block_params = _npz_params(npz)
-                except StoreError as error:
-                    if "has no column" in str(error):
-                        raise StoreError(
-                            f"store {self.path}: {error}") from None
-                    raise StoreError(
-                        f"store shard {shard} holds an unreadable record "
-                        f"in chunk {chunk.id}: {error}; the store is corrupt"
-                    ) from None
-                if len(block_params) != entry["count"]:
-                    raise StoreError(
-                        f"store shard {shard} holds {len(block_params)} "
-                        f"records for chunk {chunk.id}, expected "
-                        f"{entry['count']}; the store is corrupt"
-                    )
-                params.extend(block_params)
-            columns: Dict[str, Any] = {}
-            for name, chunks_of in parts.items():
-                if (chunks_of
-                        and all(isinstance(c, np.ndarray) for c in chunks_of)
-                        and len({c.dtype.kind for c in chunks_of}) == 1):
-                    columns[name] = np.concatenate(chunks_of)
-                else:
-                    flat: List[Any] = []
-                    for part in chunks_of:
-                        flat.extend(part.tolist()
-                                    if isinstance(part, np.ndarray) else part)
-                    columns[name] = flat
-            return ResultSet._from_columns(columns, params,
-                                           metadata=self.study)
-        return ResultSet(list(self.iter_records()), metadata=self.study)
+        parts: Dict[str, List[Any]] = {name: [] for name in FIXED_FIELDS}
+        params: List[Dict[str, Any]] = []
+        completed = self.completed_ids()
+        for chunk in self.chunks():
+            if chunk.id not in completed:
+                continue
+            block, block_params = self._read_chunk_block(chunk)
+            for name, values in block.items():
+                parts[name].append(values)
+            params.extend(block_params)
+        columns: Dict[str, Any] = {}
+        for name, pieces in parts.items():
+            if (pieces and all(isinstance(p, np.ndarray) for p in pieces)
+                    and len({p.dtype.kind for p in pieces}) == 1):
+                columns[name] = np.concatenate(pieces)
+            else:
+                flat: List[Any] = []
+                for piece in pieces:
+                    flat.extend(piece.tolist()
+                                if isinstance(piece, np.ndarray) else piece)
+                columns[name] = flat
+        return ResultSet._from_columns(columns, params, metadata=self.study)
+
+    def _read_chunk_block(self, chunk: StoreChunk):
+        """One committed chunk decoded to ``(columns, params)`` for
+        :meth:`load_results`: every fixed column plus one parameter mapping
+        per record.  Typed npz members stay numpy arrays."""
+        data, shard, entry = self._read_chunk_bytes(chunk)
+        try:
+            if self.shard_format != "npz":
+                columns, params = decode_chunk_columns(data, "jsonl", None)
+            else:
+                with _npz_open(data) as npz:
+                    columns = {}
+                    for name in FIXED_FIELDS:
+                        if name in npz.files:
+                            columns[name] = npz[name]
+                            continue
+                        member = _npz_member(npz, name)
+                        if member is None:
+                            raise _missing_column_error(
+                                name, _npz_available(npz))
+                        columns[name] = member
+                    params = _npz_params(npz)
+        except StoreError as error:
+            if "has no column" in str(error):
+                raise StoreError(f"store {self.path}: {error}") from None
+            raise StoreError(
+                f"store shard {shard} holds an unreadable record in chunk "
+                f"{chunk.id}: {error}; the store is corrupt"
+            ) from None
+        if len(params) != entry["count"]:
+            raise StoreError(
+                f"store shard {shard} holds {len(params)} records for "
+                f"chunk {chunk.id}, expected {entry['count']}; the store "
+                f"is corrupt"
+            )
+        return columns, params
 
     def __repr__(self) -> str:
         state = "unopened"

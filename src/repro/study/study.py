@@ -515,14 +515,18 @@ class Study:
 
         The plan is split into deterministic chunks (cells in plan order,
         seed ranges within each cell); chunks a ``store`` has already
-        committed are filtered out, and the rest are submitted to the
-        backend as one flat batch, so a parallel backend balances across
-        every cell of every system variant at once.  Streamed results are
-        turned into records (and persisted, with a store) chunk by chunk,
-        and the final records are assembled in plan order from both
-        sources — which is what makes a resumed study byte-identical to an
-        uninterrupted one.  Pass a pre-expanded ``plan`` to avoid
-        expanding the grid twice.
+        committed are filtered out, only the cells with chunks left are
+        compiled, and their chunks are submitted to the backend as one
+        flat batch, so a parallel backend balances across every cell of
+        every system variant at once.  Streamed results are turned into
+        records (and persisted, with a store) chunk by chunk.  With a
+        store, the returned set is one
+        :meth:`~repro.study.store.RunStore.load_results` read in plan
+        order, whichever invocation ran each chunk — which is what makes a
+        resumed study byte-identical to an uninterrupted one — with
+        :meth:`describe` as the metadata; a store with nothing left to run
+        compiles nothing and takes no lock.  Pass a pre-expanded ``plan``
+        to avoid expanding the grid twice.
 
         Parameters
         ----------
@@ -560,25 +564,46 @@ class Study:
         if store is not None and not isinstance(store, RunStore):
             store = RunStore(store, chunk_size=store_chunk_size,
                              shard_format=store_format)
-        compiled = self.compile_plan(plan)
         cells = plan.cells
+        compiled: Dict[int, CompiledCell] = {}
+
+        def compile_cells_of(chunks: List[StoreChunk]) -> None:
+            needed = sorted({chunk.cell for chunk in chunks} - compiled.keys())
+            compiled.update(zip(needed, self.compile_plan(
+                ExecutionPlan(cells[index] for index in needed))))
+
+        completed: set = set()
+        chunk_size = store_chunk_size or DEFAULT_CHUNK_SIZE
         if store is not None:
+            plan_key = self.plan_fingerprint(plan)
+            # A read-only look decides what to compile, so a failing
+            # compile leaves no store and no held lock behind.
+            completed = store.committed_for(plan_key)
+            chunk_size = store.chunk_size
+        layout, pending = _pending_chunks(cells, chunk_size, completed,
+                                          max_chunks)
+        compile_cells_of(pending)
+        # With nothing to execute, a started store is only read: no lock.
+        if store is not None and (pending or not store.is_started):
             store.begin(
-                self.plan_fingerprint(plan), self.describe(),
+                plan_key, self.describe(),
                 [{"benchmark": cell.benchmark, "design": cell.design_name,
                   "num_seeds": len(cell.seeds)} for cell in cells],
             )
-            chunk_size = store.chunk_size
-        else:
-            chunk_size = store_chunk_size or DEFAULT_CHUNK_SIZE
-        layout = chunk_layout([len(cell.seeds) for cell in cells], chunk_size)
-        completed = store.completed_ids() if store is not None else set()
-        pending = [chunk for chunk in layout if chunk.id not in completed]
-        resumed_chunks = len(layout) - len(pending)
-        resumed_tasks = sum(chunk.count for chunk in layout
-                            if chunk.id in completed)
-        if max_chunks is not None:
-            pending = pending[:max_chunks]
+            try:
+                # begin()'s manifest and log decide: another invocation may
+                # have created the store (with its own chunk size) or
+                # committed chunks since the look.  Only then does a
+                # pending cell still need compiling, under the lock.
+                chunk_size = store.chunk_size
+                completed = store.completed_ids()
+                layout, pending = _pending_chunks(cells, chunk_size,
+                                                  completed, max_chunks)
+                compile_cells_of(pending)
+            except BaseException:
+                store.release()
+                raise
+        resumed = [chunk for chunk in layout if chunk.id in completed]
         params = [{key: param_token(value)
                    for key, value in cell.params.items()} for cell in cells]
         sink = _ChunkSink(
@@ -586,7 +611,8 @@ class Study:
             progress=progress, chunk_size=chunk_size,
             total_chunks=len(layout),
             total_tasks=sum(chunk.count for chunk in layout),
-            resumed_chunks=resumed_chunks, resumed_tasks=resumed_tasks,
+            resumed_chunks=len(resumed),
+            resumed_tasks=sum(chunk.count for chunk in resumed),
         )
         tasks = [
             ExecutionTask(compiled[chunk.cell], seed)
@@ -594,24 +620,23 @@ class Study:
             for seed in cells[chunk.cell].seeds[chunk.start:chunk.start
                                                 + chunk.count]
         ]
-        sink.start()
         try:
+            sink.start()
             if tasks:
                 self.backend.execute(tasks, sink=sink)
         finally:
             if store is not None:
-                # The writer lock is held from begin(); reads below (and
+                # The writer lock is held from begin(); the read below (and
                 # other processes) need the store, not the lock.
                 store.release()
-        records: List[RunRecord] = []
-        for chunk in layout:
-            chunk_records = sink.records.get(chunk.id)
-            if (chunk_records is None and store is not None
-                    and chunk.id in completed):
-                chunk_records = store.read_chunk(chunk)
-            if chunk_records is not None:
-                records.extend(chunk_records)
-        return ResultSet(records, metadata=self.describe())
+        if store is None:
+            return ResultSet([record for chunk in pending
+                              for record in sink.records[chunk.id]],
+                             metadata=self.describe())
+        # One columnar read answers for every chunk, run now or before.
+        results = store.load_results(allow_partial=True)
+        results.metadata = self.describe()
+        return results
 
     # ------------------------------------------------------------------
     # description / persistence
@@ -913,6 +938,16 @@ class Study:
                 f"num_runs={self.num_runs})")
 
 
+def _pending_chunks(cells: Sequence[PlanCell], chunk_size: int,
+                    completed: set, max_chunks: Optional[int]
+                    ) -> Tuple[List[StoreChunk], List[StoreChunk]]:
+    """The chunk layout of ``cells`` and, in layout order, at most
+    ``max_chunks`` of its chunks that ``completed`` does not hold."""
+    layout = chunk_layout([len(cell.seeds) for cell in cells], chunk_size)
+    pending = [chunk for chunk in layout if chunk.id not in completed]
+    return layout, pending[:max_chunks]
+
+
 class _ChunkSink:
     """Routes streamed backend results into durable store chunks.
 
@@ -920,7 +955,8 @@ class _ChunkSink:
     at *its* granularity; this sink reassembles them against the pending
     store chunks (whose tasks were submitted consecutively), and the moment
     every result of a chunk has arrived it builds the chunk's records,
-    commits them to the store, and fires a progress event.  The sink's
+    commits them to the store (without one, keeps them in ``records``),
+    and fires a progress event.  The sink's
     ``chunk_size`` attribute doubles as the granularity hint backends use
     to align their internal chunking with the durable boundaries.
     """
@@ -1000,7 +1036,8 @@ class _ChunkSink:
         self._results[start:start + chunk.count] = [None] * chunk.count
         if self._store is not None:
             self._store.append_chunk(chunk, records)
-        self.records[chunk.id] = records
+        else:
+            self.records[chunk.id] = records
         self._flushed_chunks += 1
         self._flushed_tasks += chunk.count
         self._emit()

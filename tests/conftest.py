@@ -78,3 +78,32 @@ def paper_architecture():
 def distributed_qaoa12(qaoa12):
     """QAOA-12 partitioned over two nodes."""
     return distribute_circuit(qaoa12, num_nodes=2, seed=0)
+
+
+@pytest.fixture
+def directory_fsyncs(monkeypatch):
+    """Count directory fsyncs from here on.
+
+    ``directory_fsyncs(path)`` is how many times ``path`` was fsynced,
+    ``directory_fsyncs()`` how many directory fsyncs happened in all.
+    """
+    import os
+    import stat
+
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            synced.append((info.st_dev, info.st_ino))
+        return real_fsync(fd)
+
+    def count(path=None):
+        if path is None:
+            return len(synced)
+        info = os.stat(path)
+        return synced.count((info.st_dev, info.st_ino))
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    return count

@@ -161,6 +161,15 @@ class TestLedgerDurability:
         assert [e["run"] for e in entries] == ["run-1", "run-2"]
         assert ledger.history() == [{"x.run_s": 1.0}, {"x.run_s": 1.1}]
 
+    def test_creation_fsyncs_its_directory_once(self, tmp_path,
+                                                directory_fsyncs):
+        ledger = BenchLedger(tmp_path / "ledger.jsonl")
+        ledger.record({"x.run_s": 1.0})
+        assert directory_fsyncs(tmp_path) == directory_fsyncs() == 1
+        ledger.record({"x.run_s": 1.1})
+        BenchLedger(tmp_path / "ledger.jsonl").record({"x.run_s": 1.2})
+        assert directory_fsyncs() == 1
+
     def test_torn_tail_is_dropped_not_fatal(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = BenchLedger(path)

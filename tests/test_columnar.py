@@ -13,6 +13,7 @@ import math
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import Study, SystemConfig
@@ -64,14 +65,33 @@ def mixed_grid():
     return records
 
 
-def reference_to_json(records, metadata=None):
+def reference_to_json(records, metadata=None, indent=2):
     """``to_json`` the way the pre-columnar implementation produced it."""
     payload = {
         "schema": ResultSet.SCHEMA_VERSION,
         "metadata": dict(metadata or {}),
         "records": [r.to_dict() for r in records],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=indent) + "\n"
+
+
+def unicode_grid():
+    """Records with non-ASCII names and nested / list parameter values."""
+    return [
+        RunRecord(benchmark="QFT-Ω", design="adapt_buf", seed=1,
+                  depth=2.5, fidelity=-0.0, num_remote=2**70,
+                  mean_remote_wait=float("-inf"), mean_link_fidelity=1e-300,
+                  epr_generated=3, epr_wasted=0.0,
+                  params={"policy": "café ☃ \U0001F600",
+                          "pairs": [[0, 1], [1, 2]],
+                          "nested": {"a": [], "b": {}, "é": None},
+                          "quote\"d\\key%s": "tab\tline\nnul\x00"}),
+        RunRecord(benchmark="TLIM-16", design="naïve", seed=2,
+                  depth=1.0, fidelity=0.5, num_remote=0,
+                  mean_remote_wait=0.0, mean_link_fidelity=[1.0, 0.5],
+                  epr_generated={"generated": 1}, epr_wasted="none",
+                  params={}),
+    ]
 
 
 def reference_aggregate(records, metric, by=()):
@@ -224,6 +244,47 @@ class TestMixedGridEquivalence:
 
 
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("indent", [None, 0, 2, 4, "\t"])
+class TestToJsonMatchesJsonDumps:
+    """``to_json`` is built from the columns, never through ``json.dumps``
+    of the payload; its text must still be exactly that of ``json.dumps``
+    at every indent."""
+
+    METADATA = {"name": "größe", "axes": [{"fields": ["policy"],
+                                           "values": ["a", "b"]}],
+                "designs": None, "empty": {}, "list": []}
+
+    def test_mixed_grid(self, indent):
+        records = mixed_grid()
+        rs = ResultSet(records, metadata=self.METADATA)
+        assert rs.to_json(indent=indent) == reference_to_json(
+            records, self.METADATA, indent)
+
+    def test_non_ascii_and_nested_params(self, indent):
+        records = unicode_grid()
+        rs = ResultSet(records, metadata=self.METADATA)
+        assert rs.to_json(indent=indent) == reference_to_json(
+            records, self.METADATA, indent)
+
+    def test_columns_without_records(self, indent):
+        # The from_store shape: typed arrays, a numpy unicode column
+        # (what npz shards hold) and no materialised records.
+        records = mixed_grid() + unicode_grid()
+        columns = {name: [getattr(r, name) for r in records]
+                   for name in KEY_FIELDS + METRIC_FIELDS}
+        columns["benchmark"] = np.array(columns["benchmark"], dtype=np.str_)
+        cold = ResultSet._from_columns(columns, [r.params for r in records])
+        assert cold._records is None
+        assert cold.to_json(indent=indent) == reference_to_json(
+            records, None, indent)
+
+    def test_empty_set(self, indent):
+        for metadata in ({}, self.METADATA):
+            assert ResultSet([], metadata=metadata).to_json(
+                indent=indent) == reference_to_json([], metadata, indent)
+
+
+# ----------------------------------------------------------------------
 class TestChunkCodecEquivalence:
     def test_npz_round_trip_preserves_json_bytes(self):
         records = mixed_grid()
@@ -258,6 +319,17 @@ class TestStoreFormatEquivalence:
     def baseline_json(self):
         with small_study() as study:
             return study.run().to_json()
+
+    @pytest.mark.parametrize("shard_format", ["jsonl", "npz"])
+    def test_store_loads_as_columns(self, tmp_path, baseline_json,
+                                    shard_format):
+        store = tmp_path / "st"
+        with small_study() as study:
+            study.run(store=store, store_chunk_size=3,
+                      store_format=shard_format)
+        loaded = RunStore.load(store).load_results()
+        assert loaded._records is None  # no RunRecord was built
+        assert loaded.to_json() == baseline_json
 
     def test_jsonl_and_npz_stores_serialise_identically(
             self, tmp_path, baseline_json):

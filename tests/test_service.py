@@ -242,6 +242,20 @@ class TestJobRegistry:
         assert [job.id for job in pending] == ["job-000001"]
         assert pending[0].state is JobState.QUEUED
 
+    def test_journal_creation_fsyncs_its_directory_once(
+            self, tmp_path, directory_fsyncs):
+        journal = JobJournal(tmp_path / "j")
+        registry = JobRegistry(journal)
+        registry.load()
+        registry.add(make_job())
+        assert directory_fsyncs(tmp_path) == directory_fsyncs() == 1
+        registry.try_transition("job-000001", JobState.RUNNING)
+        journal.close()
+        reopened = JobRegistry(JobJournal(tmp_path / "j"))
+        reopened.load()
+        reopened.try_transition("job-000001", JobState.DONE)
+        assert directory_fsyncs() == 1
+
     def test_active_count_is_queued_plus_running(self, tmp_path):
         registry = JobRegistry(JobJournal(tmp_path / "j"))
         registry.load()
@@ -442,6 +456,78 @@ class TestQueuedJobs:
         other.submit(small_spec(num_runs=6))
         idle_client.cancel(first["id"])
         idle_client.submit(small_spec(num_runs=5))
+
+
+# ----------------------------------------------------------------------
+# a finished job costs one read: status from live progress, results from
+# one read of the store
+# ----------------------------------------------------------------------
+class TestFinishedJobCostsOneRead:
+    def test_status_of_running_and_done_jobs_never_loads_the_store(
+            self, daemon, client, monkeypatch):
+        job = client.submit(slow_spec())
+        poll_until(lambda: daemon.scheduler.progress(job["id"])["latest"])
+        loads = []
+        original = RunStore.load.__func__
+        monkeypatch.setattr(RunStore, "load", classmethod(
+            lambda cls, path: loads.append(path) or original(cls, path)))
+        states = set()
+        while True:
+            status = client.job(job["id"])
+            states.add(status["state"])
+            latest = status["progress"]["latest"]
+            assert status["resume_point"] == {
+                key: latest[key] for key in status["resume_point"]}
+            if status["state"] == "done":
+                break
+            time.sleep(0.01)
+        assert states == {"running", "done"}
+        assert loads == []
+        assert status["resume_point"]["complete"] is True
+        assert status["resume_point"]["done_chunks"] == 128
+
+    def test_job_without_live_progress_reports_the_store(self, tmp_path):
+        data_root = tmp_path / "svc"
+        first = StudyDaemon(ServiceConfig(data_root=data_root, port=0,
+                                          store_chunk_size=1))
+        first.start()
+        try:
+            client = ServiceClient(first.address, client="tester")
+            job = client.submit(small_spec())
+            assert client.wait(job["id"], timeout=60)["state"] == "done"
+        finally:
+            first.stop(timeout=30)
+        # A restarted daemon has no live progress for the finished job.
+        second = StudyDaemon(ServiceConfig(data_root=data_root, port=0))
+        second.start()
+        try:
+            status = second.job_status(job["id"])
+        finally:
+            second.stop(timeout=5)
+        assert status["resume_point"] == {
+            "done_chunks": 6, "total_chunks": 6, "done_tasks": 6,
+            "total_tasks": 6, "complete": True}
+        assert status["progress"]["latest"] == status["resume_point"]
+
+    def test_fetches_return_one_stores_bytes(self, daemon, client,
+                                             monkeypatch):
+        # Specs that differ only in name share one store, and serve the
+        # metadata that store recorded: the first job's.
+        first = client.submit(small_spec(name="first"))
+        second = client.submit(small_spec(name="second"))
+        for job in (first, second):
+            assert client.wait(job["id"], timeout=60)["state"] == "done"
+        assert first["store"] == second["store"]
+        reads = []
+        original = RunStore.load_results
+        monkeypatch.setattr(
+            RunStore, "load_results",
+            lambda self, *a, **k: reads.append(1) or original(self, *a, **k))
+        fetched = [client.results(first["id"]), client.results(first["id"]),
+                   client.results(second["id"])]
+        assert len(reads) == 3
+        assert fetched[0] == fetched[1] == fetched[2]
+        assert fetched[0] == foreground_json(small_spec(name="first"))
 
 
 # ----------------------------------------------------------------------
@@ -674,6 +760,18 @@ class TestJobTTLPrune:
                   for line in (daemon.data_root / "jobs.journal")
                   .read_text().splitlines()]
         assert "prune" in events
+
+    def test_prune_drops_the_jobs_progress(self, daemon):
+        client = ServiceClient(daemon.address, client="tester")
+        job = client.submit(small_spec())
+        client.wait(job["id"], timeout=60)
+        assert daemon.scheduler.progress(job["id"])["latest"] is not None
+        daemon.prune(ttl=0)
+        assert job["id"] not in daemon.scheduler._events
+        assert job["id"] not in daemon.scheduler._latest
+        assert daemon.scheduler.progress(job["id"]) == {
+            "latest": None, "events": []}
+        assert not (daemon.data_root / job["store"]).exists()
 
     def test_prune_survives_restart(self, tmp_path):
         data_root = tmp_path / "svc"

@@ -17,7 +17,11 @@ import pytest
 from repro import Study, SystemConfig
 from repro.analysis.report import load_results, store_status_report, summary_report
 from repro.engine.backends import ExecutionBackend, SerialBackend
-from repro.exceptions import ConfigurationError, StoreError, StoreWriteError
+from repro.engine.cache import ArtifactCache
+from repro.engine.compiler import CellCompiler
+from repro.exceptions import (
+    ConfigurationError, StoreError, StoreWriteError, TopologyError,
+)
 from repro.faults import failpoint, install_faults, uninstall_faults
 from repro.study import ResultSet, RunStore, aggregate_stream
 from repro.study.store import DEFAULT_CHUNK_SIZE, StoreChunk, chunk_layout
@@ -75,6 +79,20 @@ class TestStoreLifecycle:
         log_lines = (store / "chunks.log").read_text().splitlines()
         assert len(log_lines) == 4
         assert all("sha256" in json.loads(line) for line in log_lines)
+
+    def test_created_files_fsync_their_directory_once(self, tmp_path,
+                                                      directory_fsyncs):
+        store = tmp_path / "st"
+        with small_study() as study:
+            study.run(store=store, store_chunk_size=2, max_chunks=1)
+        # The manifest and the chunk log in the store, one shard in shards/.
+        assert directory_fsyncs(store) == 2
+        assert directory_fsyncs(store / "shards") == 1
+        with small_study() as study:
+            study.run(store=store)  # appends 3 chunks, creates 1 shard
+        assert directory_fsyncs(store) == 2
+        assert directory_fsyncs(store / "shards") == 2
+        assert directory_fsyncs() == 4
 
     def test_load_rejects_non_store_directory(self, tmp_path):
         with pytest.raises(StoreError, match="not a run store"):
@@ -296,6 +314,197 @@ class TestResumeBitIdentity:
         reloaded = ResultSet.from_store(store)
         assert reloaded.values("epr_success_probability") == [
             0.2, 0.2, 0.2, 0.2, 0.8, 0.8, 0.8, 0.8]
+
+
+# ----------------------------------------------------------------------
+class TestFinishedStudyCostsOneRead:
+    """A store decides what gets compiled: only cells with chunks left to
+    run, and a store with nothing left is answered by one read."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """``(benchmark, design)`` of every ``CellCompiler.compile`` call."""
+        calls = []
+        original = CellCompiler.compile
+
+        def compile(self, benchmark, design, **kwargs):
+            calls.append((benchmark, design))
+            return original(self, benchmark, design, **kwargs)
+
+        monkeypatch.setattr(CellCompiler, "compile", compile)
+        return calls
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Counts of the store's two read paths."""
+        counts = {"load_results": 0, "read_chunk": 0}
+        for name in counts:
+            original = getattr(RunStore, name)
+
+            def counted(self, *args, _name=name, _original=original,
+                        **kwargs):
+                counts[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(RunStore, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("shard_format", ["jsonl", "npz"])
+    def test_complete_store_compiles_nothing(self, tmp_path, compiled, reads,
+                                             shard_format):
+        store = tmp_path / "st"
+        cache = ArtifactCache()
+        with small_study(cache=cache) as study:
+            first = study.run(store=store, store_chunk_size=2,
+                              store_format=shard_format).to_json()
+        assert compiled == [("TLIM-32", "ideal"), ("TLIM-32", "original")]
+        compiled.clear()
+        reads.update(load_results=0, read_chunk=0)
+        lookups = cache.hits + cache.misses
+        events = []
+        with small_study(cache=cache) as study:
+            again = study.run(store=store, progress=events.append)
+        assert compiled == []
+        assert cache.hits + cache.misses == lookups
+        assert reads == {"load_results": 1, "read_chunk": 0}
+        assert again.to_json() == first
+        assert [(e.done_chunks, e.resumed_chunks, e.complete)
+                for e in events] == [(4, 4, True)]
+
+    def test_complete_store_answers_with_this_studys_metadata(self,
+                                                            tmp_path):
+        store = tmp_path / "st"
+        with small_study(name="first") as study:
+            study.run(store=store)
+        with small_study(name="second") as study:
+            again = study.run(store=store)
+            assert again.metadata == study.describe()
+        assert RunStore.load(store).study["name"] == "first"
+
+    def test_complete_store_takes_no_lock(self, tmp_path, baseline_json):
+        import fcntl
+
+        store = tmp_path / "st"
+        with small_study() as study:
+            study.run(store=store)
+        # Another process holding the writer lock does not stop a read.
+        with open(store / "lock", "a+") as handle:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            with small_study() as study:
+                assert study.run(store=store).to_json() == baseline_json
+
+    def test_partial_store_compiles_exactly_the_pending_cells(
+            self, tmp_path, compiled, baseline_json):
+        store = tmp_path / "st"
+        with small_study() as study:
+            # Chunks 0:0 and 0:2 finish the first cell ("ideal").
+            study.run(store=store, store_chunk_size=2, max_chunks=2)
+        compiled.clear()
+        with small_study() as study:
+            results = study.run(store=store)
+        assert compiled == [("TLIM-32", "original")]
+        assert results.to_json() == baseline_json
+
+    def test_max_chunks_zero_compiles_nothing(self, tmp_path, compiled):
+        store = tmp_path / "st"
+        with small_study() as study:
+            study.run(store=store, store_chunk_size=2, max_chunks=1)
+        compiled.clear()
+        with small_study() as study:
+            partial = study.run(store=store, max_chunks=0)
+        assert compiled == []
+        assert [r.seed for r in partial] == [1, 2]
+
+    def test_fresh_run_compiles_every_cell_before_its_first_event(
+            self, tmp_path, compiled):
+        seen = []
+        with small_study() as study:
+            study.run(store=tmp_path / "st", store_chunk_size=2,
+                      progress=lambda event: seen.append(len(compiled)))
+        assert seen[0] == 2
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_failing_compile_leaves_no_store_and_no_lock(
+            self, tmp_path, monkeypatch, baseline_json, partial):
+        import fcntl
+
+        store = tmp_path / "st"
+        if partial:
+            with small_study() as study:
+                study.run(store=store, store_chunk_size=2, max_chunks=1)
+            log = (store / "chunks.log").read_bytes()
+
+        def broken(self, *args, **kwargs):
+            raise TopologyError("no link between the nodes")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CellCompiler, "compile", broken)
+            with small_study() as study:
+                with pytest.raises(TopologyError):
+                    study.run(store=store, store_chunk_size=2)
+        if not partial:
+            assert not store.exists()
+        else:
+            assert (store / "chunks.log").read_bytes() == log
+            with open(store / "lock", "a+") as handle:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with small_study() as study:
+            assert study.run(store=store,
+                             store_chunk_size=2).to_json() == baseline_json
+
+    @pytest.mark.parametrize("max_chunks", [None, 1])
+    def test_store_created_after_the_look_keeps_its_layout(
+            self, tmp_path, monkeypatch, baseline_json, max_chunks):
+        # Another invocation, with another chunk size, creates the store
+        # between this run's read-only look and its begin(): the run must
+        # adopt the store's layout instead of appending chunks of its own.
+        store = tmp_path / "st"
+        original = RunStore.committed_for
+
+        def look_then_race(self, fingerprint):
+            committed = original(self, fingerprint)
+            monkeypatch.setattr(RunStore, "committed_for", original)
+            with small_study() as other:
+                other.run(store=store, store_chunk_size=3,
+                          max_chunks=max_chunks)
+            return committed
+
+        monkeypatch.setattr(RunStore, "committed_for", look_then_race)
+        with small_study() as study:
+            results = study.run(store=store, store_chunk_size=2)
+        assert results.to_json() == baseline_json
+        loaded = RunStore.load(store)
+        assert loaded.chunk_size == 3
+        assert loaded.completed_ids() == {c.id for c in loaded.chunks()}
+        assert loaded.load_results().to_json() == baseline_json
+
+    def test_chunks_committed_after_the_look_compile_under_the_lock(
+            self, tmp_path, monkeypatch, compiled, baseline_json):
+        # Another invocation commits the chunks this run's look planned to
+        # run, so the chunk max_chunks now picks is in an uncompiled cell.
+        store = tmp_path / "st"
+        with small_study() as study:
+            study.run(store=store, store_chunk_size=2, max_chunks=1)
+        original = RunStore.committed_for
+
+        def look_then_race(self, fingerprint):
+            committed = original(self, fingerprint)
+            monkeypatch.setattr(RunStore, "committed_for", original)
+            with small_study() as other:
+                other.run(store=store, max_chunks=1)  # chunk 0:2
+            return committed
+
+        monkeypatch.setattr(RunStore, "committed_for", look_then_race)
+        compiled.clear()
+        with small_study() as study:
+            partial = study.run(store=store, max_chunks=1)
+        assert compiled == [("TLIM-32", "ideal"), ("TLIM-32", "ideal"),
+                            ("TLIM-32", "original")]
+        assert [(r.design, r.seed) for r in partial] == [
+            ("ideal", 1), ("ideal", 2), ("ideal", 3), ("ideal", 4),
+            ("original", 1), ("original", 2)]
+        with small_study() as study:
+            assert study.run(store=store).to_json() == baseline_json
 
 
 # ----------------------------------------------------------------------
