@@ -47,8 +47,8 @@ class CompiledCell:
     segment-length override, the lowered gate streams and — for adaptive
     designs — the pre-built
     :class:`~repro.scheduling.lookup.ScheduleLookupTable`.  Executing the
-    cell under a seed touches none of this state except the lookup table's
-    decision log, which the executor resets at the start of every run.
+    cell under a seed only reads this state, so threads may replay one
+    cell (shared through the artifact cache) at the same time.
     """
 
     benchmark: str

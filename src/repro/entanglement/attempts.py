@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, List
+from functools import cached_property
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -117,6 +118,12 @@ class AttemptSchedule:
                 return self.start_time + phase
             return self.start_time + self.cycle_time
         return offset + self.cycle_time
+
+    @cached_property
+    def first_completions(self) -> Tuple[float, ...]:
+        """:meth:`first_completion` of every pair, computed once per schedule."""
+        return tuple(self.first_completion(pair)
+                     for pair in range(self.num_pairs))
 
     def attempt_start(self, pair_index: int, attempt: int) -> float:
         """Start time of the ``attempt``-th attempt (0-based) of a pair.

@@ -10,12 +10,20 @@ the statistics used in the evaluation (EPR waste, mean stored age).
 A stored link is the float pair ``(created, buffered)``: the completion
 time of the attempt that generated it and the time its buffering SWAP
 finished.  It is available to remote gates from ``buffered`` on.
+
+Each rule of the pool lives in one method: :meth:`BufferPool.store_all`
+admits links (capacity, oldest-first reset, cutoff on arrival) and
+:meth:`BufferPool.take` serves a remote gate (the freshest-link rule).
+:meth:`~BufferPool.store` and :meth:`~BufferPool.pop_available` are their
+one-link views.  The entanglement service calls ``store_all`` once per
+advance of its frontier and ``take`` once per remote gate; without a
+cutoff neither makes a further call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import BufferError
 
@@ -94,37 +102,40 @@ class BufferPool:
     def store(self, created: float, buffered: float) -> bool:
         """Store a link buffered at ``buffered``; ``False`` if it was rejected.
 
+        The one-link case of :meth:`store_all`.
+        """
+        return self.store_all(((created, buffered),)) == 1
+
+    def store_all(self, links: Sequence[Link]) -> int:
+        """Store ``(created, buffered)`` links in order; returns how many were kept.
+
         When the pool is full the oldest stored link is reset and the new
         link takes its slot.  With a zero-capacity pool every link is
-        rejected, which models the buffer-less ``original`` design.
+        rejected, which models the buffer-less ``original`` design.  With a
+        cutoff, each arriving link first expires the links it outlives.
         """
-        self.expire_until(buffered)
-        if len(self._stored) >= self.capacity:
-            if self.capacity == 0:
-                self.statistics.rejected_total += 1
-                return False
-            self._stored.pop(0)
-            self.statistics.expired_total += 1
-        self._stored.append((created, buffered))
-        self.statistics.stored_total += 1
-        return True
-
-    def _consume(self, position: int, time: float) -> Tuple[float, float]:
-        created, _ = self._stored.pop(position)
-        age = max(0.0, time - created)
         statistics = self.statistics
-        statistics.consumed_total += 1
-        statistics.total_consumed_age += age
-        return created, age
-
-    def _freshest(self, threshold: float) -> int:
-        """Position of the latest-created link buffered by ``threshold``, or -1."""
-        best = -1
-        best_created = 0.0
-        for position, (created, buffered) in enumerate(self._stored):
-            if buffered <= threshold and (best < 0 or created > best_created):
-                best, best_created = position, created
-        return best
+        capacity = self.capacity
+        count = len(links)
+        if not capacity:
+            statistics.rejected_total += count
+            return 0
+        stored = self._stored
+        if self.cutoff is None:
+            stored += links
+            overflow = len(stored) - capacity
+            if overflow > 0:
+                del stored[:overflow]
+                statistics.expired_total += overflow
+        else:
+            for link in links:
+                self.expire_until(link[1])
+                stored.append(link)
+                if len(stored) > capacity:
+                    del stored[0]
+                    statistics.expired_total += 1
+        statistics.stored_total += count
+        return count
 
     def pop_available(self, time: float) -> Tuple[float, float]:
         """Consume the freshest link available at ``time``.
@@ -132,42 +143,65 @@ class BufferPool:
         Returns the link's ``(created, age)``, its age at ``time``.
         """
         self.expire_until(time)
-        position = self._freshest(time + 1e-12)
-        if position < 0:
+        if not self.count_available(time):
             raise BufferError(f"no stored link is available at time {time}")
-        return self._consume(position, time)
+        return self.take(time)[1:]
 
     def take(self, time: float) -> Optional[Tuple[float, float, float]]:
         """Consume the link a remote gate ready at ``time`` gets from the pool.
 
         That is the freshest link available at ``time`` or, if none is, the
         freshest one available when the earliest in-flight buffering swap
-        finishes.  Returns ``(ready, created, age)`` with ``age`` taken at
-        ``ready``, or ``None`` when the pool is empty.
+        finishes; ties in creation time go to the link stored first.
+        Returns ``(ready, created, age)`` with ``age`` taken at ``ready``,
+        or ``None`` when the pool is empty.
         """
-        self.expire_until(time)
-        position = self._freshest(time + 1e-12)
-        if position >= 0:
-            return (time, *self._consume(position, time))
-        if not self._stored:
+        if self.cutoff is not None:
+            self.expire_until(time)
+        stored = self._stored
+        if not stored:
             return None
-        ready = min(buffered for _, buffered in self._stored)
-        return (ready, *self.pop_available(ready))
+        ready = time
+        threshold = time + 1e-12
+        while True:
+            best = -1
+            best_created = 0.0
+            position = 0
+            for created, buffered in stored:
+                if buffered <= threshold and (best < 0
+                                              or created > best_created):
+                    best = position
+                    best_created = created
+                position += 1
+            if best >= 0:
+                break
+            # Nothing is available yet: wait for the first swap to finish.
+            ready = min([link[1] for link in stored])
+            threshold = ready + 1e-12
+        del stored[best]
+        age = ready - best_created
+        age = age if age > 0.0 else 0.0
+        statistics = self.statistics
+        statistics.consumed_total += 1
+        statistics.total_consumed_age += age
+        return ready, best_created, age
 
     def expire_until(self, time: float) -> int:
         """Apply the cutoff policy up to ``time``; returns the number expired."""
         if self.cutoff is None:
             return 0
         limit = self.cutoff + 1e-12
-        remaining = [link for link in self._stored if time - link[1] <= limit]
-        expired = len(self._stored) - len(remaining)
-        self._stored = remaining
-        self.statistics.expired_total += expired
+        stored = self._stored
+        remaining = [link for link in stored if time - link[1] <= limit]
+        expired = len(stored) - len(remaining)
+        if expired:
+            stored[:] = remaining
+            self.statistics.expired_total += expired
         return expired
 
     def flush(self, time: float) -> int:
         """Discard every stored link (end of program); returns the count."""
         count = len(self._stored)
         self.statistics.expired_total += count
-        self._stored = []
+        self._stored.clear()
         return count

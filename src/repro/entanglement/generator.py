@@ -36,8 +36,11 @@ tolerance can drop a completion that lies just after ``start``; only tape
 entries within about ``1e-9 * cycle`` of ``start`` can fail the bound, so
 queries bisect the tape and check the bound only within ``2e-9 * cycle``
 after ``start``.  :meth:`indices_between` and
-:meth:`first_fresh_success` are the only places that apply this rule;
-:meth:`successes_between` is an event view over the former.
+:meth:`first_fresh_index` are the only places that apply this rule;
+:meth:`successes_between` and :meth:`first_fresh_success` are event views
+over them.  Both queries run without helper calls unless they must draw a
+block or check the attempt bound, since the entanglement service asks one
+of them per remote gate.
 """
 
 from __future__ import annotations
@@ -188,8 +191,9 @@ class EntanglementGenerator:
         self.success_probability = success_probability
         self.seed = seed
         self.cycle = schedule.cycle_time
-        self._firsts = [schedule.first_completion(pair)
-                        for pair in range(schedule.num_pairs)]
+        #: Entries this far after a query's start may fail its attempt bound.
+        self._window = 2e-9 * self.cycle
+        self._firsts = schedule.first_completions
         self._first_min = min(self._firsts, default=float("inf"))
         if variates is None:
             variates = VariateTable()
@@ -260,10 +264,6 @@ class EntanglementGenerator:
             return int(round(elapsed)) + 1
         return int(elapsed) + 1
 
-    def _bound_window(self, start: float) -> float:
-        """Entries after ``start`` up to this time may fail the attempt bound."""
-        return start + 2e-9 * self.cycle
-
     def _fails_bound(self, index: int, start: float) -> bool:
         """Whether tape entry ``index`` fails the attempt bound of ``start``."""
         return self.attempts[index] < self.attempt_after(self.pairs[index],
@@ -280,13 +280,16 @@ class EntanglementGenerator:
         """
         if end < start:
             return range(0)
-        self.ensure(end + 1e-12)
+        threshold = end + 1e-12
+        if self.frontier <= threshold:
+            self.ensure(threshold)
         times = self.times
         low = bisect_right(times, start + 1e-12)
-        high = bisect_right(times, end + 1e-12)
-        if low == high:
+        high = bisect_right(times, threshold, low)
+        window = start + self._window
+        if low == high or times[low] > window:
             return range(low, high)
-        edge = bisect_right(times, self._bound_window(start), low, high)
+        edge = bisect_right(times, window, low, high)
         for index in range(low, edge):
             if self._fails_bound(index, start):
                 return [i for i in range(low, high)
@@ -301,31 +304,39 @@ class EntanglementGenerator:
         return [GenerationEvent(times[i], pairs[i], attempts[i])
                 for i in indices]
 
-    def first_fresh_success(self, time: float,
-                            excluded: Collection = ()) -> GenerationEvent:
-        """Earliest success after ``time`` whose ``(pair, attempt)`` is not excluded.
+    def first_fresh_index(self, time: float, excluded: Collection = ()) -> int:
+        """Tape index of the earliest success after ``time`` not excluded.
 
-        "After" has the interval semantics of :meth:`successes_between`;
-        ties in time go to the lower pair.  Draws as far ahead as needed.
+        ``excluded`` holds ``(pair, attempt)`` keys.  "After" has the
+        interval semantics of :meth:`indices_between`; ties in time go to
+        the lower pair.  Draws as far ahead as needed.
         """
         if not self._firsts:
             raise EntanglementError("no communication-qubit pairs to draw from")
         threshold = time + 1e-12
-        self.ensure(threshold)
+        if self.frontier <= threshold:
+            self.ensure(threshold)
         times, pairs, attempts = self.times, self.pairs, self.attempts
-        window = self._bound_window(time)
+        window = time + self._window
         index = bisect_right(times, threshold)
         while True:
             # An entry at the frontier could still tie with an undrawn
             # attempt of a lower pair; only entries below it are final.
             if index < len(times) and times[index] < self.frontier:
                 if ((times[index] <= window and self._fails_bound(index, time))
-                        or (pairs[index], attempts[index]) in excluded):
+                        or (excluded
+                            and (pairs[index], attempts[index]) in excluded)):
                     index += 1
                     continue
-                return GenerationEvent(times[index], pairs[index],
-                                       attempts[index])
+                return index
             self._draw_block()
+
+    def first_fresh_success(self, time: float,
+                            excluded: Collection = ()) -> GenerationEvent:
+        """The success at :meth:`first_fresh_index`, as an event."""
+        index = self.first_fresh_index(time, excluded)
+        return GenerationEvent(self.times[index], self.pairs[index],
+                               self.attempts[index])
 
     def attempt_succeeds(self, pair_index: int, attempt_index: int) -> bool:
         """Whether the given attempt of the given pair succeeds."""

@@ -17,6 +17,19 @@ Design variants map onto service configurations:
   wait for remote gates.
 * ``init_buf`` — same, but the buffer starts pre-filled with EPR pairs
   generated before program start.
+
+An executor makes one call per remote gate, :meth:`EntanglementService.acquire`,
+and that call stays flat: it advances the frontier only when the query
+passes it (:meth:`~EntanglementService.advance_to`: one
+:meth:`~repro.entanglement.generator.EntanglementGenerator.indices_between`
+query and one :meth:`~repro.entanglement.buffer.BufferPool.store_all` for
+the new successes), takes the link with one
+:meth:`~repro.entanglement.buffer.BufferPool.take`, and evaluates one
+Werner decay.  Only a gate that finds the buffer empty asks the generator
+for a fresh success
+(:meth:`~repro.entanglement.generator.EntanglementGenerator.first_fresh_index`).
+The interval rule stays in the generator and the freshest-link rule in the
+buffer.
 """
 
 from __future__ import annotations
@@ -125,8 +138,7 @@ class EntanglementService:
         #: frontier; the advance that reaches one drops it (unless the
         #: attempt bound skips it there, which leaves an inert key).
         self._delivered: set = set()
-        for _ in range(prefill):
-            self.buffer.store(0.0, 0.0)
+        self.buffer.store_all([(0.0, 0.0)] * prefill)
 
     # ------------------------------------------------------------------
     # forward simulation
@@ -142,25 +154,24 @@ class EntanglementService:
         start = self._materialized_until
         if time <= start + 1e-12:
             return
+        self._materialized_until = time
         generator = self.generator
         indices = generator.indices_between(start, time)
-        times, pairs, attempts = (generator.times, generator.pairs,
-                                  generator.attempts)
-        delivered = self._delivered
-        store = self.buffer.store
-        swap_latency = self.swap_latency
-        generated = 0
-        for index in indices:
-            if delivered:
-                key = (pairs[index], attempts[index])
-                if key in delivered:
-                    delivered.remove(key)
-                    continue
-            created = times[index]
-            store(created, created + swap_latency)
-            generated += 1
-        self.statistics.generated_total += generated
-        self._materialized_until = time
+        if indices:
+            times = generator.times
+            delivered = self._delivered
+            swap_latency = self.swap_latency
+            links = []
+            for index in indices:
+                if delivered:
+                    key = (generator.pairs[index], generator.attempts[index])
+                    if key in delivered:
+                        delivered.remove(key)
+                        continue
+                created = times[index]
+                links.append((created, created + swap_latency))
+            self.statistics.generated_total += len(links)
+            self.buffer.store_all(links)
         self.buffer.expire_until(time)
 
     def count_available(self, time: float) -> int:
@@ -181,19 +192,24 @@ class EntanglementService:
         """
         if after < 0:
             raise EntanglementError("acquisition time must be non-negative")
-        self.advance_to(after)
+        if after > self._materialized_until + 1e-12:  # else a no-op
+            self.advance_to(after)
         taken = self.buffer.take(after)
+        statistics = self.statistics
         if taken is not None:
             start, created, age = taken
-            self.statistics.consumed_from_buffer += 1
+            statistics.consumed_from_buffer += 1
         else:
-            event = self.generator.first_fresh_success(
-                max(after, self._materialized_until), self._delivered)
-            self._delivered.add((event.pair_index, event.attempt_index))
-            created = event.time
-            start = max(after, created)
-            age = max(0.0, start - created)
-            statistics = self.statistics
+            generator = self.generator
+            frontier = self._materialized_until
+            index = generator.first_fresh_index(
+                after if after >= frontier else frontier, self._delivered)
+            self._delivered.add((generator.pairs[index],
+                                 generator.attempts[index]))
+            created = generator.times[index]
+            start = after if after >= created else created
+            age = start - created
+            age = age if age > 0.0 else 0.0
             statistics.generated_total += 1
             statistics.consumed_direct += 1
             statistics.direct_consumed_age += age

@@ -59,8 +59,11 @@ def werner_fidelity_after(initial_fidelity: float, elapsed: float,
     if elapsed == 0.0:
         # exp(-0.0) is exactly 1.0, so this is the decay path's value.
         return float(initial_fidelity)
-    decay = np.exp(-2.0 * kappa * elapsed)
-    return float(initial_fidelity * decay + (1.0 - decay) / 4.0)
+    # NumPy's exp (not math.exp, which rounds some inputs differently);
+    # the rest is IEEE double arithmetic, the same on floats as on
+    # NumPy scalars.
+    decay = float(np.exp(-2.0 * kappa * elapsed))
+    return initial_fidelity * decay + (1.0 - decay) / 4.0
 
 
 def werner_density_matrix(fidelity: float) -> np.ndarray:

@@ -221,6 +221,8 @@ def remote_gate_product(
     )
     product = 1.0
     for link_fidelity in link_fidelities:
-        clamped = min(1.0, max(0.25, link_fidelity))
+        # min(1.0, max(0.25, link_fidelity)), without two calls per link.
+        clamped = link_fidelity if link_fidelity > 0.25 else 0.25
+        clamped = clamped if clamped < 1.0 else 1.0
         product *= at_min + slope * (clamped - 0.25)
     return product

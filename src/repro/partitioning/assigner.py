@@ -142,6 +142,7 @@ def rebalance_partition(graph: InteractionGraph, partition: Partition,
         raise PartitionError("target sizes must sum to the number of vertices")
 
     assignment = dict(partition.assignment)
+    adjacency = graph.adjacency()
 
     def block_sizes() -> List[int]:
         sizes = [0] * partition.num_blocks
@@ -152,7 +153,7 @@ def rebalance_partition(graph: InteractionGraph, partition: Partition,
     def move_cost(vertex: int, destination: int) -> float:
         source = assignment[vertex]
         delta = 0.0
-        for neighbor, weight in graph.neighbors(vertex).items():
+        for neighbor, weight in adjacency[vertex].items():
             if assignment[neighbor] == source:
                 delta += weight
             elif assignment[neighbor] == destination:

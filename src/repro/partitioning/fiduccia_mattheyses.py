@@ -67,13 +67,13 @@ class _GainBuckets:
         return int(round(gain))
 
 
-def _move_gain(graph: InteractionGraph, vertex: int,
+def _move_gain(adjacency: Dict[int, Dict[int, float]], vertex: int,
                assignment: Dict[int, int]) -> float:
     """Cut-weight reduction from moving ``vertex`` to the other side."""
     own = assignment[vertex]
     external = 0.0
     internal = 0.0
-    for neighbor, weight in graph.neighbors(vertex).items():
+    for neighbor, weight in adjacency[vertex].items():
         if assignment[neighbor] == own:
             internal += weight
         else:
@@ -109,6 +109,8 @@ def fm_refine(graph: InteractionGraph, partition: Partition,
         raise PartitionError("FM refinement only supports bisections")
 
     assignment = dict(partition.assignment)
+    # Built once: every gain evaluation reads a vertex's neighbours.
+    adjacency = graph.adjacency()
     total_weight = graph.total_vertex_weight
     max_side = (1.0 + balance_tolerance) * total_weight / 2.0
     max_weights = (max_side, max_side)
@@ -120,7 +122,7 @@ def fm_refine(graph: InteractionGraph, partition: Partition,
         }
         buckets = _GainBuckets()
         for vertex in range(graph.num_vertices):
-            buckets.insert(vertex, _move_gain(graph, vertex, assignment))
+            buckets.insert(vertex, _move_gain(adjacency, vertex, assignment))
         unlocked: Set[int] = set(range(graph.num_vertices))
 
         move_sequence: List[int] = []
@@ -156,10 +158,11 @@ def fm_refine(graph: InteractionGraph, partition: Partition,
             buckets.remove(candidate)
 
             # Update gains of unlocked neighbours.
-            for neighbor in graph.neighbors(candidate):
+            for neighbor in adjacency[candidate]:
                 if neighbor in unlocked:
                     buckets.update(
-                        neighbor, _move_gain(graph, neighbor, trial_assignment)
+                        neighbor,
+                        _move_gain(adjacency, neighbor, trial_assignment),
                     )
 
         # Apply the best prefix of moves.

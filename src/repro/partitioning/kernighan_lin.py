@@ -28,12 +28,12 @@ def _initial_split(num_vertices: int, seed: Optional[int]) -> Tuple[Set[int], Se
     return set(vertices[:half]), set(vertices[half:])
 
 
-def _external_internal(graph: InteractionGraph, vertex: int,
+def _external_internal(neighbors: Dict[int, float],
                        own: Set[int]) -> Tuple[float, float]:
-    """External and internal connection weights of ``vertex`` w.r.t. its side."""
+    """External and internal weights of a vertex's ``neighbors`` w.r.t. its side."""
     external = 0.0
     internal = 0.0
-    for neighbor, weight in graph.neighbors(vertex).items():
+    for neighbor, weight in neighbors.items():
         if neighbor in own:
             internal += weight
         else:
@@ -41,28 +41,29 @@ def _external_internal(graph: InteractionGraph, vertex: int,
     return external, internal
 
 
-def _d_values(graph: InteractionGraph, side_a: Set[int],
+def _d_values(adjacency: Dict[int, Dict[int, float]], side_a: Set[int],
               side_b: Set[int]) -> Dict[int, float]:
     """D(v) = external(v) - internal(v) for every vertex."""
     values: Dict[int, float] = {}
     for vertex in side_a:
-        external, internal = _external_internal(graph, vertex, side_a)
+        external, internal = _external_internal(adjacency[vertex], side_a)
         values[vertex] = external - internal
     for vertex in side_b:
-        external, internal = _external_internal(graph, vertex, side_b)
+        external, internal = _external_internal(adjacency[vertex], side_b)
         values[vertex] = external - internal
     return values
 
 
-def _kl_pass(graph: InteractionGraph, side_a: Set[int],
+def _kl_pass(graph: InteractionGraph, adjacency: Dict[int, Dict[int, float]],
+             side_a: Set[int],
              side_b: Set[int]) -> Tuple[float, List[Tuple[int, int]]]:
-    """One KL pass.
+    """One KL pass over ``graph`` and its :meth:`~InteractionGraph.adjacency`.
 
     Returns the best cumulative gain and the list of swaps realising it.
     """
     a = set(side_a)
     b = set(side_b)
-    d_values = _d_values(graph, a, b)
+    d_values = _d_values(adjacency, a, b)
     unlocked_a = set(a)
     unlocked_b = set(b)
     gains: List[float] = []
@@ -72,7 +73,7 @@ def _kl_pass(graph: InteractionGraph, side_a: Set[int],
         best_gain = None
         best_pair = None
         for va in unlocked_a:
-            neighbors_va = graph.neighbors(va)
+            neighbors_va = adjacency[va]
             for vb in unlocked_b:
                 gain = d_values[va] + d_values[vb] - 2.0 * neighbors_va.get(vb, 0.0)
                 if best_gain is None or gain > best_gain:
@@ -113,8 +114,9 @@ def kl_refine(graph: InteractionGraph, partition: Partition,
         raise PartitionError("KL refinement only supports bisections")
     side_a = set(partition.block_members(0))
     side_b = set(partition.block_members(1))
+    adjacency = graph.adjacency()
     for _ in range(max_passes):
-        gain, swaps = _kl_pass(graph, side_a, side_b)
+        gain, swaps = _kl_pass(graph, adjacency, side_a, side_b)
         if gain <= 1e-12 or not swaps:
             break
         for va, vb in swaps:

@@ -26,6 +26,16 @@ table to every batch of a call, so the designs and benchmarks of a run
 seed draw its variates once.  The reference executor reads a private table
 per generator; the variates, and so the results, are the same.
 
+A batch builds one :class:`~repro.runtime.resources.EntanglementDirectory`,
+whose per-node-pair setup (attempt schedule, link and buffer counts) every
+run shares through :meth:`~repro.runtime.resources.EntanglementDirectory.for_seed`.
+The replay loop keeps its state in local variables, makes one
+:meth:`~repro.entanglement.service.EntanglementService.acquire` call per
+remote gate, and records each remote gate as plain floats that become
+:class:`~repro.runtime.metrics.RemoteGateRecord` objects once per run.
+Runs only read the compiled cell: each counts its own adaptive variant
+choices, so threads may replay one cell at once.
+
 The ideal (monolithic) design is deterministic per cell, so a seed batch
 simulates it once and stamps per-seed results from the shared outcome.
 """
@@ -33,7 +43,8 @@ simulates it once and stamps per-seed results from the shared outcome.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from itertools import starmap
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.entanglement.generator import VariateTable
 from repro.exceptions import RuntimeSimulationError
@@ -47,6 +58,7 @@ from repro.runtime.gatestream import (
     OP_REMOTE,
     CompiledStreams,
     GateStream,
+    SegmentStreams,
 )
 from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
 from repro.runtime.resources import EntanglementDirectory
@@ -106,44 +118,47 @@ class BatchedExecutor:
             return []
         if self.design.ideal:
             return self._run_ideal_batch(benchmark_name, seeds)
-        lookup = self.lookup if self.design.adaptive_scheduling else None
+        design = self.design
+        # Built once per batch: each run derives its own services from it.
+        directory = EntanglementDirectory(
+            self.architecture,
+            attempt_policy=design.attempt_policy,
+            use_buffer=design.use_buffer,
+            prefill=design.prefill_buffers,
+            buffer_cutoff=design.buffer_cutoff,
+            async_groups=design.async_groups,
+            variates=variates,
+        )
+        lookup = self.lookup if design.adaptive_scheduling else None
         return [
-            self._run_one(program, lookup, benchmark_name, seed, variates)
+            self._run_one(program.num_qubits, lookup, benchmark_name,
+                          directory.for_seed(seed))
             for seed in seeds
         ]
 
     # ------------------------------------------------------------------
     # stochastic (distributed) replay
     # ------------------------------------------------------------------
-    def _run_one(self, program: DistributedProgram,
+    def _run_one(self, num_qubits: int,
                  lookup: Optional[ScheduleLookupTable], benchmark_name: str,
-                 seed: int,
-                 variates: Optional[VariateTable]) -> ExecutionResult:
-        design = self.design
+                 directory: EntanglementDirectory) -> ExecutionResult:
         streams = self.streams
-        architecture = self.architecture
-        directory = EntanglementDirectory(
-            architecture,
-            attempt_policy=design.attempt_policy,
-            use_buffer=design.use_buffer,
-            prefill=design.prefill_buffers,
-            buffer_cutoff=design.buffer_cutoff,
-            seed=seed,
-            async_groups=design.async_groups,
-            variates=variates,
-        )
-
-        num_qubits = program.num_qubits
         avail = [0.0] * num_qubits
         busy = [0.0] * num_qubits
         first_use: List[Optional[float]] = [None] * num_qubits
-        remote_records: List[RemoteGateRecord] = []
-        services = [None] * len(streams.pair_list)
+        pair_list = streams.pair_list
+        services = [None] * len(pair_list)
         remote_latency = streams.remote_latency
-        gate_counter = 0
-
-        def play(stream: GateStream) -> None:
-            nonlocal gate_counter
+        # One (gate, ready, start, finish, created, fidelity) per remote gate.
+        remote: List[tuple] = []
+        histogram = dict.fromkeys(SchedulingVariant.ALL, 0)
+        if lookup is None:
+            played = (streams.flat,)
+        else:
+            played = self._adaptive_streams(streams.segments, lookup, avail,
+                                            directory, histogram)
+        gate = 0
+        for stream in played:
             for op, a, b, duration, pair_id in stream.rows:
                 if op == OP_REMOTE:
                     time_a = avail[a]
@@ -151,9 +166,8 @@ class BatchedExecutor:
                     ready = time_a if time_a >= time_b else time_b
                     service = services[pair_id]
                     if service is None:
-                        pair = streams.pair_list[pair_id]
-                        service = directory.service(pair[0], pair[1])
-                        services[pair_id] = service
+                        service = services[pair_id] = directory.service(
+                            *pair_list[pair_id])
                     start, created, fidelity = service.acquire(ready)
                     finish = start + remote_latency
                     avail[a] = finish
@@ -164,14 +178,8 @@ class BatchedExecutor:
                         first_use[a] = start
                     if first_use[b] is None:
                         first_use[b] = start
-                    remote_records.append(RemoteGateRecord(
-                        gate_index=gate_counter,
-                        ready_time=ready,
-                        start_time=start,
-                        finish_time=finish,
-                        link_created_time=created,
-                        link_fidelity=fidelity,
-                    ))
+                    remote.append((gate, ready, start, finish, created,
+                                   fidelity))
                 elif op == OP_LOCAL_2Q:
                     time_a = avail[a]
                     time_b = avail[b]
@@ -191,69 +199,64 @@ class BatchedExecutor:
                     busy[a] += duration
                     if first_use[a] is None:
                         first_use[a] = start
-                gate_counter += 1
-
-        if lookup is not None:
-            lookup.reset_decisions()
-            for segment in streams.segments:
-                if segment.qubits:
-                    decision_time = min(avail[q] for q in segment.qubits)
-                else:
-                    decision_time = max(avail)
-                if segment.node_pairs:
-                    available = sum(
-                        directory.count_available(a, b, decision_time)
-                        for a, b in segment.node_pairs
-                    )
-                    chosen = lookup.select_name(segment.index, available,
-                                                decision_time)
-                else:
-                    chosen = SchedulingVariant.ORIGINAL
-                play(segment.variants[chosen])
-        else:
-            play(streams.flat)
+                gate += 1
 
         makespan = max(avail)
         directory.finalize(makespan)
-
-        idle_total = 0.0
-        for qubit in range(num_qubits):
-            first = first_use[qubit]
-            if first is None:
-                continue
-            span = makespan - first
-            if span < 0.0:
-                span = 0.0
-            idle = span - busy[qubit]
-            if idle > 0.0:
-                idle_total += idle
-
+        idle_total = _idle_total(makespan, busy, first_use)
         breakdown = self.fidelity_model.estimate(
             num_single_qubit=streams.num_single,
             num_local_two_qubit=streams.num_local_two,
-            remote_link_fidelities=[
-                record.link_fidelity for record in remote_records
-            ],
+            remote_link_fidelities=[row[5] for row in remote],
             makespan=makespan,
             num_measurements=streams.num_measure,
             qubit_idle_total=idle_total,
         )
         return ExecutionResult(
-            design=design.name,
+            design=self.design.name,
             benchmark=benchmark_name,
-            seed=seed,
+            seed=directory.seed,
             makespan=makespan,
             fidelity=breakdown.total,
             fidelity_breakdown=breakdown,
             num_single_qubit=streams.num_single,
             num_local_two_qubit=streams.num_local_two,
-            num_remote=len(remote_records),
+            num_remote=len(remote),
             num_measurements=streams.num_measure,
             qubit_idle_total=idle_total,
-            remote_records=remote_records,
+            remote_records=list(starmap(RemoteGateRecord, remote)),
             epr_statistics=directory.aggregate_statistics(),
-            variant_histogram=(lookup.variant_histogram() if lookup else {}),
+            variant_histogram=histogram if lookup is not None else {},
         )
+
+    @staticmethod
+    def _adaptive_streams(segments: Sequence[SegmentStreams],
+                          lookup: ScheduleLookupTable, avail: List[float],
+                          directory: EntanglementDirectory,
+                          histogram: Dict[str, int]) -> Iterator[GateStream]:
+        """Yield each segment's chosen variant once the previous one played.
+
+        The decision time is the earliest time any of the segment's qubits
+        is free (``avail`` is the replay's live availability list), and the
+        available EPR count is summed over the segment's node pairs.  The
+        choices are counted in ``histogram``; the shared ``lookup`` is only
+        read.
+        """
+        for segment in segments:
+            if segment.qubits:
+                decision_time = min(avail[q] for q in segment.qubits)
+            else:
+                decision_time = max(avail)
+            if segment.node_pairs:
+                available = sum(
+                    directory.count_available(a, b, decision_time)
+                    for a, b in segment.node_pairs
+                )
+                chosen = lookup.variant_for(segment.index, available)
+                histogram[chosen] += 1
+            else:
+                chosen = SchedulingVariant.ORIGINAL
+            yield segment.variants[chosen]
 
     # ------------------------------------------------------------------
     # deterministic (ideal) replay
@@ -288,18 +291,7 @@ class BatchedExecutor:
                     first_use[a] = start
 
         makespan = max(avail)
-        idle_total = 0.0
-        for qubit in range(num_qubits):
-            first = first_use[qubit]
-            if first is None:
-                continue
-            span = makespan - first
-            if span < 0.0:
-                span = 0.0
-            idle = span - busy[qubit]
-            if idle > 0.0:
-                idle_total += idle
-
+        idle_total = _idle_total(makespan, busy, first_use)
         breakdown = self.fidelity_model.estimate(
             num_single_qubit=streams.num_single,
             num_local_two_qubit=streams.num_two_total,
@@ -324,3 +316,19 @@ class BatchedExecutor:
             )
             for seed in seeds
         ]
+
+
+def _idle_total(makespan: float, busy: List[float],
+                first_use: List[Optional[float]]) -> float:
+    """Summed idle time of the used qubits from first use to ``makespan``."""
+    idle_total = 0.0
+    for first, busy_time in zip(first_use, busy):
+        if first is None:
+            continue
+        span = makespan - first
+        if span < 0.0:
+            span = 0.0
+        idle = span - busy_time
+        if idle > 0.0:
+            idle_total += idle
+    return idle_total

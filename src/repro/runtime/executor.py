@@ -36,6 +36,7 @@ from repro.runtime.trace import ExecutionTrace, GateTraceEntry
 from repro.scheduling.lookup import ScheduleLookupTable, build_lookup_table
 from repro.scheduling.policies import AdaptivePolicy
 from repro.scheduling.segmentation import default_segment_length
+from repro.scheduling.variants import SchedulingVariant
 from repro.exceptions import RuntimeSimulationError
 
 __all__ = [
@@ -121,8 +122,8 @@ class DesignExecutor:
     lookup:
         Optional pre-built :class:`ScheduleLookupTable` (the compile-once
         artifact of :mod:`repro.engine`); when given, adaptive runs replay
-        it instead of re-segmenting the circuit, and its decision log is
-        reset at the start of every run.
+        it instead of re-segmenting the circuit.  Runs only read it: each
+        counts its own variant choices.
     collect_trace:
         Whether to record a full per-gate execution trace.
     """
@@ -225,12 +226,13 @@ class DesignExecutor:
         )
 
         remote_records: List[RemoteGateRecord] = []
-        lookup: Optional[ScheduleLookupTable] = None
+        histogram: Dict[str, int] = {}
 
         if self.design.adaptive_scheduling:
             lookup = self.lookup if self.lookup is not None else self.build_lookup(program)
-            lookup.reset_decisions()
-            gate_batches = self._adaptive_batches(program, lookup, directory, tracker)
+            histogram = dict.fromkeys(SchedulingVariant.ALL, 0)
+            gate_batches = self._adaptive_batches(program, lookup, directory,
+                                                  tracker, histogram)
         else:
             gate_batches = iter([list(program.circuit.gates)])
 
@@ -275,7 +277,7 @@ class DesignExecutor:
             qubit_idle_total=tracker.total_idle_time(),
             remote_records=remote_records,
             epr_statistics=directory.aggregate_statistics(),
-            variant_histogram=lookup.variant_histogram() if lookup else {},
+            variant_histogram=histogram,
         )
 
     # ------------------------------------------------------------------
@@ -337,14 +339,16 @@ class DesignExecutor:
     def _adaptive_batches(self, program: DistributedProgram,
                           lookup: ScheduleLookupTable,
                           directory: EntanglementDirectory,
-                          tracker: DataQubitTracker):
+                          tracker: DataQubitTracker,
+                          histogram: Dict[str, int]):
         """Yield the gate list of every segment, choosing a variant lazily.
 
         The decision time of segment ``k`` is the earliest time any of its
         qubits becomes free given everything dispatched so far — i.e. the
         first instant the controller could start the segment.  The available
         EPR count ``e`` is summed over the node pairs that the segment's
-        remote gates use.
+        remote gates use.  Choices are counted in ``histogram``; the
+        lookup table, which a compiled cell shares, is only read.
         """
         for segment_index in range(lookup.num_segments):
             segment = lookup.segment(segment_index)
@@ -358,7 +362,9 @@ class DesignExecutor:
                 available = sum(
                     directory.count_available(a, b, decision_time) for a, b in pairs
                 )
-                chosen = lookup.select(segment_index, available, decision_time)
+                variant = lookup.variant_for(segment_index, available)
+                histogram[variant] += 1
+                chosen = lookup.variants[segment_index].get(variant)
             else:
                 chosen = segment.circuit
             yield list(chosen.gates)

@@ -9,12 +9,17 @@ Two trackers back the executors:
   :class:`~repro.entanglement.service.EntanglementService` per connected node
   pair, created from the architecture and the design configuration; its
   generators read their variates from an optional shared
-  :class:`~repro.entanglement.generator.VariateTable`.
+  :class:`~repro.entanglement.generator.VariateTable`.  What a node pair's
+  service is built from apart from the seed (attempt schedule, link and
+  buffer counts, connectivity check) is worked out once per directory and
+  shared with the per-seed directories :meth:`EntanglementDirectory.for_seed`
+  derives, so a batch of runs builds it once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import copy
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.entanglement.attempts import AttemptPolicy, AttemptSchedule
 from repro.entanglement.generator import EntanglementGenerator, VariateTable
@@ -118,6 +123,15 @@ class DataQubitTracker:
             raise RuntimeSimulationError(f"qubit index {qubit} out of range")
 
 
+class _PairSetup(NamedTuple):
+    """What one node pair's service is built from, fixed per directory."""
+
+    schedule: AttemptSchedule
+    capacity: int
+    prefill: int
+    seed_offset: int
+
+
 class EntanglementDirectory:
     """One entanglement service per connected node pair.
 
@@ -138,6 +152,12 @@ class EntanglementDirectory:
     variates:
         Table the generators read their variates from; ``None`` gives each
         generator a private one.  Results are the same either way.
+
+    What a node pair's service is built from apart from the seed — its
+    attempt schedule, link and buffer counts and sub-seed offset — depends
+    only on the architecture and the design.  It is worked out once per
+    node pair and shared with every directory :meth:`for_seed` derives, so
+    an executor replaying a batch of seeds builds it once per batch.
     """
 
     def __init__(
@@ -159,7 +179,19 @@ class EntanglementDirectory:
         self.seed = seed
         self.async_groups = async_groups
         self.variates = variates
+        self._setups: Dict[NodePair, _PairSetup] = {}
         self._services: Dict[NodePair, EntanglementService] = {}
+
+    def for_seed(self, seed: int) -> "EntanglementDirectory":
+        """A directory for run seed ``seed``, with no services yet.
+
+        It shares this directory's configuration, variate table and
+        per-pair setup.
+        """
+        directory = copy.copy(self)
+        directory.seed = seed
+        directory._services = {}
+        return directory
 
     # ------------------------------------------------------------------
     def service(self, node_a: int, node_b: int) -> EntanglementService:
@@ -173,7 +205,7 @@ class EntanglementDirectory:
         """All services created so far."""
         return dict(self._services)
 
-    def _build_service(self, pair: NodePair) -> EntanglementService:
+    def _pair_setup(self, pair: NodePair) -> _PairSetup:
         architecture = self.architecture
         if not architecture.are_connected(*pair):
             raise RuntimeSimulationError(
@@ -198,24 +230,35 @@ class EntanglementDirectory:
             num_groups=groups,
             stagger=times.local_cnot,
         )
-        generator = EntanglementGenerator(
-            schedule,
-            success_probability=architecture.physics.epr_success_probability,
-            seed=self.seed + 1009 * (pair[0] * architecture.num_nodes + pair[1]),
-            variates=self.variates,
-        )
         capacity = (
             architecture.buffer_capacity_between(*pair) if self.use_buffer else 0
         )
-        prefill = capacity if (self.prefill and self.use_buffer) else 0
+        return _PairSetup(
+            schedule=schedule,
+            capacity=capacity,
+            prefill=capacity if (self.prefill and self.use_buffer) else 0,
+            seed_offset=1009 * (pair[0] * architecture.num_nodes + pair[1]),
+        )
+
+    def _build_service(self, pair: NodePair) -> EntanglementService:
+        setup = self._setups.get(pair)
+        if setup is None:
+            setup = self._setups[pair] = self._pair_setup(pair)
+        architecture = self.architecture
+        generator = EntanglementGenerator(
+            setup.schedule,
+            success_probability=architecture.physics.epr_success_probability,
+            seed=self.seed + setup.seed_offset,
+            variates=self.variates,
+        )
         return EntanglementService(
             generator=generator,
-            buffer_capacity=capacity,
+            buffer_capacity=setup.capacity,
             kappa=architecture.decoherence_rate,
             initial_fidelity=architecture.fidelities.epr_pair,
-            swap_latency=times.swap,
+            swap_latency=architecture.gate_times.swap,
             buffer_cutoff=self.buffer_cutoff,
-            prefill=prefill,
+            prefill=setup.prefill,
             node_pair=pair,
         )
 

@@ -67,23 +67,18 @@ class ScheduleLookupTable:
         """The underlying segment at ``index``."""
         return self.variants[index].segment
 
-    def select_name(self, segment_index: int, available_epr: int,
-                    decision_time: float = 0.0) -> str:
-        """Select a segment variant *name* given the buffered EPR count.
+    def variant_for(self, segment_index: int, available_epr: int) -> str:
+        """The variant name the selection rule picks, without recording it.
 
-        Records the decision like :meth:`select`; the batched executor uses
-        the name to pick a pre-lowered gate stream instead of a circuit.
+        Executors count a run's choices themselves, so replaying a shared
+        table never writes to it.
         """
         if not (0 <= segment_index < self.num_segments):
             raise SchedulingError(f"segment index {segment_index} out of range")
         threshold = self.policy.effective_threshold(
             self.variants[segment_index].segment.num_remote
         )
-        variant = self.policy.choose(available_epr, threshold)
-        self.decisions.append(
-            LookupDecision(segment_index, available_epr, variant, decision_time)
-        )
-        return variant
+        return self.policy.choose(available_epr, threshold)
 
     def select(self, segment_index: int, available_epr: int,
                decision_time: float = 0.0) -> QuantumCircuit:
@@ -91,7 +86,10 @@ class ScheduleLookupTable:
 
         Returns the chosen ordering and records the decision.
         """
-        variant = self.select_name(segment_index, available_epr, decision_time)
+        variant = self.variant_for(segment_index, available_epr)
+        self.decisions.append(
+            LookupDecision(segment_index, available_epr, variant, decision_time)
+        )
         return self.variants[segment_index].get(variant)
 
     def variant_histogram(self) -> Dict[str, int]:

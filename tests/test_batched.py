@@ -419,3 +419,107 @@ def test_bulk_successes_between_matches_attempt_scan():
                     expected.append((completion, pair, attempt))
                 attempt += 1
         assert [tuple(e) for e in events] == sorted(expected)
+
+
+# ---------------------------------------------------------------------------
+# the per-gate path and what a batch shares
+# ---------------------------------------------------------------------------
+def test_batch_calls_acquire_per_remote_gate_and_estimate_per_run(
+        monkeypatch):
+    """Both are looked up on their classes at call time, once per unit."""
+    from repro.entanglement import EntanglementService
+    from repro.noise.fidelity import FidelityModel
+
+    compiler = CellCompiler(system=SystemConfig())
+    cells = [compiler.compile("QAOA-r2-16", design)
+             for design in list_designs()]
+    calls = {"acquire": 0, "estimate": 0}
+    acquire = EntanglementService.acquire
+    estimate = FidelityModel.estimate
+
+    def counted_acquire(self, after):
+        calls["acquire"] += 1
+        return acquire(self, after)
+
+    def counted_estimate(self, *args, **kwargs):
+        calls["estimate"] += 1
+        return estimate(self, *args, **kwargs)
+
+    monkeypatch.setattr(EntanglementService, "acquire", counted_acquire)
+    monkeypatch.setattr(FidelityModel, "estimate", counted_estimate)
+    for cell in cells:
+        before = dict(calls)
+        results = cell.execute_batch(SEEDS)
+        assert calls["acquire"] - before["acquire"] == \
+            sum(result.num_remote for result in results)
+        # The ideal design is deterministic: one estimate for the batch.
+        assert calls["estimate"] - before["estimate"] == \
+            (1 if cell.design.ideal else len(SEEDS))
+    assert calls["acquire"] > 0
+
+
+def test_entanglement_setup_is_built_once_per_batch(monkeypatch):
+    from repro.hardware.architecture import DQCArchitecture
+
+    cell = CellCompiler(system=SystemConfig()).compile("TLIM-16", "init_buf")
+    calls = []
+    for name in ("are_connected", "comm_pairs_between",
+                 "buffer_capacity_between", "node_pairs"):
+        original = getattr(DQCArchitecture, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(DQCArchitecture, name, counted)
+    one = cell.execute_batch([1])
+    per_batch = len(calls)
+    assert per_batch > 0
+    del calls[:]
+    eight = cell.execute_batch(list(range(1, 9)))
+    assert len(calls) == per_batch
+    assert eight[0] == one[0]
+
+
+def test_execute_leaves_the_cells_lookup_untouched():
+    cell = CellCompiler(system=SystemConfig()).compile("QAOA-r2-16",
+                                                       "adapt_buf")
+    decisions = cell.lookup.decisions
+    results = cell.execute_batch(SEEDS)
+    cell.executor(seed=SEEDS[0]).run(cell.program,
+                                     benchmark_name=cell.benchmark)
+    assert cell.lookup.decisions is decisions
+    assert decisions == []
+    assert all(sum(result.variant_histogram.values()) > 0
+               for result in results)
+
+
+def test_threads_replaying_one_cell_get_the_serial_results():
+    """A compiled cell is shared (artifact cache, service threads)."""
+    import sys
+    import threading
+
+    cell = CellCompiler(system=SystemConfig()).compile("QFT-32", "adapt_buf")
+    seeds = list(range(1, 41))
+    expected = [result.variant_histogram
+                for result in cell.execute_batch(seeds)]
+    assert len({tuple(sorted(h.items())) for h in expected}) > 1
+    histograms = {}
+
+    def replay(slot):
+        histograms[slot] = [result.variant_histogram
+                            for result in cell.execute_batch(seeds)]
+
+    threads = [threading.Thread(target=replay, args=(slot,), daemon=True)
+               for slot in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert histograms == {slot: expected for slot in range(3)}

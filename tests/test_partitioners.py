@@ -87,6 +87,38 @@ class TestFiducciaMattheyses:
             fm_refine(two_cluster_graph(), Partition({v: 0 for v in range(16)}, 1))
 
 
+class TestNeighbourLookups:
+    """Refinement reads neighbours from one adjacency map per call."""
+
+    def test_refinement_never_scans_the_edge_list_per_vertex(
+            self, monkeypatch):
+        from repro.partitioning import rebalance_partition
+
+        calls = []
+        neighbors = InteractionGraph.neighbors
+
+        def counted(graph, vertex):
+            calls.append(vertex)
+            return neighbors(graph, vertex)
+
+        monkeypatch.setattr(InteractionGraph, "neighbors", counted)
+        graph = InteractionGraph.from_circuit(qft_circuit(16))
+        fm_refine(graph, Partition.contiguous(16, 2))
+        kl_refine(graph, Partition.contiguous(16, 2))
+        rebalance_partition(graph, Partition({v: int(v >= 10)
+                                              for v in range(16)}, 2), [8, 8])
+        multilevel_bisection(graph, seed=1)
+        assert calls == []
+
+    def test_adjacency_keeps_each_vertex_neighbour_order(self):
+        # Gains sum neighbour weights in this order, so it fixes the floats.
+        graph = InteractionGraph.from_circuit(qft_circuit(12))
+        adjacency = graph.adjacency()
+        for vertex in range(graph.num_vertices):
+            assert list(adjacency[vertex].items()) == \
+                list(graph.neighbors(vertex).items())
+
+
 class TestSpectral:
     def test_balanced_split(self):
         graph = two_cluster_graph()

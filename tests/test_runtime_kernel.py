@@ -79,6 +79,23 @@ class TestEntanglementDirectory:
         capacity = small_architecture.buffer_capacity_between(0, 1)
         assert directory.count_available(0, 1, 0.0) == capacity
 
+    def test_for_seed_shares_setup_but_not_services(self, small_architecture):
+        base = EntanglementDirectory(small_architecture, prefill=True,
+                                     seed=3)
+        schedule = base.service(0, 1).generator.schedule
+        derived = base.for_seed(5)
+        assert (base.seed, derived.seed) == (3, 5)
+        assert derived.services() == {} and len(base.services()) == 1
+        fresh = EntanglementDirectory(small_architecture, prefill=True,
+                                      seed=5)
+        shared, own = derived.service(0, 1), fresh.service(0, 1)
+        assert shared.generator.schedule is schedule
+        assert shared.generator.seed == own.generator.seed
+        assert shared.buffer.capacity == own.buffer.capacity
+        times = (0.0, 0.0, 7.0, 30.0, 12.5)
+        assert [shared.acquire(t) for t in times] == \
+            [own.acquire(t) for t in times]
+
     def test_aggregate_statistics(self, small_architecture):
         directory = EntanglementDirectory(small_architecture, seed=1)
         directory.service(0, 1).acquire(20.0)
