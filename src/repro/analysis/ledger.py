@@ -22,8 +22,11 @@ Everything else (counts, sizes, configuration echoes) is recorded for the
 history but never gated.  The first recording of a metric has no history
 and passes (bootstrap).  Ledger reads tolerate a torn final line — the
 fsync-before-newline append protocol means a torn tail is an interrupted
-append, never committed history — while an unparsable *committed* line
-raises, mirroring the run-store chunk log.
+append, never committed history — and the next record truncates it
+before appending, while an unparsable *committed* line raises: the
+run-store chunk log's protocol, through the same helpers
+(:func:`~repro.study.store.read_committed_lines`,
+:func:`~repro.study.store.open_for_append`).
 """
 
 from __future__ import annotations
@@ -195,7 +198,8 @@ class BenchLedger:
     One line per recorded run: ``{"ts": ..., "run": ..., "metrics":
     {dotted-name: value, ...}}``.  Appends are fsynced with the newline as
     the commit marker, so reads drop a torn final line (interrupted
-    append) but raise :class:`LedgerError` on an unparsable committed one.
+    append), the next :meth:`record` truncates it, and an unparsable
+    committed line raises :class:`LedgerError`.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -203,20 +207,15 @@ class BenchLedger:
 
     def entries(self) -> List[Dict[str, Any]]:
         """All committed entries, oldest first (empty if no ledger yet)."""
-        if not self.path.exists():
-            return []
+        from repro.study.store import read_committed_lines
+
         try:
-            data = self.path.read_bytes()
+            lines, _ = read_committed_lines(self.path)
         except OSError as error:
             raise LedgerError(
                 f"cannot read bench ledger {self.path}: {error}") from None
         entries: List[Dict[str, Any]] = []
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # torn tail: this append never committed
-            line = raw.strip()
-            if not line:
-                continue
+        for line in lines:
             try:
                 entry = json.loads(line.decode("utf-8"))
                 metrics = entry["metrics"]
@@ -243,7 +242,7 @@ class BenchLedger:
         The append that creates the ledger also fsyncs its directory, so
         a power cut cannot lose the file itself.
         """
-        from repro.study.store import sync_directory
+        from repro.study.store import open_for_append
 
         entry = {
             "ts": float(timestamp if timestamp is not None else time.time()),
@@ -252,13 +251,10 @@ class BenchLedger:
         }
         line = (json.dumps(entry, separators=(",", ":")) + "\n").encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        created = not self.path.exists()
-        with open(self.path, "ab") as handle:
+        with open_for_append(self.path) as handle:
             handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
-        if created:
-            sync_directory(self.path.parent)
         return entry
 
     def check(self, current: Mapping[str, float],

@@ -71,11 +71,6 @@ from repro.runtime.designs import (
     list_designs,
     register_design,
 )
-from repro.fleet import (
-    FleetBackend,
-    FleetCoordinator,
-    FleetWorker,
-)
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -130,10 +125,6 @@ __all__ = [
     "StudyDaemon",
     "ServiceConfig",
     "ServiceClient",
-    # worker fleet (repro worker / docs/fleet.md)
-    "FleetBackend",
-    "FleetCoordinator",
-    "FleetWorker",
     # deterministic fault injection (REPRO_FAULTS / docs/robustness.md)
     "FAULTS_ENV_VAR",
     "SITES",

@@ -11,10 +11,7 @@ backends differ only in wall-clock strategy:
 
 * :class:`SerialBackend` — runs tasks in order on the calling thread,
 * :class:`ProcessPoolBackend` — fans tasks out over a process pool,
-  preserving input order,
-* ``"fleet"`` (:class:`~repro.fleet.backend.FleetBackend`) — fans
-  seed-chunks out to socket-connected worker processes, possibly on other
-  machines (registered here by name; the package imports lazily).
+  preserving input order; the one parallel backend.
 
 The unit of dispatch is **not** the single task: both backends coalesce
 consecutive tasks of the same cell into ``(cell, seed-chunk)`` batches
@@ -344,19 +341,10 @@ class ProcessPoolBackend(ExecutionBackend):
 BackendLike = Union[None, str, ExecutionBackend]
 
 
-def _fleet_backend() -> ExecutionBackend:
-    # Imported lazily: repro.fleet.backend imports this module, and the
-    # fleet is only paid for (sockets, threads) when actually selected.
-    from repro.fleet.backend import FleetBackend
-
-    return FleetBackend()
-
-
 _BACKENDS: Dict[str, Callable[[], ExecutionBackend]] = {
     "serial": SerialBackend,
     "process": ProcessPoolBackend,
     "processpool": ProcessPoolBackend,
-    "fleet": _fleet_backend,
 }
 
 

@@ -49,7 +49,7 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 #: On-disk format version; bump when pickled artifact layouts change so
 #: stale entries from older code are invalidated wholesale (they live under
 #: a different ``v<N>`` directory and are simply never read again).
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 #: Internal sentinel distinguishing "nothing stored" from a stored ``None``.
 _MISSING = object()

@@ -121,26 +121,6 @@ class StoreWriteError(StoreError):
         self.committed_runs = committed_runs
 
 
-class FleetError(ReproError):
-    """Raised for fleet protocol violations and coordinator/worker failures.
-
-    Covers malformed or oversized wire frames, protocol version mismatches,
-    handshake rejections, and sweeps whose chunks exhaust their retry
-    budget across workers.
-    """
-
-
-class FleetProtocolError(FleetError):
-    """A *fatal* fleet error: retrying the connection cannot succeed.
-
-    Raised for protocol version mismatches and handshake rejections —
-    conditions where the two endpoints disagree about the wire format or
-    the coordinator has permanently refused the worker.  The worker
-    reconnect loop treats these as fatal (exit) while plain
-    :class:`OSError`/:class:`FleetError` disconnects stay retryable.
-    """
-
-
 class FaultError(ConfigurationError):
     """Raised for malformed ``REPRO_FAULTS`` fault-injection specs."""
 

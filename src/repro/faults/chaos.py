@@ -3,24 +3,24 @@
 The tier above single-site failpoint tests: generate N random (but fully
 seeded — same ``--seed`` → same schedules) fault plans from the site
 catalogue, run each one against a small reference study through **both**
-production paths, and require every surviving run to be **byte-identical**
+durable paths, and require every surviving run to be **byte-identical**
 to a clean serial baseline:
 
-* **fleet phase** — an in-process coordinator plus real
-  ``python -m repro worker`` subprocesses that inherit worker-side faults
-  (frame drops/truncation, crash-before-execute, crash-before-report)
-  through ``REPRO_FAULTS``; a supervisor respawns crashed workers.
-  Coordinator stalls and store faults (``ENOSPC``, torn shard/log
-  appends) are installed in the driving process; the sweep streams to a
-  :class:`~repro.study.store.RunStore` and is simply *re-run* after each
-  injected store failure — the committed chunks resume.
+* **store phase** — the store faults (``ENOSPC`` on fsync, torn shard and
+  chunk-log appends) are installed in the soak process itself, which runs
+  the study on a two-worker
+  :class:`~repro.engine.backends.ProcessPoolBackend` streaming to a
+  :class:`~repro.study.store.RunStore` in chunks of two seeds.  The
+  store commits chunks as the pool finishes them, which is not task
+  order.  After each injected failure the study is simply *re-run* from
+  the store until it completes — the committed chunks resume.
 * **service phase** — a real ``python -m repro serve`` daemon subprocess
   with service-side faults (torn journal appends, scheduler crash at a
   chunk boundary).  The harness restarts the daemon when a fault kills it
   and waits for the recovered, re-queued job to finish, then fetches the
   results over HTTP.
 
-Faults are *count-limited* by construction and subprocesses are respawned
+Faults are *count-limited* by construction, and the daemon is restarted
 with faults stripped after a few injected deaths, so every schedule
 terminates; what byte-identity then proves is that no injected failure —
 at any catalogued site — can corrupt or duplicate a committed result.
@@ -39,13 +39,12 @@ import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 from random import Random
 from typing import Any, Dict, List, Optional
 
-from repro.engine.backends import SerialBackend
+from repro.engine.backends import ProcessPoolBackend, SerialBackend
 from repro.exceptions import FaultError, ReproError
 from repro.faults.core import (
     CRASH_EXIT_CODE,
@@ -74,31 +73,17 @@ DEFAULT_STUDY_SPEC: Dict[str, Any] = {
                "buffer_qubits_per_node": 4},
 }
 
-#: Where each catalogued site is armed: ``worker`` sites travel to the
-#: fleet-worker subprocesses via the environment, ``driver`` sites are
-#: installed in the soak process itself (which hosts the coordinator and
-#: the run store), and ``service`` sites travel to the daemon subprocess.
-_PLACEMENT: Dict[str, str] = {
-    "fleet.frame.send": "worker",
-    "fleet.frame.recv": "worker",
-    "fleet.worker.crash_before_execute": "worker",
-    "fleet.worker.crash_before_report": "worker",
-    "fleet.coordinator.accept": "driver",
-    "fleet.coordinator.assign": "driver",
-    "store.fsync": "driver",
-    "store.shard.write": "driver",
-    "store.log.append": "driver",
-    "service.journal.append": "service",
-    "service.job.chunk": "service",
-}
-
-#: Respawns of one worker slot / daemon that still carry faults; further
-#: respawns run clean so every schedule converges.
+#: Daemon restarts that still carry faults; later lives run clean so
+#: every schedule converges.
 _FAULTY_RESPAWNS = 2
 
-#: Sweep attempts before the driver-side plan is force-uninstalled (its
-#: rules are count-limited and should exhaust well before this).
-_MAX_SWEEP_ATTEMPTS = 8
+#: Store-phase attempts before the soak gives up on a schedule.  Every
+#: store rule fires once (``count=1``), so at most three attempts fail.
+_MAX_STORE_ATTEMPTS = 8
+
+#: The phases of one schedule, named by the layer whose sites each arms:
+#: store sites fire in the soak process, service sites in the daemon.
+_PHASES = ("store", "service")
 
 
 def _rule_for(site: str, rng: Random) -> str:
@@ -108,18 +93,6 @@ def _rule_for(site: str, rng: Random) -> str:
     schedules hit the same site at different points of the run; the
     bounded ``count`` is what guarantees the soak terminates.
     """
-    if site == "fleet.frame.send":
-        return f"{site}:kind=drop,p=0.2,count=2"
-    if site == "fleet.frame.recv":
-        return f"{site}:kind=error,count=1,after={rng.randint(2, 6)}"
-    if site == "fleet.worker.crash_before_execute":
-        return f"{site}:kind=crash,count=1,after={rng.randint(0, 2)}"
-    if site == "fleet.worker.crash_before_report":
-        return f"{site}:kind=crash,count=1,after={rng.randint(0, 2)}"
-    if site == "fleet.coordinator.accept":
-        return f"{site}:kind=delay,ms=40,count=2"
-    if site == "fleet.coordinator.assign":
-        return f"{site}:kind=delay,ms=20,count=4"
     if site == "store.fsync":
         return (f"{site}:kind=error,errno=ENOSPC,count=1,"
                 f"after={rng.randint(1, 4)}")
@@ -154,10 +127,9 @@ def build_schedules(schedules: int, seed: int) -> List[Dict[str, Any]]:
         sites = sorted(names[index::schedules])
         site_rng = Random(f"chaos:{seed}:schedule:{index}")
         rules = {site: _rule_for(site, site_rng) for site in sites}
-        grouped: Dict[str, str] = {}
-        for place in ("worker", "driver", "service"):
-            grouped[place] = ";".join(
-                rules[s] for s in sites if _PLACEMENT[s] == place)
+        grouped = {phase: ";".join(rules[s] for s in sites
+                                   if SITES[s].layer == phase)
+                   for phase in _PHASES}
         plans.append({
             "index": index,
             "seed": seed * 1000 + index,
@@ -196,139 +168,43 @@ class _Log:
 
 
 # ----------------------------------------------------------------------
-# fleet phase
+# store phase
 # ----------------------------------------------------------------------
-class _WorkerPool:
-    """Supervised ``repro worker`` subprocesses carrying worker faults.
-
-    Dead workers (injected crashes report :data:`CRASH_EXIT_CODE`, like a
-    real SIGKILL) are respawned; after :data:`_FAULTY_RESPAWNS` faulty
-    lives a slot is respawned *clean* so the sweep always finishes.
-    """
-
-    def __init__(self, address: str, count: int, spec: str, seed: int,
-                 root: Path) -> None:
-        self.address = address
-        self.count = count
-        self.spec = spec
-        self.seed = seed
-        self.root = root
-        self.procs: List[Optional[subprocess.Popen]] = [None] * count
-        self.respawns = [0] * count
-        self.crashes = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def _spawn(self, slot: int, faulty: bool) -> None:
-        env = os.environ.copy()
-        env["PYTHONPATH"] = _src_pythonpath()
-        # Frame drops must cost seconds, not the default reply timeout.
-        env["REPRO_FLEET_REPLY_TIMEOUT"] = "2"
-        env.pop(FAULTS_ENV_VAR, None)
-        env.pop(FAULTS_SEED_ENV_VAR, None)
-        if faulty and self.spec:
-            env[FAULTS_ENV_VAR] = self.spec
-            env[FAULTS_SEED_ENV_VAR] = str(self.seed * 100 + slot)
-        log = open(self.root / f"worker-{slot}.log", "ab")
-        try:
-            self.procs[slot] = subprocess.Popen(
-                [sys.executable, "-m", "repro", "worker",
-                 "--connect", self.address,
-                 "--name", f"chaos-w{slot}",
-                 "--retry", "120", "--quiet"],
-                env=env, stdout=log, stderr=subprocess.STDOUT,
-            )
-        finally:
-            log.close()
-
-    def start(self) -> None:
-        for slot in range(self.count):
-            self._spawn(slot, faulty=True)
-        self._thread = threading.Thread(target=self._supervise,
-                                        name="chaos-worker-supervisor",
-                                        daemon=True)
-        self._thread.start()
-
-    def _supervise(self) -> None:
-        while not self._stop.wait(0.2):
-            for slot, proc in enumerate(self.procs):
-                if proc is None or proc.poll() is None:
-                    continue
-                if proc.returncode == CRASH_EXIT_CODE:
-                    self.crashes += 1
-                self.respawns[slot] += 1
-                self._spawn(slot,
-                            faulty=self.respawns[slot] <= _FAULTY_RESPAWNS)
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        for proc in self.procs:
-            if proc is not None and proc.poll() is None:
-                proc.terminate()
-        for proc in self.procs:
-            if proc is not None:
-                try:
-                    proc.wait(timeout=10)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    proc.kill()
-                    proc.wait(timeout=10)
-
-
-def _run_fleet_phase(plan: Dict[str, Any], spec: Dict[str, Any],
-                     baseline: str, root: Path, workers: int,
-                     timeout: float, log: _Log) -> Dict[str, Any]:
-    from repro.fleet.backend import FleetBackend
+def _run_store_phase(plan: Dict[str, Any], spec: Dict[str, Any],
+                     baseline: str, root: Path, log: _Log) -> Dict[str, Any]:
     from repro.study.study import Study
 
-    backend = FleetBackend(listen="127.0.0.1:0", chunksize=2, poll=0.05,
-                           heartbeat_timeout=6.0)
-    backend.start()
-    pool = _WorkerPool(backend.address, workers, plan["specs"]["worker"],
-                       plan["seed"], root)
-    store_path = root / "fleet-store"
-    attempts = 0
+    backend = ProcessPoolBackend(max_workers=2)
+    store_path = root / "store"
     errors: List[str] = []
     result_json: Optional[str] = None
-    install_faults(plan["specs"]["driver"] or None, seed=plan["seed"])
+    install_faults(plan["specs"]["store"] or None, seed=plan["seed"])
     try:
-        pool.start()
-        deadline = time.monotonic() + timeout
-        while result_json is None:
-            attempts += 1
+        for attempts in range(1, _MAX_STORE_ATTEMPTS + 1):
             try:
                 with Study.from_spec(spec, backend=backend) as study:
                     results = study.run(store=store_path,
                                         store_chunk_size=2)
                 result_json = results.to_json()
+                break
             except (ReproError, OSError) as error:
                 errors.append(f"{type(error).__name__}: {error}")
-                log(f"  fleet sweep attempt {attempts} failed "
+                log(f"  store run attempt {attempts} failed "
                     f"({type(error).__name__}); resuming from store")
-                if time.monotonic() > deadline:
-                    break
-                if attempts >= _MAX_SWEEP_ATTEMPTS:
-                    uninstall_faults()  # force the tail through clean
-                time.sleep(0.2)
-        driver_stats = fault_stats()
+        stats = fault_stats()
     finally:
         uninstall_faults()
-        pool.stop()
         backend.close()
     identical = result_json == baseline
     if result_json is not None:
-        (root / "fleet-results.json").write_text(result_json)
+        (root / "store-results.json").write_text(result_json)
     return {
-        "spec": {"driver": plan["specs"]["driver"],
-                 "worker": plan["specs"]["worker"]},
+        "spec": plan["specs"]["store"],
         "completed": result_json is not None,
         "identical": identical,
         "attempts": attempts,
         "injected_errors": errors,
-        "worker_crashes": pool.crashes,
-        "worker_respawns": sum(pool.respawns),
-        "driver_fault_stats": driver_stats,
+        "fault_stats": stats,
     }
 
 
@@ -458,16 +334,16 @@ def _run_service_phase(plan: Dict[str, Any], spec: Dict[str, Any],
 # the soak
 # ----------------------------------------------------------------------
 def run_chaos(schedules: int = DEFAULT_SCHEDULES, seed: int = DEFAULT_SEED,
-              *, spec: Optional[Dict[str, Any]] = None, workers: int = 2,
+              *, spec: Optional[Dict[str, Any]] = None,
               root: Optional[Path] = None, keep: bool = False,
               out: Optional[Path] = None, phase_timeout: float = 300.0,
               quiet: bool = False) -> Dict[str, Any]:
     """Run the chaos soak and return (and optionally write) its report.
 
     Every schedule must *complete* (the fault plans are count-limited and
-    subprocess respawns shed faults, so a hang is a bug) and its fleet-
-    and service-phase results must be byte-identical to the serial
-    baseline; ``report["identical"]`` is the overall verdict.
+    daemon restarts shed faults, so a hang is a bug) and its store- and
+    service-phase results must be byte-identical to the serial baseline;
+    ``report["identical"]`` is the overall verdict.
     """
     log = _Log(quiet)
     plans = build_schedules(schedules, seed)
@@ -502,13 +378,11 @@ def run_chaos(schedules: int = DEFAULT_SCHEDULES, seed: int = DEFAULT_SEED,
             sched_root.mkdir(parents=True, exist_ok=True)
             log(f"schedule {plan['index']}: sites "
                 f"{', '.join(plan['sites'])}")
-            fleet = _run_fleet_phase(plan, study_spec, baseline,
-                                     sched_root, workers, phase_timeout,
-                                     log)
-            log(f"  fleet: completed={fleet['completed']} "
-                f"identical={fleet['identical']} "
-                f"attempts={fleet['attempts']} "
-                f"crashes={fleet['worker_crashes']}")
+            store = _run_store_phase(plan, study_spec, baseline,
+                                     sched_root, log)
+            log(f"  store: completed={store['completed']} "
+                f"identical={store['identical']} "
+                f"attempts={store['attempts']}")
             service = _run_service_phase(plan, study_spec, baseline,
                                          sched_root, phase_timeout, log)
             log(f"  service: completed={service['completed']} "
@@ -519,7 +393,7 @@ def run_chaos(schedules: int = DEFAULT_SCHEDULES, seed: int = DEFAULT_SEED,
                 "seed": plan["seed"],
                 "sites": plan["sites"],
                 "rules": plan["rules"],
-                "fleet": fleet,
+                "store": store,
                 "service": service,
             })
     finally:
@@ -529,7 +403,7 @@ def run_chaos(schedules: int = DEFAULT_SCHEDULES, seed: int = DEFAULT_SEED,
         report["layers_covered"] = sorted(
             {SITES[s].layer for s in sites_covered})
         report["identical"] = bool(report["schedules"]) and all(
-            entry["fleet"]["identical"] and entry["service"]["identical"]
+            entry["store"]["identical"] and entry["service"]["identical"]
             for entry in report["schedules"])
         if out is not None:
             Path(out).parent.mkdir(parents=True, exist_ok=True)

@@ -1,26 +1,26 @@
 """Deterministic failpoints: seeded, named fault-injection sites.
 
-The durability story of this package — fsynced :class:`RunStore` commits,
-a crash-resuming job daemon, a lease-table worker fleet — promises one
-thing above all: *byte-identity under failure*.  Hand-scripted kill tests
-exercise one failure point each; this module makes failure a first-class,
-seeded, sweepable input instead (the FoundationDB "failpoint" idiom).
+The durability story of this package — fsynced :class:`RunStore` commits
+and a crash-resuming job daemon — promises one thing above all:
+*byte-identity under failure*.  Hand-scripted kill tests exercise one
+failure point each; this module makes failure a first-class, seeded,
+sweepable input instead (the FoundationDB "failpoint" idiom).
 
 A **failpoint** is a named call site threaded through a fragile layer::
 
     from repro.faults import failpoint
 
     failpoint("store.fsync")          # may raise an injected OSError
-    action = failpoint("fleet.frame.send")
-    if action is not None and action.kind == "drop":
-        return                        # site-specific interpretation
+    action = failpoint("store.log.append")
+    if action is not None and action.kind == "torn":
+        ...                           # site-specific partial write
 
 When no fault plan is installed — the default — every call is a single
 module-global ``None`` check and returns immediately: failpoints are
 zero-cost in production.  A plan is installed from a **spec string**
 (``REPRO_FAULTS`` environment variable or ``--faults`` on the CLI)::
 
-    REPRO_FAULTS="fleet.frame.send:p=0.05;store.fsync:count=1"
+    REPRO_FAULTS="store.log.append:count=1;store.fsync:p=0.5"
 
 Spec grammar (semicolon-separated rules, comma-separated params)::
 
@@ -37,7 +37,7 @@ Spec grammar (semicolon-separated rules, comma-separated params)::
       errno = symbolic errno for kind=error          (default site-specific)
 
 ``site`` may end in ``*`` to arm every catalogued site with that prefix
-(``fleet.*`` arms the whole fleet layer).  Each armed site draws from its
+(``store.*`` arms the whole store layer).  Each armed site draws from its
 own :class:`random.Random` seeded by ``(plan seed, site name)``, so a
 fault schedule **replays exactly**: same spec + same seed → the same
 evaluations fire, independent of which other sites are armed and of
@@ -51,9 +51,9 @@ Kinds and who performs them:
   mimicking ``kill -9`` at an exact, replayable instruction.
 * ``delay`` — the framework sleeps ``ms`` milliseconds, then the site
   continues normally (stalls, not failures).
-* ``drop`` / ``truncate`` / ``torn`` — returned to the call site as a
-  :class:`FaultAction`; only the site knows how to drop a frame, send a
-  partial frame, or tear a journal line.
+* ``torn`` — returned to the call site as a :class:`FaultAction`; only
+  the site knows how to tear its own append (a shard payload, a chunk-log
+  line, a journal line).
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ __all__ = [
     "uninstall_faults",
 ]
 
-#: Environment variable holding the fault spec (workers and daemons started
-#: as subprocesses inherit the schedule through it).
+#: Environment variable holding the fault spec (daemons started as
+#: subprocesses inherit the schedule through it).
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 #: Environment variable holding the integer plan seed (default 0).
@@ -100,7 +100,7 @@ FAULTS_SEED_ENV_VAR = "REPRO_FAULTS_SEED"
 #: so supervisors treat an injected crash exactly like a real one.
 CRASH_EXIT_CODE = 137
 
-_VALID_KINDS = ("error", "crash", "delay", "drop", "truncate", "torn")
+_VALID_KINDS = ("error", "crash", "delay", "torn")
 
 
 @dataclass(frozen=True)
@@ -120,34 +120,6 @@ class FaultSite:
 #: harness and ``docs/robustness.md`` enumerate the same table.
 SITES: Dict[str, FaultSite] = {
     site.name: site for site in (
-        FaultSite(
-            "fleet.frame.send", "fleet",
-            "outbound protocol frame: drop it, send a truncated prefix, "
-            "delay it, or fail the socket write",
-            kinds=("drop", "truncate", "delay", "error"),
-            default_kind="drop", default_errno="ECONNRESET"),
-        FaultSite(
-            "fleet.frame.recv", "fleet",
-            "inbound protocol frame: delay the read or fail it",
-            kinds=("delay", "error"),
-            default_kind="error", default_errno="ECONNRESET"),
-        FaultSite(
-            "fleet.worker.crash_before_execute", "fleet",
-            "worker process dies after taking a lease, before executing it",
-            kinds=("crash",), default_kind="crash"),
-        FaultSite(
-            "fleet.worker.crash_before_report", "fleet",
-            "worker process dies after executing a lease, before reporting "
-            "the result",
-            kinds=("crash",), default_kind="crash"),
-        FaultSite(
-            "fleet.coordinator.accept", "fleet",
-            "coordinator stalls after accepting a worker connection",
-            kinds=("delay",), default_kind="delay"),
-        FaultSite(
-            "fleet.coordinator.assign", "fleet",
-            "coordinator stalls while issuing a lease",
-            kinds=("delay",), default_kind="delay"),
         FaultSite(
             "service.journal.append", "service",
             "job journal tears mid-append: half the line reaches disk, "
@@ -197,9 +169,9 @@ class InjectedFault(OSError):
 class FaultAction:
     """What a fired failpoint asks its call site to do.
 
-    Returned from :func:`failpoint` only for the kinds the framework
-    cannot perform centrally (``drop``, ``truncate``, ``torn``); the
-    others (``error``, ``crash``, ``delay``) are executed before return.
+    Returned from :func:`failpoint` only for the kind the framework
+    cannot perform centrally (``torn``); the others (``error``,
+    ``crash``, ``delay``) are executed before return.
     """
 
     site: str
@@ -208,8 +180,8 @@ class FaultAction:
     errno: int = _errno_mod.EIO
 
     def error(self) -> InjectedFault:
-        """The injected error a ``torn``/``truncate`` site raises after
-        performing its partial write."""
+        """The injected error a ``torn`` site raises after performing its
+        partial write."""
         return InjectedFault(self.errno, self.site)
 
 
@@ -445,8 +417,8 @@ def failpoint(site: str) -> Optional[FaultAction]:
     Returns ``None`` when no plan is installed (the common case — one
     global check), when the site is not armed, or when its rule does not
     fire this evaluation.  Fired ``error``/``crash``/``delay`` kinds are
-    performed here; ``drop``/``truncate``/``torn`` actions are returned
-    for the call site to interpret.
+    performed here; ``torn`` actions are returned for the call site to
+    interpret.
     """
     if _PLAN is None:
         return None
@@ -480,10 +452,9 @@ def install_faults(spec: Optional[str], seed: int = 0) -> Optional[FaultPlan]:
 def install_faults_from_env(environ=None) -> Optional[FaultPlan]:
     """Install the plan named by ``REPRO_FAULTS``/``REPRO_FAULTS_SEED``.
 
-    Called by every CLI entry point (``run``/``sweep``/``serve``/
-    ``worker``) so subprocesses inherit a schedule through the
-    environment.  A malformed spec raises :class:`FaultError` rather than
-    arming nothing.
+    Called by every CLI entry point (``run``/``sweep``/``serve``) so
+    subprocesses inherit a schedule through the environment.  A malformed
+    spec raises :class:`FaultError` rather than arming nothing.
     """
     env = os.environ if environ is None else environ
     spec = env.get(FAULTS_ENV_VAR)

@@ -11,34 +11,22 @@ lookup table keyed by the number of available EPR pairs ``e``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.scheduling.policies import AdaptivePolicy
 from repro.scheduling.segmentation import CircuitSegment, segment_circuit
-from repro.scheduling.variants import (
-    SchedulingVariant,
-    SegmentVariants,
-    compile_segment_variants,
-)
+from repro.scheduling.variants import SegmentVariants, compile_segment_variants
 from repro.exceptions import SchedulingError
 
 __all__ = ["ScheduleLookupTable", "build_lookup_table"]
 
 
-@dataclass
-class LookupDecision:
-    """Record of one run-time variant selection (kept for analysis/tests)."""
-
-    segment_index: int
-    available_epr: int
-    variant: str
-    decision_time: float
-
-
 class ScheduleLookupTable:
     """Pre-compiled segment variants plus the run-time selection rule.
+
+    Read-only once built: compiled cells share one table through the
+    artifact cache, and each executor counts its own run's choices.
 
     Parameters
     ----------
@@ -55,7 +43,6 @@ class ScheduleLookupTable:
             raise SchedulingError("lookup table needs at least one segment")
         self.variants = variants
         self.policy = policy or AdaptivePolicy()
-        self.decisions: List[LookupDecision] = []
 
     # ------------------------------------------------------------------
     @property
@@ -68,10 +55,8 @@ class ScheduleLookupTable:
         return self.variants[index].segment
 
     def variant_for(self, segment_index: int, available_epr: int) -> str:
-        """The variant name the selection rule picks, without recording it.
-
-        Executors count a run's choices themselves, so replaying a shared
-        table never writes to it.
+        """The variant name the selection rule picks for a segment, given
+        the buffered EPR count; ``variants[i].get(name)`` is its ordering.
         """
         if not (0 <= segment_index < self.num_segments):
             raise SchedulingError(f"segment index {segment_index} out of range")
@@ -79,29 +64,6 @@ class ScheduleLookupTable:
             self.variants[segment_index].segment.num_remote
         )
         return self.policy.choose(available_epr, threshold)
-
-    def select(self, segment_index: int, available_epr: int,
-               decision_time: float = 0.0) -> QuantumCircuit:
-        """Select a segment variant given the buffered EPR count.
-
-        Returns the chosen ordering and records the decision.
-        """
-        variant = self.variant_for(segment_index, available_epr)
-        self.decisions.append(
-            LookupDecision(segment_index, available_epr, variant, decision_time)
-        )
-        return self.variants[segment_index].get(variant)
-
-    def variant_histogram(self) -> Dict[str, int]:
-        """How many times each variant was chosen (for reports and tests)."""
-        histogram = {name: 0 for name in SchedulingVariant.ALL}
-        for decision in self.decisions:
-            histogram[decision.variant] += 1
-        return histogram
-
-    def reset_decisions(self) -> None:
-        """Clear the recorded decisions (between simulation runs)."""
-        self.decisions = []
 
 
 def build_lookup_table(circuit: QuantumCircuit, remote_gates_per_segment: int,

@@ -90,11 +90,9 @@ class JobNotReady(ReproError):
 class ServiceConfig:
     """Tunable knobs of one daemon instance.
 
-    ``fleet`` binds a worker-fleet coordinator at ``host:port`` and runs
-    every job on the fleet backend (requires ``concurrency=1`` — the
-    coordinator owns one port).  ``job_ttl`` enables the garbage
-    collector: terminal (done/failed/cancelled) jobs older than the TTL
-    are pruned — journalled, job dir deleted, orphaned stores removed.
+    ``job_ttl`` enables the garbage collector: terminal
+    (done/failed/cancelled) jobs older than the TTL are pruned —
+    journalled, job dir deleted, orphaned stores removed.
     """
 
     data_root: Union[str, Path]
@@ -105,7 +103,6 @@ class ServiceConfig:
     backend: Optional[str] = None
     cache_dir: Union[None, str, Path] = None
     store_chunk_size: Optional[int] = None
-    fleet: Optional[str] = None
     job_ttl: Optional[float] = None
 
 
@@ -113,12 +110,6 @@ class StudyDaemon:
     """One service instance: submit, schedule, observe, and serve studies."""
 
     def __init__(self, config: ServiceConfig) -> None:
-        if config.fleet is not None and config.concurrency != 1:
-            raise ConfigurationError(
-                "the fleet coordinator owns one listening port; run "
-                "--fleet with --concurrency 1 (jobs parallelise across "
-                "the fleet's workers instead)"
-            )
         if config.job_ttl is not None and config.job_ttl < 0:
             raise ConfigurationError("job TTL cannot be negative")
         self.config = config
@@ -138,7 +129,6 @@ class StudyDaemon:
             backend=config.backend,
             concurrency=config.concurrency,
             store_chunk_size=config.store_chunk_size,
-            fleet=config.fleet,
         )
         self._server = None
         self._server_thread: Optional[threading.Thread] = None
@@ -319,9 +309,8 @@ class StudyDaemon:
         """The liveness payload (``GET /healthz``).
 
         Besides liveness, this is the operator's one-glance view: queue
-        depth, per-state job counts (``running``/``done``/… are hoisted
-        to the top level for the ``repro jobs`` header line), and — when
-        the daemon runs a fleet — the connected worker count.
+        depth and per-state job counts (``running``/``done``/… are hoisted
+        to the top level for the ``repro jobs`` header line).
         """
         counts = self.registry.state_counts()
         payload = {
@@ -337,15 +326,6 @@ class StudyDaemon:
         }
         if self.config.job_ttl is not None:
             payload["job_ttl"] = self.config.job_ttl
-        workers = self.scheduler.fleet_workers()
-        if workers is not None or self.config.fleet is not None:
-            payload["fleet"] = self.config.fleet
-            payload["fleet_workers"] = workers or 0
-            stats = self.scheduler.fleet_stats()
-            if stats is not None:
-                # The coordinator's full counters: per-worker throughput
-                # (chunks/s, seeds/s), quarantine state, steals, expiries.
-                payload["fleet_stats"] = stats
         return payload
 
     # ------------------------------------------------------------------

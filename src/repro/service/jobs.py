@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.exceptions import ReproError
 from repro.faults import crash_now, failpoint
-from repro.study.store import sync_directory
+from repro.study.store import open_for_append, read_committed_lines
 
 __all__ = ["Job", "JobState", "JobJournal", "JobRegistry", "JobError"]
 
@@ -189,15 +189,7 @@ class JobJournal:
     # ------------------------------------------------------------------
     def replay(self) -> Iterator[Dict[str, Any]]:
         """Yield every committed event, oldest first."""
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # torn tail: the append never completed
-            line = raw.strip()
-            if not line:
-                continue
+        for line in read_committed_lines(self.path)[0]:
             try:
                 event = json.loads(line.decode("utf-8"))
                 str(event["event"])
@@ -217,18 +209,7 @@ class JobJournal:
         if self._handle is not None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        created = not self.path.exists()
-        if not created:
-            data = self.path.read_bytes()
-            good = len(data)
-            if data and not data.endswith(b"\n"):
-                good = data.rfind(b"\n") + 1
-            if good < len(data):
-                with open(self.path, "rb+") as handle:
-                    handle.truncate(good)
-        self._handle = open(self.path, "ab")
-        if created:
-            sync_directory(self.path.parent)
+        self._handle = open_for_append(self.path)
 
     def append(self, event: Mapping[str, Any]) -> None:
         """Durably append one event (fsynced before returning).

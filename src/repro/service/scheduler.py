@@ -58,7 +58,6 @@ class Scheduler:
                  backend: Optional[str] = None,
                  concurrency: int = 1,
                  store_chunk_size: Optional[int] = None,
-                 fleet: Optional[str] = None,
                  ring_size: int = DEFAULT_RING_SIZE) -> None:
         if concurrency < 1:
             raise ValueError("scheduler needs at least one worker")
@@ -69,12 +68,10 @@ class Scheduler:
         self.backend_name = backend
         self.concurrency = concurrency
         self.store_chunk_size = store_chunk_size
-        self.fleet = fleet
         self._ring_size = ring_size
         self._events: Dict[str, deque] = {}
         self._latest: Dict[str, Dict[str, Any]] = {}
         self._cancel: Dict[str, threading.Event] = {}
-        self._backends: List[Any] = []
         self._state_lock = threading.Lock()
         self._stopping = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -143,65 +140,11 @@ class Scheduler:
             self._events.pop(job_id, None)
             self._latest.pop(job_id, None)
 
-    def fleet_workers(self) -> Optional[int]:
-        """Connected fleet workers across worker-thread backends.
-
-        ``None`` when no fleet backend is in play (the health endpoint
-        omits the field), else the worker-count sum.
-        """
-        with self._state_lock:
-            backends = list(self._backends)
-        counts = [backend.workers_connected() for backend in backends
-                  if hasattr(backend, "workers_connected")]
-        if not counts:
-            return None
-        return sum(counts)
-
-    def fleet_stats(self) -> Optional[Dict[str, Any]]:
-        """Coordinator counters of the fleet backend(s), for ``/healthz``.
-
-        ``None`` when no fleet backend is in play.  With the usual single
-        fleet-aware worker thread this is that coordinator's
-        :meth:`~repro.fleet.coordinator.FleetCoordinator.stats` payload —
-        per-worker throughput, quarantine state, steal/expiry counters —
-        keyed flat; with several, the per-coordinator payloads are listed
-        under ``"coordinators"``.
-        """
-        with self._state_lock:
-            backends = list(self._backends)
-        payloads = [backend.stats() for backend in backends
-                    if hasattr(backend, "workers_connected")
-                    and hasattr(backend, "stats")]
-        if not payloads:
-            return None
-        if len(payloads) == 1:
-            return payloads[0]
-        return {"coordinators": payloads}
-
     # ------------------------------------------------------------------
     # the worker loop
     # ------------------------------------------------------------------
-    def _build_backend(self):
-        """One backend per worker thread, fleet-aware.
-
-        ``--fleet HOST:PORT`` (or ``backend="fleet"``) builds a
-        :class:`~repro.fleet.backend.FleetBackend` and binds its
-        coordinator *eagerly*, so remote workers can connect — and the
-        health endpoint can count them — while the queue is still empty.
-        """
-        if self.fleet is not None \
-                or (self.backend_name or "").lower() == "fleet":
-            from repro.fleet.backend import FleetBackend
-
-            backend = FleetBackend(listen=self.fleet).start()
-        else:
-            backend = get_backend(self.backend_name)
-        with self._state_lock:
-            self._backends.append(backend)
-        return backend
-
     def _worker(self) -> None:
-        backend = self._build_backend()
+        backend = get_backend(self.backend_name)
         try:
             while not self._stopping.is_set():
                 job_id = self.queue.pop(timeout=0.2)
@@ -216,9 +159,6 @@ class Scheduler:
                     continue
                 self._run_job(self.registry.get(job_id), backend)
         finally:
-            with self._state_lock:
-                if backend in self._backends:
-                    self._backends.remove(backend)
             backend.close()
 
     def _run_job(self, job: Job, backend) -> None:

@@ -41,21 +41,15 @@ Subcommands
 
         python -m repro serve --data-root /var/lib/repro --port 8765
 
-``worker``
-    Run a fleet worker that pulls ``(cell, seed-chunk)`` leases from a
-    coordinator started by ``--backend fleet --fleet HOST:PORT`` (on a
-    sweep or the service) and executes them locally::
-
-        python -m repro worker --connect 127.0.0.1:8766
-
 ``chaos``
     Run the chaos soak: seeded random fault schedules (``REPRO_FAULTS``
-    failpoints; see ``docs/robustness.md``) over a fleet sweep and a
-    service job, each byte-compared against a serial baseline::
+    failpoints; see ``docs/robustness.md``) over a store run on a process
+    pool and a service job, each byte-compared against a serial
+    baseline::
 
         python -m repro chaos --schedules 3 --seed 9 --out soak_report.json
 
-    ``run``/``sweep``/``serve``/``worker`` also accept ``--faults SPEC``
+    ``run``/``sweep``/``serve`` also accept ``--faults SPEC``
     / ``--faults-seed S`` directly to arm a single deterministic fault
     schedule for one invocation.
 
@@ -168,11 +162,6 @@ def _add_study_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help=f"execution backend ({', '.join(list_backends())}; "
                              f"default: $REPRO_BACKEND or serial)")
-    parser.add_argument("--fleet", default=None, metavar="HOST:PORT",
-                        help="run on the fleet backend, binding the "
-                             "coordinator at HOST:PORT; workers connect "
-                             "with `repro worker --connect HOST:PORT` "
-                             "(implies --backend fleet)")
     parser.add_argument("--nodes", type=int, default=None,
                         help="QPU node count (default 2)")
     parser.add_argument("--data-qubits", type=int, default=None, metavar="N",
@@ -240,7 +229,7 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
 
     parser.add_argument("--faults", default=None, metavar="SPEC",
                         help="arm deterministic failpoints, e.g. "
-                             "'fleet.frame.send:p=0.05;store.fsync:count=1' "
+                             "'store.log.append:count=1;store.fsync:p=0.5' "
                              f"(default: ${FAULTS_ENV_VAR}; see "
                              f"docs/robustness.md for the site catalogue)")
     parser.add_argument("--faults-seed", type=int, default=None, metavar="S",
@@ -327,52 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="seeds per store chunk for fresh job stores "
                             "(default 32)")
-    serve.add_argument("--fleet", default=None, metavar="HOST:PORT",
-                       help="run jobs on the fleet backend, binding the "
-                            "coordinator at HOST:PORT so remote "
-                            "`repro worker` processes can join "
-                            "(requires --concurrency 1)")
     serve.add_argument("--job-ttl", default=None, metavar="DUR",
                        help="garbage-collect done/failed/cancelled jobs "
                             "(and their orphaned stores) older than DUR "
                             "(e.g. 90s, 30m, 12h, 7d)")
     _add_fault_options(serve)
 
-    worker = sub.add_parser(
-        "worker", help="run a fleet worker process pulling chunk leases")
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address (the sweep's --fleet "
-                             "value)")
-    worker.add_argument("--name", default=None, metavar="NAME",
-                        help="worker name in coordinator stats "
-                             "(default <hostname>-<pid>)")
-    worker.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="persistent compiled-cell cache: cells shipped "
-                             "once survive worker restarts (default: "
-                             f"${CACHE_ENV_VAR} if set, else in-memory)")
-    worker.add_argument("--retry", type=float, default=30.0, metavar="S",
-                        help="keep retrying a failed (re)connect for S "
-                             "seconds before exiting (default 30)")
-    worker.add_argument("--seed", type=int, default=None, metavar="S",
-                        help="seed the worker's RNG (reconnect-backoff "
-                             "jitter) for a replayable retry schedule "
-                             "(default: derived from the worker name)")
-    worker.add_argument("--quiet", "-q", action="store_true",
-                        help="suppress per-event log lines")
-    _add_fault_options(worker)
-
     chaos = sub.add_parser(
         "chaos", help="run the chaos soak: seeded random fault schedules "
-                      "over the fleet + service + store stack, every "
+                      "over the store and service layers, every "
                       "surviving run byte-compared to a serial baseline")
     chaos.add_argument("--schedules", type=int, default=None, metavar="N",
                        help="random fault schedules to run (default 3)")
     chaos.add_argument("--seed", type=int, default=None, metavar="S",
                        help="soak seed; the same seed replays the same "
                             "schedules exactly (default 9)")
-    chaos.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="fleet worker subprocesses per schedule "
-                            "(default 2)")
     chaos.add_argument("--root", default=None, metavar="DIR",
                        help="working directory for stores, logs, and "
                             "per-schedule results (default: a temp dir, "
@@ -384,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "artifact)")
     chaos.add_argument("--phase-timeout", type=float, default=300.0,
                        metavar="S",
-                       help="give up on one schedule phase after S seconds "
-                            "(default 300)")
+                       help="give up on one schedule's service phase after "
+                            "S seconds (default 300)")
     chaos.add_argument("--quiet", "-q", action="store_true",
                        help="suppress per-schedule progress lines")
 
@@ -482,29 +440,8 @@ def _system_overrides(args: argparse.Namespace) -> dict:
             if value is not None}
 
 
-def _resolve_backend_arg(args: argparse.Namespace):
-    """The ``--backend``/``--fleet`` flags as a backend argument.
-
-    ``--fleet HOST:PORT`` builds a bound :class:`FleetBackend` instance so
-    the coordinator address is explicit; plain ``--backend fleet`` defers
-    to ``$REPRO_FLEET_ADDR`` / the default port via the registry.
-    """
-    fleet = getattr(args, "fleet", None)
-    if fleet is None:
-        return args.backend
-    if args.backend not in (None, "fleet"):
-        raise ReproError(
-            f"--fleet selects the fleet backend; drop "
-            f"--backend {args.backend}"
-        )
-    from repro.fleet.backend import FleetBackend
-
-    return FleetBackend(listen=fleet)
-
-
 def _study_from_args(args: argparse.Namespace) -> Study:
     spec_path = getattr(args, "spec", None)
-    backend = _resolve_backend_arg(args)
     axes = [parse_axis(text) for text in (getattr(args, "axis", None) or [])]
     if spec_path is not None:
         # Flags layer on top of the spec for quick what-if runs: overrides
@@ -538,7 +475,7 @@ def _study_from_args(args: argparse.Namespace) -> Study:
         overrides = _system_overrides(args)
         if overrides:
             effective["system"] = {**(spec.get("system") or {}), **overrides}
-        return Study.from_spec(effective, backend=backend,
+        return Study.from_spec(effective, backend=args.backend,
                                cache_dir=args.cache_dir)
     if not args.benchmark and not any(a.fields == ("benchmark",)
                                       for a in axes):
@@ -555,7 +492,7 @@ def _study_from_args(args: argparse.Namespace) -> Study:
         system=(replace(SystemConfig(), **overrides) if overrides
                 else SystemConfig()),
         partition_seed=args.partition_seed or 0,
-        backend=backend,
+        backend=args.backend,
         cache_dir=args.cache_dir,
     )
 
@@ -709,7 +646,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         cache_dir=args.cache_dir,
         store_chunk_size=args.store_chunk_size,
-        fleet=args.fleet,
         job_ttl=(_parse_duration(args.job_ttl)
                  if args.job_ttl is not None else None),
     )
@@ -723,9 +659,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGTERM, _sigterm)
     print(f"repro service listening on {daemon.address} "
           f"(data root: {args.data_root})", flush=True)
-    if args.fleet:
-        print(f"repro service fleet coordinator on {args.fleet} — join with "
-              f"`python -m repro worker --connect {args.fleet}`", flush=True)
     try:
         while True:
             time.sleep(3600)
@@ -779,13 +712,9 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         print(json.dumps(listing, indent=2))
         return 0
     health = client.health()
-    header = (f"service: {health.get('queue_depth', 0)} queued, "
-              f"{health.get('running', 0)} running, "
-              f"{health.get('done', 0)} done")
-    workers = health.get("fleet_workers")
-    if workers is not None:
-        header += f", {workers} fleet worker(s) connected"
-    print(header)
+    print(f"service: {health.get('queue_depth', 0)} queued, "
+          f"{health.get('running', 0)} running, "
+          f"{health.get('done', 0)} done")
     rows = [[job["id"], job["state"], job["client"], job["priority"],
              job["total_tasks"], job["requeues"],
              _ellipsize(job.get("last_failure")), job.get("name") or ""]
@@ -836,31 +765,6 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    import signal
-
-    from repro.fleet.worker import FleetWorker
-
-    worker = FleetWorker(
-        args.connect,
-        name=args.name,
-        cache_dir=args.cache_dir,
-        retry=args.retry,
-        seed=args.seed,
-        quiet=args.quiet,
-    )
-
-    def _sigterm(_signo, _frame):
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _sigterm)
-    try:
-        return worker.run()
-    except KeyboardInterrupt:
-        worker.stop()
-        return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import DEFAULT_SCHEDULES, DEFAULT_SEED, run_chaos
 
@@ -868,7 +772,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         schedules=(args.schedules if args.schedules is not None
                    else DEFAULT_SCHEDULES),
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        workers=args.workers,
         root=Path(args.root) if args.root else None,
         keep=args.keep,
         out=Path(args.out) if args.out else None,
@@ -1079,9 +982,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         # Arm failpoints first — from the explicit flags where the command
-        # has them, else from $REPRO_FAULTS, so `repro worker` / `repro
-        # serve` subprocesses inherit a chaos schedule through their
-        # environment.  With neither present every failpoint stays inert.
+        # has them, else from $REPRO_FAULTS, so `repro serve` subprocesses
+        # inherit a chaos schedule through their environment.  With
+        # neither present every failpoint stays inert.
         from repro.faults import install_faults, install_faults_from_env
 
         if getattr(args, "faults", None):
@@ -1093,8 +996,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_run(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
         if args.command == "submit":
             return _cmd_submit(args)
         if args.command == "jobs":

@@ -30,8 +30,10 @@ serialises byte-identically to a run without a store.
 
 Crash safety relies on ordering: shard bytes are flushed and fsynced
 *before* the chunk-log line commits them, so a kill at any point leaves at
-worst an orphaned shard tail and/or a torn final log line, both of which
-:meth:`RunStore.begin` discards on the next open.  The store is
+worst an orphaned shard tail and/or a torn final log line: readers skip
+both, :meth:`RunStore.begin` truncates the shard tail, and the next
+commit truncates the torn log line (:func:`open_for_append`, the same
+appender the service journal and the bench ledger use).  The store is
 single-writer — :meth:`begin` takes an exclusive advisory lock (``flock``
 on ``lock``) so a second concurrent invocation fails immediately with
 :class:`~repro.exceptions.StoreError` instead of silently interleaving
@@ -56,10 +58,14 @@ import io
 import json
 import os
 import time
+import weakref
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Any, BinaryIO, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -79,6 +85,8 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "SHARD_FORMATS",
     "sync_directory",
+    "read_committed_lines",
+    "open_for_append",
 ]
 
 #: Seeds per store chunk when the caller does not choose one.  Small enough
@@ -332,6 +340,74 @@ def sync_directory(directory: Union[str, Path]) -> None:
         os.close(fd)
 
 
+def read_committed_lines(path: Union[str, Path]) -> Tuple[List[bytes], int]:
+    """The committed lines of an append-only JSON-lines file, and their
+    byte length.
+
+    Every such file the library writes (a store's chunk log, the service
+    journal, the bench ledger) appends one fsynced line per record, and
+    the newline that ends a line is its commit marker.  Bytes after the
+    last newline are an append a crash interrupted: never committed, so
+    left out of the lines, and the committed length ends before them.
+    Lines come back stripped, blank ones skipped; a missing file has
+    none.  Each caller parses and validates its own records.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return [], 0
+    committed = data.rfind(b"\n") + 1
+    lines = [line.strip() for line in data[:committed].split(b"\n")]
+    return [line for line in lines if line], committed
+
+
+def open_for_append(path: Union[str, Path]) -> BinaryIO:
+    """Open an append-only JSON-lines file for the next record.
+
+    A torn tail is truncated away first, so the record starts on a line
+    boundary instead of completing the torn bytes into one corrupt line;
+    creating the file fsyncs its directory, so the file itself survives a
+    power cut.  Only the last byte is read to look for a tail, so an
+    append stays O(record); a file that does end mid-line is read once
+    to find its committed length.  The caller writes and fsyncs.
+    """
+    path = Path(path)
+    created = not path.exists()
+    handle = open(path, "ab+")
+    try:
+        size = handle.seek(0, os.SEEK_END)
+        if size:
+            handle.seek(size - 1)
+            if handle.read(1) != b"\n":
+                handle.truncate(read_committed_lines(path)[1])
+                handle.seek(0, os.SEEK_END)
+    except BaseException:
+        handle.close()
+        raise
+    if created:
+        sync_directory(path.parent)
+    return handle
+
+
+#: Writer-lock handles this process holds.  ``flock`` belongs to the open
+#: file description, which a forked child (a process-pool worker) shares,
+#: so a worker that outlives :meth:`RunStore.release` would keep the store
+#: locked under its writer's live PID.  Each child closes its copies at
+#: fork: a plain ``close``, never ``LOCK_UN``, which would also release the
+#: parent's lock.
+_HELD_LOCKS: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _close_inherited_locks() -> None:
+    for handle in list(_HELD_LOCKS):
+        handle.close()
+    _HELD_LOCKS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_inherited_locks)
+
+
 def _holder_alive(holder: str) -> bool:
     """Whether the PID recorded in a lock file is a live local process.
 
@@ -544,7 +620,7 @@ class RunStore:
                 f"start one with Study.run(store=...) or --store"
             )
         store._manifest = store._read_manifest()
-        store._chunks = store._read_chunk_log(repair=False)
+        store._chunks = store._read_chunk_log()
         return store
 
     def begin(self, fingerprint: str, study: Mapping[str, Any],
@@ -555,14 +631,15 @@ class RunStore:
         ``{"benchmark", "design", "num_seeds"}`` mapping per plan cell —
         and, with ``fingerprint`` and the study description, becomes the
         durable identity of the store.  Re-opening verifies the
-        fingerprint and discards any uncommitted shard/log tail (the sign
-        of a kill mid-append).  Writing is single-writer: the exclusive
-        store lock is held until :meth:`release`.
+        fingerprint and discards any uncommitted shard tail (the sign of a
+        kill mid-append; a torn chunk-log line goes with the next
+        commit).  Writing is single-writer: the exclusive store lock is
+        held until :meth:`release`.
         """
         if self.is_started:
             self._manifest = self._read_plan_manifest(fingerprint)
             self._acquire_lock()
-            self._chunks = self._read_chunk_log(repair=True)
+            self._chunks = self._read_chunk_log()
             self._repair_shards()
             return
         (self.path / _SHARD_DIR).mkdir(parents=True, exist_ok=True)
@@ -608,7 +685,7 @@ class RunStore:
         if not self.is_started:
             return set()
         self._manifest = self._read_plan_manifest(fingerprint)
-        self._chunks = self._read_chunk_log(repair=False)
+        self._chunks = self._read_chunk_log()
         return set(self._chunks)
 
     def _read_plan_manifest(self, fingerprint: str) -> Dict[str, Any]:
@@ -631,11 +708,11 @@ class RunStore:
 
         A contended lock whose recorded holder PID is *dead* is stale —
         ``flock`` normally dies with its process, so a held lock under a
-        dead PID means the flock survives on an inherited file descriptor
-        (e.g. a forked pool worker that outlived the driver) or an odd
-        filesystem.  The takeover breaks it by unlinking the lock file and
-        locking a fresh inode: the stale flock keeps guarding the orphaned
-        inode, nobody else can reach it, and the store proceeds.  (Two
+        dead PID means the flock survives on a file descriptor another
+        process inherited, or on an odd filesystem.  The takeover breaks it
+        by unlinking the lock file and locking a fresh inode: the stale
+        flock keeps guarding the orphaned inode, nobody else can reach it,
+        and the store proceeds.  (Two
         simultaneous takeovers of the same dead holder have the classic
         tiny pidfile race; chunk commits being idempotent bounds the harm.)
         """
@@ -676,6 +753,7 @@ class RunStore:
             handle.truncate(0)
             handle.write(str(os.getpid()))
             handle.flush()
+            _HELD_LOCKS.add(handle)
             self._lock_handle = handle
             return
 
@@ -684,6 +762,7 @@ class RunStore:
         lock).  Dropped automatically when the process exits, so a killed
         study leaves the store immediately resumable."""
         if self._lock_handle is not None:
+            _HELD_LOCKS.discard(self._lock_handle)
             self._lock_handle.close()
             self._lock_handle = None
 
@@ -732,42 +811,29 @@ class RunStore:
         os.replace(tmp, self.manifest_path)
         sync_directory(self.path)
 
-    def _read_chunk_log(self, repair: bool) -> Dict[str, Dict[str, Any]]:
-        """Parse the chunk-commit log, discarding a torn final line.
+    def _read_chunk_log(self) -> Dict[str, Dict[str, Any]]:
+        """Parse the committed lines of the chunk-commit log.
 
-        A line is committed only once its trailing newline is on disk; a
-        torn tail (kill mid-append) is dropped — and, when ``repair`` is
-        set, truncated away so future appends start on a clean boundary.
-        An unreadable line *before* the tail means committed data was
+        A torn tail (kill mid-append) was never committed: it is left
+        out here, and the next commit's :func:`open_for_append` truncates
+        it away.  An unreadable *committed* line means committed data was
         damaged and raises.
         """
         entries: Dict[str, Dict[str, Any]] = {}
         path = self.chunk_log_path
-        if not path.exists():
-            return entries
-        data = path.read_bytes()
-        good = 0
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                break  # torn tail: this commit never completed
-            line = raw.strip()
-            if line:
-                try:
-                    entry = json.loads(line.decode("utf-8"))
-                    chunk_id = str(entry["id"])
-                    for key in ("cell", "start", "count", "offset", "length"):
-                        entry[key] = int(entry[key])
-                    str(entry["sha256"])
-                except (ValueError, KeyError) as error:
-                    raise StoreError(
-                        f"store chunk log {path} holds an unreadable "
-                        f"committed entry: {error}; the store is corrupt"
-                    ) from None
-                entries[chunk_id] = entry
-            good += len(raw)
-        if repair and good < len(data):
-            with open(path, "rb+") as handle:
-                handle.truncate(good)
+        for line in read_committed_lines(path)[0]:
+            try:
+                entry = json.loads(line.decode("utf-8"))
+                chunk_id = str(entry["id"])
+                for key in ("cell", "start", "count", "offset", "length"):
+                    entry[key] = int(entry[key])
+                str(entry["sha256"])
+            except (ValueError, KeyError) as error:
+                raise StoreError(
+                    f"store chunk log {path} holds an unreadable "
+                    f"committed entry: {error}; the store is corrupt"
+                ) from None
+            entries[chunk_id] = entry
         return entries
 
     def _require_manifest(self) -> Dict[str, Any]:
@@ -783,7 +849,7 @@ class RunStore:
     def _require_chunks(self) -> Dict[str, Dict[str, Any]]:
         if self._chunks is None:
             self._require_manifest()
-            self._chunks = self._read_chunk_log(repair=False)
+            self._chunks = self._read_chunk_log()
         return self._chunks
 
     def _repair_shards(self) -> None:
@@ -959,12 +1025,12 @@ class RunStore:
             }
             line = (json.dumps(entry, separators=(",", ":"))
                     + "\n").encode("utf-8")
-            log_is_new = not self.chunk_log_path.exists()
-            with open(self.chunk_log_path, "ab") as handle:
+            with open_for_append(self.chunk_log_path) as handle:
                 action = failpoint("store.log.append")
                 if action is not None and action.kind == "torn":
                     # Tear the commit line itself; without its trailing
-                    # newline it is not committed, and reopen truncates it.
+                    # newline it is not committed, and the next commit's
+                    # open truncates it.
                     handle.write(line[: max(1, len(line) // 2)])
                     handle.flush()
                     os.fsync(handle.fileno())
@@ -973,8 +1039,6 @@ class RunStore:
                 handle.flush()
                 failpoint("store.fsync")
                 os.fsync(handle.fileno())
-            if log_is_new:
-                sync_directory(self.path)
         except OSError as error:
             committed_runs = sum(e["count"] for e in chunks.values())
             raise StoreWriteError(

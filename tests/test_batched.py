@@ -484,12 +484,15 @@ def test_entanglement_setup_is_built_once_per_batch(monkeypatch):
 def test_execute_leaves_the_cells_lookup_untouched():
     cell = CellCompiler(system=SystemConfig()).compile("QAOA-r2-16",
                                                        "adapt_buf")
-    decisions = cell.lookup.decisions
+    before = dict(vars(cell.lookup))
+    variants = list(cell.lookup.variants)
     results = cell.execute_batch(SEEDS)
     cell.executor(seed=SEEDS[0]).run(cell.program,
                                      benchmark_name=cell.benchmark)
-    assert cell.lookup.decisions is decisions
-    assert decisions == []
+    after = vars(cell.lookup)
+    assert after.keys() == before.keys()
+    assert all(after[name] is before[name] for name in before)
+    assert cell.lookup.variants == variants
     assert all(sum(result.variant_histogram.values()) > 0
                for result in results)
 

@@ -179,11 +179,19 @@ class TestLedgerDurability:
         with open(path, "ab") as handle:
             handle.write(b'{"ts": 1, "run": null, "metr')
         assert ledger.history() == [{"x.run_s": 1.0}]
-        # The next append commits after the torn bytes; committed
-        # history must include it again.
-        # (Append-only: the torn tail is left in place, the reader keeps
-        # stopping at it.)
         assert len(ledger.entries()) == 1
+
+    def test_record_after_a_torn_tail_commits_a_clean_line(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = BenchLedger(path)
+        ledger.record({"x.run_s": 1.0}, run="run-1")
+        with open(path, "ab") as handle:
+            handle.write(b'{"ts": 1, "run": null, "metr')
+        # The next append drops the torn bytes instead of completing them
+        # into one unreadable committed line.
+        ledger.record({"x.run_s": 2.0}, run="run-2")
+        assert [e["run"] for e in ledger.entries()] == ["run-1", "run-2"]
+        assert path.read_bytes().count(b"\n") == 2
 
     def test_corrupt_committed_line_raises(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

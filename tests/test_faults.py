@@ -6,17 +6,17 @@ installed plan fires deterministically — same spec + same seed → the same
 evaluations fire, independent of which other sites are armed — and with
 no plan installed every failpoint is inert.  Around that sit the
 kind-specific behaviours (``error`` raises an ``OSError`` with the
-configured errno, ``crash`` exits with the SIGKILL code, ``drop``/
-``torn`` actions are returned to the site), the wire-protocol failpoints
-at frame granularity, and the chaos harness's schedule builder.
+configured errno, ``crash`` exits with the SIGKILL code, ``torn``
+actions are returned to the site), the site table in
+``docs/robustness.md``, and the chaos harness's schedule builder.
 """
 
 import errno
-import socket
+from pathlib import Path
 
 import pytest
 
-from repro.exceptions import ConfigurationError, FaultError, FleetError
+from repro.exceptions import ConfigurationError, FaultError
 from repro.faults import (
     CRASH_EXIT_CODE,
     SITES,
@@ -33,7 +33,8 @@ from repro.faults import (
 )
 from repro.faults import core as faults_core
 from repro.faults.chaos import build_schedules
-from repro.fleet import protocol
+
+ROBUSTNESS_DOC = Path(__file__).resolve().parents[1] / "docs" / "robustness.md"
 
 
 @pytest.fixture(autouse=True)
@@ -54,15 +55,17 @@ class TestSpecParsing:
 
     def test_full_rule_parses(self):
         plan = parse_faults(
-            "fleet.frame.send:kind=truncate,p=0.5,count=3,after=2")
-        state = plan._states["fleet.frame.send"]
+            "store.log.append:kind=error,p=0.5,count=3,after=2")
+        state = plan._states["store.log.append"]
         assert (state.rule.kind, state.rule.p, state.rule.count,
-                state.rule.after) == ("truncate", 0.5, 3, 2)
+                state.rule.after) == ("error", 0.5, 3, 2)
 
     def test_wildcard_arms_the_layer(self):
-        plan = parse_faults("fleet.*")
+        plan = parse_faults("store.*")
         assert plan.sites() == sorted(
-            name for name in SITES if name.startswith("fleet."))
+            name for name in SITES if name.startswith("store."))
+        assert plan.sites() == ["store.fsync", "store.log.append",
+                                "store.shard.write"]
 
     def test_multiple_rules_and_blank_chunks(self):
         plan = parse_faults("store.fsync:count=1; ;service.job.chunk")
@@ -77,6 +80,9 @@ class TestSpecParsing:
     def test_unknown_kind_raises(self):
         with pytest.raises(FaultError, match="unknown fault kind"):
             parse_faults("store.fsync:kind=explode")
+        for kind in ("drop", "truncate"):
+            with pytest.raises(FaultError, match="unknown fault kind"):
+                parse_faults(f"store.log.append:kind={kind}")
 
     def test_unsupported_kind_for_site_raises(self):
         with pytest.raises(FaultError, match="does not support kind"):
@@ -92,7 +98,7 @@ class TestSpecParsing:
 
     def test_probability_range_enforced(self):
         with pytest.raises(FaultError, match=r"\[0, 1\]"):
-            parse_faults("fleet.frame.send:p=1.5")
+            parse_faults("store.fsync:p=1.5")
 
     def test_duplicate_site_raises(self):
         with pytest.raises(FaultError, match="armed twice"):
@@ -130,27 +136,27 @@ class TestPlanSemantics:
 
     def test_unarmed_site_never_fires(self):
         plan = parse_faults("store.fsync")
-        assert plan.evaluate("fleet.frame.send") is None
+        assert plan.evaluate("service.job.chunk") is None
 
     def test_same_seed_replays_exactly(self):
         pattern = []
         for s in (7, 7):
-            plan = parse_faults("fleet.frame.send:p=0.3", seed=s)
-            pattern.append([plan.evaluate("fleet.frame.send") is not None
+            plan = parse_faults("store.log.append:p=0.3", seed=s)
+            pattern.append([plan.evaluate("store.log.append") is not None
                             for _ in range(64)])
         assert pattern[0] == pattern[1]
         assert any(pattern[0]) and not all(pattern[0])
 
     def test_fire_pattern_independent_of_other_armed_sites(self):
-        alone = parse_faults("fleet.frame.send:p=0.3", seed=7)
+        alone = parse_faults("store.log.append:p=0.3", seed=7)
         crowded = parse_faults(
-            "fleet.frame.send:p=0.3;store.fsync:p=0.5;"
+            "store.log.append:p=0.3;store.fsync:p=0.5;"
             "service.job.chunk:kind=delay,p=0.5,ms=0", seed=7)
         for _ in range(64):
             # Interleave draws at the other sites to try to perturb it.
             crowded.evaluate("store.fsync")
-            assert (alone.evaluate("fleet.frame.send") is None) == \
-                (crowded.evaluate("fleet.frame.send") is None)
+            assert (alone.evaluate("store.log.append") is None) == \
+                (crowded.evaluate("store.log.append") is None)
 
     def test_stats_count_evaluations_and_fires(self):
         plan = parse_faults("store.fsync:count=1")
@@ -184,9 +190,13 @@ class TestFailpoint:
         assert failpoint("service.job.chunk") is None
 
     def test_drop_action_returned_to_the_site(self):
-        install_faults("fleet.frame.send:count=1")
-        action = failpoint("fleet.frame.send")
-        assert action.kind == "drop"
+        # ``torn`` is a kind the framework cannot perform: it comes back
+        # to the site, which writes part of its record and then fails.
+        install_faults("store.log.append:count=1")
+        action = failpoint("store.log.append")
+        assert (action.site, action.kind) == ("store.log.append", "torn")
+        assert action.error().errno == errno.EIO
+        assert failpoint("store.log.append") is None  # count exhausted
 
     def test_crash_kind_exits_with_sigkill_code(self, monkeypatch, capsys):
         codes = []
@@ -240,44 +250,24 @@ class TestFailpoint:
 
 
 # ----------------------------------------------------------------------
-# wire-protocol failpoints at frame granularity
+# the site table operators read
 # ----------------------------------------------------------------------
-class TestProtocolFailpoints:
-    def test_dropped_frame_never_arrives(self):
-        install_faults("fleet.frame.send:count=1")
-        a, b = socket.socketpair()
-        try:
-            protocol.send_message(a, {"type": "hello", "n": 1})  # dropped
-            protocol.send_message(a, {"type": "hello", "n": 2})
-            assert protocol.recv_message(b)["n"] == 2
-        finally:
-            a.close()
-            b.close()
-
-    def test_truncated_frame_errors_after_partial_write(self):
-        install_faults("fleet.frame.send:kind=truncate,count=1")
-        a, b = socket.socketpair()
-        try:
-            with pytest.raises(InjectedFault):
-                protocol.send_message(a, {"type": "hello"})
-            a.close()
-            # The peer sees a mid-frame EOF — the torn write is visible.
-            with pytest.raises(FleetError, match="mid-frame"):
-                protocol.recv_message(b)
-        finally:
-            b.close()
-
-    def test_recv_failpoint_fails_the_read(self):
-        install_faults("fleet.frame.recv:count=1")
-        a, b = socket.socketpair()
-        try:
-            protocol.send_message(a, {"type": "hello"})
-            with pytest.raises(InjectedFault):
-                protocol.recv_message(b)
-            assert protocol.recv_message(b)["type"] == "hello"
-        finally:
-            a.close()
-            b.close()
+class TestSiteTableDocs:
+    def test_robustness_table_matches_the_catalogue(self):
+        """Every row of the ``docs/robustness.md`` site table names a
+        catalogued site with its layer and its kinds, default first."""
+        rows = {}
+        for line in ROBUSTNESS_DOC.read_text().splitlines():
+            if not line.startswith("| `"):
+                continue
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            name = cells[0].strip("`")
+            rows[name] = (cells[1],
+                          tuple(kind.strip() for kind in cells[2].split(",")))
+        assert sorted(rows) == sorted(SITES)
+        for name, site in SITES.items():
+            assert rows[name] == (site.layer, site.kinds), name
+            assert site.kinds[0] == site.default_kind, name
 
 
 # ----------------------------------------------------------------------

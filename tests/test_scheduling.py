@@ -123,24 +123,19 @@ class TestLookupTable:
     def test_build_and_select(self, remote_heavy_circuit):
         table = build_lookup_table(remote_heavy_circuit, 4)
         assert table.num_segments >= 2
-        chosen_asap = table.select(0, available_epr=100, decision_time=1.0)
-        chosen_alap = table.select(0, available_epr=0, decision_time=2.0)
-        assert chosen_asap is table.variants[0].asap
-        assert chosen_alap is table.variants[0].alap
-        histogram = table.variant_histogram()
-        assert histogram["asap"] == 1 and histogram["alap"] == 1
-
-    def test_decisions_recorded_and_reset(self, remote_heavy_circuit):
-        table = build_lookup_table(remote_heavy_circuit, 4)
-        table.select(0, 1)
-        assert len(table.decisions) == 1
-        table.reset_decisions()
-        assert table.decisions == []
+        chosen_asap = table.variant_for(0, available_epr=100)
+        chosen_alap = table.variant_for(0, available_epr=0)
+        assert (chosen_asap, chosen_alap) == (SchedulingVariant.ASAP,
+                                              SchedulingVariant.ALAP)
+        assert table.variants[0].get(chosen_asap) is table.variants[0].asap
+        assert table.variants[0].get(chosen_alap) is table.variants[0].alap
 
     def test_segment_index_validated(self, remote_heavy_circuit):
         table = build_lookup_table(remote_heavy_circuit, 4)
         with pytest.raises(SchedulingError):
-            table.select(99, 1)
+            table.variant_for(99, 1)
+        with pytest.raises(SchedulingError):
+            table.variant_for(-1, 1)
 
     def test_empty_table_rejected(self):
         with pytest.raises(SchedulingError):

@@ -659,7 +659,9 @@ class TestHealthzOperatorView:
         assert health["queue_depth"] == 0
         assert health["running"] == 0
         assert health["done"] == 0
-        assert "fleet_workers" not in health  # no fleet configured
+        assert set(health) == {"status", "uptime", "queued", "queue_depth",
+                               "running", "done", "failed", "jobs",
+                               "data_root"}
         job = client.submit(small_spec())
         client.wait(job["id"], timeout=60)
         health = client.health()
@@ -681,50 +683,6 @@ class TestHealthzOperatorView:
         assert cli_main(["jobs", "--url", client.url]) == 0
         out = capsys.readouterr().out
         assert "service: 0 queued, 0 running, 1 done" in out.splitlines()[0]
-
-
-# ----------------------------------------------------------------------
-# tentpole glue: the daemon running every job on a worker fleet
-# ----------------------------------------------------------------------
-class TestFleetService:
-    def test_fleet_requires_single_scheduler_worker(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="concurrency 1"):
-            StudyDaemon(ServiceConfig(data_root=tmp_path / "svc", port=0,
-                                      fleet="127.0.0.1:0", concurrency=2))
-
-    def test_fleet_daemon_serves_jobs_and_counts_workers(self, tmp_path):
-        from repro.engine.cache import ArtifactCache
-        from repro.fleet import FleetWorker
-
-        daemon = StudyDaemon(ServiceConfig(
-            data_root=tmp_path / "svc", port=0, store_chunk_size=1,
-            fleet="127.0.0.1:0"))
-        daemon.start()
-        worker = None
-        worker_thread = None
-        try:
-            client = ServiceClient(daemon.address, client="tester")
-            # The scheduler binds the coordinator eagerly, before any job.
-            backend = poll_until(
-                lambda: next(iter(daemon.scheduler._backends), None))
-            assert client.health()["fleet_workers"] == 0
-            worker = FleetWorker(backend.address, name="svc-w0", quiet=True,
-                                 cache=ArtifactCache())
-            worker_thread = threading.Thread(target=worker.run, daemon=True)
-            worker_thread.start()
-            poll_until(
-                lambda: client.health()["fleet_workers"] == 1, timeout=30)
-            spec = small_spec()
-            job = client.submit(spec)
-            status = client.wait(job["id"], timeout=120)
-            assert status["state"] == "done"
-            assert client.results(job["id"]) == foreground_json(spec)
-        finally:
-            if worker is not None:
-                worker.stop()
-            daemon.stop(timeout=10)
-            if worker_thread is not None:
-                worker_thread.join(timeout=10)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,9 @@ import pytest
 
 from repro import Study, SystemConfig
 from repro.analysis.report import load_results, store_status_report, summary_report
-from repro.engine.backends import ExecutionBackend, SerialBackend
+from repro.engine.backends import (
+    ExecutionBackend, ProcessPoolBackend, SerialBackend,
+)
 from repro.engine.cache import ArtifactCache
 from repro.engine.compiler import CellCompiler
 from repro.exceptions import (
@@ -152,9 +154,9 @@ class TestStoreLifecycle:
 class TestStaleLockTakeover:
     """A held flock whose recorded holder PID is dead is broken, not obeyed.
 
-    The scenario is a flock surviving on an inherited file descriptor (a
-    forked pool worker outliving the driver): the lock is genuinely held
-    at the fcntl level, but the advertised holder is gone.
+    The scenario is a flock surviving on a file descriptor another
+    process inherited: the lock is genuinely held at the fcntl level, but
+    the advertised holder is gone.
     """
 
     @staticmethod
@@ -225,6 +227,19 @@ class TestStaleLockTakeover:
                     study.run(store=store)
         finally:
             handle.close()
+
+
+    def test_pool_workers_do_not_keep_the_lock(self, tmp_path,
+                                               baseline_json):
+        # The pool forks its workers while the first run holds the lock;
+        # they close their copies, so the next run on the same warm pool
+        # (same process, live PID) takes the lock and finishes.
+        store = tmp_path / "st"
+        with ProcessPoolBackend(max_workers=2) as backend:
+            with small_study(backend=backend) as study:
+                study.run(store=store, store_chunk_size=2, max_chunks=1)
+                results = study.run(store=store, store_chunk_size=2)
+        assert results.to_json() == baseline_json
 
 
 # ----------------------------------------------------------------------

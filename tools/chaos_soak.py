@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Chaos soak runner — the CI entry point for ``repro chaos``.
 
-Runs N seeded random fault schedules over the fleet + service + store
-stack and byte-compares every surviving run against a clean serial
-baseline (see ``src/repro/faults/chaos.py`` and ``docs/robustness.md``).
+Runs N seeded random fault schedules over the store and service layers
+(a store run resumed on a two-worker process pool, and a job on a real
+``repro serve`` daemon) and byte-compares every surviving run against a
+clean serial baseline (see ``src/repro/faults/chaos.py`` and
+``docs/robustness.md``).
 Exits non-zero if any schedule diverges or fails to complete::
 
     python tools/chaos_soak.py --schedules 3 --seed 9 --out soak_report.json
