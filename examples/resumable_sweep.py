@@ -74,8 +74,7 @@ def main() -> None:
     print("  resumed result is byte-identical to the uninterrupted run")
 
     # Bonus: aggregate the store without materialising its records.
-    stats = aggregate_stream(RunStore.load(store).iter_records(),
-                             "depth", by="design")
+    stats = aggregate_stream(store, "depth", by="design")
     for design, summary in stats.items():
         print(f"  {design:9s} depth {summary.mean:7.2f} ± {summary.std:.2f}")
     print(f"\nstore kept at {store} — delete when done, or point "

@@ -48,19 +48,9 @@ from repro.core import (
     DQCSimulator,
     SystemConfig,
 )
-from repro.engine import (
-    CellCompiler,
-    CompiledCell,
-    ProcessPoolBackend,
-    SerialBackend,
-)
-from repro.hardware import DQCArchitecture, two_node_architecture
-from repro.partitioning import DistributedProgram, distribute_circuit
-from repro.runtime import DesignExecutor, ExecutionResult, execute_design
+from repro.runtime import ExecutionResult
 from repro.study import (
     Axis,
-    ExecutionPlan,
-    GridSpec,
     ProgressEvent,
     ResultSet,
     RunRecord,
@@ -73,24 +63,12 @@ __version__ = "1.1.0"
 
 __all__ = [
     "QuantumCircuit",
-    "distribute_circuit",
-    "DistributedProgram",
-    "DQCArchitecture",
-    "two_node_architecture",
-    "DesignExecutor",
-    "execute_design",
     "ExecutionResult",
     "DQCSimulator",
     "SystemConfig",
     "PAPER_32Q_SYSTEM",
     "PAPER_64Q_SYSTEM",
-    "CellCompiler",
-    "CompiledCell",
-    "SerialBackend",
-    "ProcessPoolBackend",
     "Axis",
-    "GridSpec",
-    "ExecutionPlan",
     "RunRecord",
     "ResultSet",
     "RunStore",

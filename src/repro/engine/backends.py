@@ -226,11 +226,13 @@ class ProcessPoolBackend(ExecutionBackend):
     max_workers:
         Worker process count.  The default uses every usable CPU (scheduler
         affinity when available) and is never 1 on a multi-core machine.
-    chunksize:
-        Maximum seeds per dispatched batch; by default sized so every
-        worker receives about :data:`_CHUNKS_PER_WORKER` batches
-        (``ceil(num_tasks / (workers * 4))``), balancing load without
-        degenerating into per-run dispatch.
+
+    Batches are sized so every worker receives about
+    :data:`_CHUNKS_PER_WORKER` of them (``ceil(num_tasks / (workers * 4))``
+    seeds, capped by the sink's ``chunk_size`` hint), balancing load
+    without degenerating into per-run dispatch.  When the sink raises,
+    batches not yet handed to a worker are cancelled before the error
+    propagates.
 
     The pool is created lazily on the first :meth:`execute` call and reused
     until :meth:`close`, so sweeps pay the worker start-up cost once.
@@ -249,14 +251,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, max_workers: Optional[int] = None,
-                 chunksize: Optional[int] = None) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError("process backend needs at least one worker")
-        if chunksize is not None and chunksize < 1:
-            raise ConfigurationError("chunksize must be positive")
         self.max_workers = max_workers
-        self.chunksize = chunksize
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_cells: Dict[str, CompiledCell] = {}
 
@@ -290,11 +288,6 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         return self._pool
 
-    def _chunk_size(self, num_tasks: int) -> int:
-        if self.chunksize is not None:
-            return self.chunksize
-        return max(1, math.ceil(num_tasks / (self._workers() * _CHUNKS_PER_WORKER)))
-
     def execute(self, tasks: Sequence[ExecutionTask],
                 sink: Optional[ResultSink] = None) -> List[ExecutionResult]:
         tasks = list(tasks)
@@ -302,7 +295,8 @@ class ProcessPoolBackend(ExecutionBackend):
             return []
         if self._workers() == 1:
             return SerialBackend().execute(tasks, sink=sink)
-        chunk_size = self._chunk_size(len(tasks))
+        chunk_size = max(1, math.ceil(
+            len(tasks) / (self._workers() * _CHUNKS_PER_WORKER)))
         hint = _sink_chunk_hint(sink)
         if hint is not None:
             chunk_size = min(chunk_size, hint)
@@ -318,11 +312,19 @@ class ProcessPoolBackend(ExecutionBackend):
         # Collect in completion order so the sink observes (and can persist)
         # chunks the moment workers finish them, then reassemble positionally.
         collected: Dict[int, List[ExecutionResult]] = {}
-        for future in as_completed(start_of):
-            batch = future.result()
-            if sink is not None:
-                sink(start_of[future], batch)
-            collected[start_of[future]] = batch
+        try:
+            for future in as_completed(start_of):
+                batch = future.result()
+                if sink is not None:
+                    sink(start_of[future], batch)
+                collected[start_of[future]] = batch
+        except BaseException:
+            # A failing sink (a store write, a cancelled job) or chunk ends
+            # the call: queued chunks would only compute thrown-away results
+            # ahead of the pool's next call.  Running ones still finish.
+            for future in start_of:
+                future.cancel()
+            raise
         results: List[ExecutionResult] = []
         for start in sorted(collected):
             results.extend(collected[start])

@@ -208,14 +208,6 @@ def _add_study_options(parser: argparse.ArgumentParser) -> None:
                         help="seeds per store chunk for a fresh store "
                              "(default 32; an existing store keeps its "
                              "committed layout)")
-    parser.add_argument("--store-format", default=None,
-                        choices=("jsonl", "npz"), metavar="FMT",
-                        help="shard encoding for a fresh store (needs "
-                             "--store): 'jsonl' (default, one JSON line "
-                             "per record) or 'npz' "
-                             "(columnar binary; ~10x faster load/aggregate "
-                             "at scale, byte-identical results); an "
-                             "existing store keeps its committed format")
     parser.add_argument("--json-progress", action="store_true",
                         help="emit one JSON progress object per completed "
                              "chunk on stdout (suppresses the summary "
@@ -554,14 +546,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--resume: {store_path} holds no started study; drop "
                 f"--resume to start one, or check the store path"
             )
-    if args.store_format is not None and store_path is None:
-        raise ReproError("--store-format needs --store DIR")
     if args.max_chunks is not None and args.max_chunks < 0:
         raise ReproError("--max-chunks cannot be negative")
     study = _study_from_args(args)
     plan = study.plan()
-    store = (RunStore(store_path, chunk_size=args.store_chunk_size,
-                      shard_format=args.store_format)
+    store = (RunStore(store_path, chunk_size=args.store_chunk_size)
              if store_path is not None else None)
     # Only runs that persist or stop early draw the progress line.
     streamed = store is not None or args.max_chunks is not None

@@ -271,7 +271,7 @@ class ResultSet:
 
     Storage is columnar: one numpy array per fixed column plus an object
     array of per-record parameter dicts.  The ``records`` list is a lazy
-    view — sets loaded from binary stores or produced by ``filter`` /
+    view — sets loaded from run stores or produced by ``filter`` /
     ``group_by`` never materialise python record objects until something
     actually touches ``records``.
     """
@@ -298,8 +298,8 @@ class ResultSet:
         """Build a set straight from column value sequences (no records).
 
         ``columns`` must hold every fixed field; ``params`` is one mapping
-        per record.  Used by the binary store loaders, which read columns
-        off disk and never pay for record materialisation.
+        per record.  Used by the run-store loader, which decodes columns
+        off disk and never pays for record materialisation.
         """
         rs = cls.__new__(cls)
         rs.metadata = dict(metadata or {})
@@ -312,9 +312,7 @@ class ResultSet:
                 raise ConfigurationError(
                     f"columnar result set is missing column {name!r}"
                 )
-            column = columns[name]
-            packed = (column if isinstance(column, np.ndarray)
-                      else _pack_column(list(column)))
+            packed = _pack_column(list(columns[name]))
             if len(packed) != rs._n:
                 raise ConfigurationError(
                     f"column {name!r} holds {len(packed)} values for "
@@ -659,8 +657,7 @@ class ResultSet:
         ``source`` is a store directory (or an open store).  Records are
         streamed shard by shard in plan order, so the result — including
         its ``to_json`` text — is byte-identical to what ``Study.run``
-        returned for the same plan, whatever shard format the store uses.
-        An incomplete store raises
+        returned for the same plan.  An incomplete store raises
         :class:`~repro.exceptions.StoreError` unless ``allow_partial``;
         for aggregation that never materialises the set at all, pass the
         store straight to :func:`aggregate_stream` instead.
@@ -713,12 +710,11 @@ def aggregate_stream(source: Any, metric: str,
 
     ``source`` is an open :class:`~repro.study.store.RunStore`, a store
     directory path, or any iterable of records.  Given a store, only the
-    requested columns are decoded — one shard chunk at a time, straight
-    from the column blocks for binary shards — and only the grouped metric
-    values (floats) are held, never the records themselves, so a
-    million-run store aggregates in bounded memory.  Group keys, value
-    order, and therefore the statistics are identical to materialising the
-    set and calling ``aggregate``.
+    requested columns are decoded — one shard chunk at a time — and only
+    the grouped metric values (floats) are held, never the records
+    themselves, so a million-run store aggregates in bounded memory.
+    Group keys, value order, and therefore the statistics are identical to
+    materialising the set and calling ``aggregate``.
 
     A metric or group column absent from the store raises
     :class:`~repro.exceptions.StoreError` naming the available columns.

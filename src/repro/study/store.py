@@ -6,9 +6,7 @@ off instead of losing everything held in memory:
 
 * every ``(cell, seed-chunk)`` batch is appended to an **append-only
   shard** (one shard per plan cell) the moment the backend completes it —
-  one JSON line per run record in the default ``jsonl`` format, or one
-  self-contained columnar npz blob per chunk in the binary ``npz`` format
-  (``shard_format="npz"`` / ``--store-format npz``),
+  one JSON line per run record,
 * an immutable **manifest** (``manifest.json``, written once via temp-file
   + ``os.replace``) records the store's identity — plan fingerprint, study
   description, cell layout, chunk size — and
@@ -41,33 +39,28 @@ appends; reads need no lock.  A shard shorter than its committed length, a
 checksum mismatch, or an unparsable committed line all raise
 :class:`~repro.exceptions.StoreError` naming the file.
 
-The shard format is part of the store's durable identity: the manifest
-carries a ``format`` tag (absent means ``jsonl``, the default and the
-format every pre-existing store uses) and npz-format stores bump the
-manifest ``schema`` so older readers fail loudly instead of misreading
-binary shards.  Everything above the shard encoding — manifest, chunk log,
-fsync ordering, torn-tail repair, locking, corruption detection — is
-identical for both formats, and reads are format-agnostic: ``status``,
-``iter_records``, ``load_results``, and resume work the same way on either.
+Every read decodes shard bytes through one column decoder,
+:func:`decode_chunk_columns`: :meth:`RunStore.load_results` keeps its
+columns, :meth:`RunStore.read_chunk` and :meth:`RunStore.iter_records`
+build records from them.  The manifest carries ``"schema": 1`` and
+``"format": "jsonl"``; a manifest of the retired binary ``npz`` format
+(schema 2) is refused with :class:`~repro.exceptions.StoreError`, never
+misread.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import time
 import weakref
-import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any, BinaryIO, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
     Union,
 )
-
-import numpy as np
 
 from repro.exceptions import ConfigurationError, StoreError, StoreWriteError
 from repro.faults import failpoint
@@ -83,7 +76,6 @@ __all__ = [
     "encode_chunk",
     "decode_chunk",
     "DEFAULT_CHUNK_SIZE",
-    "SHARD_FORMATS",
     "sync_directory",
     "read_committed_lines",
     "open_for_append",
@@ -100,76 +92,10 @@ _CHUNK_LOG = "chunks.log"
 _LOCK = "lock"
 _SHARD_DIR = "shards"
 
-#: Shard encodings a store can be created with.  ``jsonl`` (the default)
-#: keeps one human-greppable JSON line per record; ``npz`` packs each chunk
-#: into one columnar numpy archive — one typed array per metric column —
-#: which loads and aggregates an order of magnitude faster at scale.
-SHARD_FORMATS = ("jsonl", "npz")
-
-_SHARD_SUFFIX = {"jsonl": "jsonl", "npz": "npz"}
-
-#: Suffix marking an npz member that holds per-value JSON text instead of a
-#: typed array — the exact fallback for columns numpy cannot represent
-#: losslessly (mixed types, bools, None, huge ints, strings with NULs).
-_NPZ_JSON = "__json"
-
 
 # ----------------------------------------------------------------------
-# chunk codecs
+# chunk codec
 # ----------------------------------------------------------------------
-def _npz_pack(arrays: Dict[str, np.ndarray], name: str,
-              values: List[Any]) -> None:
-    """Store one column as the tightest *lossless* npz member.
-
-    Uniform float64 / int64 / unicode arrays round-trip python floats,
-    ints, and NUL-free strings exactly; every other column falls back to a
-    ``<name>__json`` member holding one compact JSON document per value,
-    which round-trips anything a record can legally contain (params are
-    JSON-compatible by contract).  No member ever needs pickle, so the
-    format stays portable and safe to load.
-    """
-    kinds = {type(v) for v in values}
-    if values:
-        if kinds == {str}:
-            if not any("\x00" in v for v in values):
-                arrays[name] = np.array(values, dtype=np.str_)
-                return
-        elif kinds == {float}:
-            arrays[name] = np.array(values, dtype=np.float64)
-            return
-        elif kinds == {int}:
-            try:
-                arrays[name] = np.array(values, dtype=np.int64)
-                return
-            except OverflowError:
-                pass
-    arrays[name + _NPZ_JSON] = np.array(
-        [json.dumps(v, separators=(",", ":")) for v in values],
-        dtype=np.str_)
-
-
-def _npz_member(npz: Any, name: str) -> Optional[List[Any]]:
-    """Decode one column from an open npz archive (None if absent)."""
-    if name in npz.files:
-        return npz[name].tolist()
-    if name + _NPZ_JSON in npz.files:
-        return [json.loads(text) for text in npz[name + _NPZ_JSON].tolist()]
-    return None
-
-
-def _npz_available(npz: Any) -> List[str]:
-    return sorted({member[:-len(_NPZ_JSON)]
-                   if member.endswith(_NPZ_JSON) else member
-                   for member in npz.files})
-
-
-def _npz_open(data: bytes) -> Any:
-    try:
-        return np.load(io.BytesIO(data), allow_pickle=False)
-    except (ValueError, OSError, zipfile.BadZipFile, KeyError) as error:
-        raise StoreError(f"not an npz chunk: {error}") from None
-
-
 def _missing_column_error(field: str, available: Sequence[str]) -> StoreError:
     metrics = [name for name in METRIC_FIELDS if name in available]
     params = [name for name in available
@@ -182,43 +108,9 @@ def _missing_column_error(field: str, available: Sequence[str]) -> StoreError:
     )
 
 
-def _npz_params(npz: Any) -> List[Dict[str, Any]]:
-    """Decode the per-record parameter mappings of one npz chunk.
-
-    Params are stored deduplicated — a chunk covers one plan cell, so its
-    records almost always share a single coordinate mapping — as an index
-    array over distinct JSON documents.  Records with equal params share
-    one decoded dict object.
-    """
-    if ("params_unique" + _NPZ_JSON not in npz.files
-            or "params_index" not in npz.files):
-        raise StoreError("npz chunk is missing its params columns")
-    unique = [json.loads(text)
-              for text in npz["params_unique" + _NPZ_JSON].tolist()]
-    try:
-        return [unique[i] for i in npz["params_index"].tolist()]
-    except IndexError:
-        raise StoreError("npz chunk params index is out of range") from None
-
-
-def encode_chunk(records: Sequence[RunRecord], shard_format: str) -> bytes:
-    """Serialise one chunk's records into shard bytes for ``shard_format``."""
-    if shard_format == "npz":
-        arrays: Dict[str, np.ndarray] = {}
-        for name in KEY_FIELDS + METRIC_FIELDS:
-            _npz_pack(arrays, name, [getattr(r, name) for r in records])
-        unique: Dict[str, int] = {}
-        index = [
-            unique.setdefault(
-                json.dumps(r.params, separators=(",", ":")), len(unique))
-            for r in records
-        ]
-        arrays["params_index"] = np.array(index, dtype=np.int32)
-        arrays["params_unique" + _NPZ_JSON] = np.array(
-            list(unique), dtype=np.str_)
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        return buffer.getvalue()
+def encode_chunk(records: Sequence[RunRecord]) -> bytes:
+    """Serialise one chunk's records into shard bytes: one compact JSON
+    line per record."""
     lines = [json.dumps(record.to_dict(), separators=(",", ":"))
              for record in records]
     if not lines:
@@ -226,64 +118,36 @@ def encode_chunk(records: Sequence[RunRecord], shard_format: str) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def decode_chunk(data: bytes, shard_format: str) -> List[RunRecord]:
+def decode_chunk(data: bytes) -> List[RunRecord]:
     """Rebuild one chunk's records from shard bytes (``encode_chunk``'s
-    inverse).  Raises :class:`~repro.exceptions.StoreError` on malformed
-    bytes or a missing column, naming what is available."""
-    if shard_format == "npz":
-        columns, params = decode_chunk_columns(data, "npz", None)
-        count = len(params)
-        return [
-            RunRecord(**{name: columns[name][i]
-                         for name in KEY_FIELDS + METRIC_FIELDS},
-                      params=dict(params[i]))
-            for i in range(count)
-        ]
-    lines = data.decode("utf-8").splitlines()
-    try:
-        return [RunRecord.from_dict(json.loads(line)) for line in lines]
-    except (json.JSONDecodeError, ConfigurationError) as error:
-        raise StoreError(f"unreadable record: {error}") from None
+    inverse), through :func:`decode_chunk_columns`.  Raises
+    :class:`~repro.exceptions.StoreError` on malformed bytes or a missing
+    column."""
+    return _records(*decode_chunk_columns(data))
 
 
-def decode_chunk_columns(data: bytes, shard_format: str,
-                         fields: Optional[Sequence[str]]):
-    """Decode only the requested columns of one chunk.
+def _records(columns: Mapping[str, List[Any]],
+             params: List[Dict[str, Any]]) -> List[RunRecord]:
+    return [
+        RunRecord(**{name: columns[name][i] for name in FIXED_FIELDS},
+                  params=params[i])
+        for i in range(len(params))
+    ]
 
-    Returns ``(columns, params)`` where ``columns`` maps each requested
-    field to its value list.  ``fields=None`` decodes every fixed column
-    plus the parameter mappings (the full-load path); otherwise ``params``
-    is empty and a field may also name a swept parameter.  Binary shards
-    pay only for the members actually requested.
+
+def decode_chunk_columns(data: bytes, fields: Optional[Sequence[str]] = None
+                         ) -> Tuple[Dict[str, List[Any]],
+                                    List[Dict[str, Any]]]:
+    """Decode one chunk's shard bytes into columns: the store's one decoder.
+
+    Returns ``(columns, params)``.  ``columns`` maps each field to its value
+    list: every fixed column when ``fields`` is None, otherwise each
+    requested field, which may also name a swept parameter.  ``params``
+    holds one parameter mapping per record.  The chunk's lines are parsed
+    in one ``json.loads``; malformed bytes, or a field no record holds,
+    raise :class:`~repro.exceptions.StoreError`, the latter naming what is
+    available.
     """
-    if shard_format == "npz":
-        with _npz_open(data) as npz:
-            if fields is None:
-                columns = {}
-                for name in KEY_FIELDS + METRIC_FIELDS:
-                    member = _npz_member(npz, name)
-                    if member is None:
-                        raise _missing_column_error(name, _npz_available(npz))
-                    columns[name] = member
-                return columns, _npz_params(npz)
-            columns = {}
-            param_rows: Optional[List[Dict[str, Any]]] = None
-            for field in fields:
-                member = _npz_member(npz, field)
-                if member is not None:
-                    columns[field] = member
-                    continue
-                if param_rows is None:
-                    param_rows = _npz_params(npz)
-                try:
-                    columns[field] = [row[field] for row in param_rows]
-                except KeyError:
-                    available = set(_npz_available(npz))
-                    for row in param_rows:
-                        available.update(row)
-                    raise _missing_column_error(
-                        field, sorted(available)) from None
-            return columns, []
     try:
         lines = data.decode("utf-8").splitlines()
         # One parse per chunk: the lines joined into one JSON array.
@@ -292,6 +156,8 @@ def decode_chunk_columns(data: bytes, shard_format: str,
         raise StoreError(f"unreadable record: {error}") from None
     if len(rows) != len(lines) or not all(type(row) is dict for row in rows):
         raise StoreError("unreadable record: a line is not one JSON object")
+    # Like RunRecord.from_dict: a row without params swept nothing.
+    params = [row.get("params", {}) for row in rows]
     if fields is None:
         try:
             columns = {name: [row[name] for row in rows]
@@ -300,8 +166,7 @@ def decode_chunk_columns(data: bytes, shard_format: str,
             raise StoreError(
                 f"record row is missing column {error.args[0]!r}"
             ) from None
-        # Like RunRecord.from_dict: a row without params swept nothing.
-        return columns, [row.get("params", {}) for row in rows]
+        return columns, params
     columns = {}
     for field in fields:
         values = []
@@ -309,13 +174,13 @@ def decode_chunk_columns(data: bytes, shard_format: str,
             if field in row and field != "params":
                 values.append(row[field])
             else:
-                params = row.get("params") or {}
-                if field not in params:
+                row_params = row.get("params") or {}
+                if field not in row_params:
                     raise _missing_column_error(
-                        field, [*row, *params])
-                values.append(params[field])
+                        field, [*row, *row_params])
+                values.append(row_params[field])
         columns[field] = values
-    return columns, []
+    return columns, params
 
 
 def sync_directory(directory: Union[str, Path]) -> None:
@@ -553,11 +418,6 @@ class RunStore:
         Seeds per chunk for a *fresh* store.  A store that already holds a
         manifest keeps its committed layout — chunk boundaries are part of
         the durable state — and this argument is ignored on resume.
-    shard_format:
-        Shard encoding for a *fresh* store: ``"jsonl"`` (default) or
-        ``"npz"`` (columnar binary, see :data:`SHARD_FORMATS`).  Like the
-        chunk size, the committed format wins on resume, and every read
-        path is format-agnostic.
 
     A store is bound to one plan: :meth:`begin` either initialises the
     directory with the study's plan fingerprint or verifies that the
@@ -569,25 +429,13 @@ class RunStore:
     """
 
     SCHEMA_VERSION = 1
-    #: Manifest schema written by npz-format stores.  Bumped past
-    #: :data:`SCHEMA_VERSION` so pre-npz readers reject binary shards
-    #: loudly instead of parsing them as JSONL.
-    NPZ_SCHEMA_VERSION = 2
-    SUPPORTED_SCHEMAS = (1, 2)
 
     def __init__(self, path: Union[str, Path],
-                 chunk_size: Optional[int] = None,
-                 shard_format: Optional[str] = None) -> None:
+                 chunk_size: Optional[int] = None) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError("store chunk size must be positive")
-        if shard_format is not None and shard_format not in SHARD_FORMATS:
-            raise ConfigurationError(
-                f"unknown store shard format {shard_format!r} "
-                f"(choose from: {', '.join(SHARD_FORMATS)})"
-            )
         self.path = Path(path)
         self._requested_chunk_size = chunk_size
-        self._requested_format = shard_format
         self._manifest: Optional[Dict[str, Any]] = None
         self._chunks: Optional[Dict[str, Dict[str, Any]]] = None
         self._lock_handle = None
@@ -646,12 +494,9 @@ class RunStore:
         self._acquire_lock()
         total_tasks = sum(int(cell["num_seeds"]) for cell in cells)
         chunk_size = self._requested_chunk_size or DEFAULT_CHUNK_SIZE
-        shard_format = self._requested_format or "jsonl"
-        suffix = _SHARD_SUFFIX[shard_format]
         self._manifest = {
-            "schema": (self.NPZ_SCHEMA_VERSION if shard_format == "npz"
-                       else self.SCHEMA_VERSION),
-            "format": shard_format,
+            "schema": self.SCHEMA_VERSION,
+            "format": "jsonl",
             "fingerprint": fingerprint,
             "chunk_size": chunk_size,
             "study": dict(study),
@@ -660,7 +505,7 @@ class RunStore:
                     "benchmark": str(cell["benchmark"]),
                     "design": str(cell["design"]),
                     "num_seeds": int(cell["num_seeds"]),
-                    "shard": f"{_SHARD_DIR}/cell-{index:05d}.{suffix}",
+                    "shard": f"{_SHARD_DIR}/cell-{index:05d}.jsonl",
                 }
                 for index, cell in enumerate(cells)
             ],
@@ -781,21 +626,27 @@ class RunStore:
                 f"{self.manifest_path} is not a run-store manifest"
             )
         schema = manifest.get("schema")
-        if schema not in self.SUPPORTED_SCHEMAS:
-            supported = ", ".join(str(s) for s in self.SUPPORTED_SCHEMAS)
+        fmt = manifest.get("format", "jsonl")
+        # Schema 2 is the manifest of the retired binary npz format.
+        if schema == 2 or fmt == "npz":
+            raise StoreError(
+                f"{self.path} is an npz-format run store, and npz shards "
+                f"are no longer read; re-run the study into a fresh --store "
+                f"directory (execution is deterministic per seed, so the "
+                f"re-run reproduces the same results)"
+            )
+        if schema != self.SCHEMA_VERSION:
             raise StoreError(
                 f"unsupported store schema {schema!r} in {self.manifest_path} "
-                f"(this build reads schemas {supported}); the store was "
-                f"written by a newer repro — upgrade this checkout, or "
+                f"(this build reads schema {self.SCHEMA_VERSION}); the store "
+                f"was written by a newer repro — upgrade this checkout, or "
                 f"re-run the study into a fresh --store directory to "
                 f"rewrite it in a supported format"
             )
-        shard_format = manifest.get("format", "jsonl")
-        if shard_format not in SHARD_FORMATS:
+        if fmt != "jsonl":
             raise StoreError(
-                f"unknown shard format {shard_format!r} in "
-                f"{self.manifest_path} (this build supports: "
-                f"{', '.join(SHARD_FORMATS)})"
+                f"unknown shard format {fmt!r} in "
+                f"{self.manifest_path} (this build reads jsonl)"
             )
         return manifest
 
@@ -894,15 +745,6 @@ class RunStore:
         return self._requested_chunk_size or DEFAULT_CHUNK_SIZE
 
     @property
-    def shard_format(self) -> str:
-        """Shard encoding (the committed format once the store is open)."""
-        if self._manifest is not None:
-            return str(self._manifest.get("format", "jsonl"))
-        if self.is_started:
-            return str(self._require_manifest().get("format", "jsonl"))
-        return self._requested_format or "jsonl"
-
-    @property
     def fingerprint(self) -> str:
         """Plan fingerprint the store is bound to."""
         return str(self._require_manifest()["fingerprint"])
@@ -947,7 +789,6 @@ class RunStore:
             "path": str(self.path),
             "name": manifest["study"].get("name"),
             "fingerprint": manifest["fingerprint"],
-            "format": manifest.get("format", "jsonl"),
             "chunk_size": int(manifest["chunk_size"]),
             "cells": len(manifest["cells"]),
             "benchmarks": benchmarks,
@@ -990,7 +831,7 @@ class RunStore:
             )
         if chunk.id in chunks:
             return  # already durable; re-commits are harmless no-ops
-        data = encode_chunk(records, self.shard_format)
+        data = encode_chunk(records)
         shard = self.path / manifest["cells"][chunk.cell]["shard"]
         try:
             shard_is_new = not shard.exists()
@@ -1086,53 +927,15 @@ class RunStore:
             )
         return data, shard, entry
 
-    def read_chunk(self, chunk: StoreChunk) -> List[RunRecord]:
-        """Read back one committed chunk, verifying its integrity."""
-        data, shard, entry = self._read_chunk_bytes(chunk)
-        if self.shard_format == "jsonl":
-            lines = data.decode("utf-8").splitlines()
-            if len(lines) != entry["count"]:
-                raise StoreError(
-                    f"store shard {shard} holds {len(lines)} records for "
-                    f"chunk {chunk.id}, expected {entry['count']}; the "
-                    f"store is corrupt"
-                )
-            try:
-                return [RunRecord.from_dict(json.loads(line))
-                        for line in lines]
-            except (json.JSONDecodeError, ConfigurationError) as error:
-                raise StoreError(
-                    f"store shard {shard} holds an unreadable record in "
-                    f"chunk {chunk.id}: {error}; the store is corrupt"
-                ) from None
-        try:
-            records = decode_chunk(data, self.shard_format)
-        except StoreError as error:
-            raise StoreError(
-                f"store shard {shard} holds an unreadable record in chunk "
-                f"{chunk.id}: {error}; the store is corrupt"
-            ) from None
-        if len(records) != entry["count"]:
-            raise StoreError(
-                f"store shard {shard} holds {len(records)} records for "
-                f"chunk {chunk.id}, expected {entry['count']}; the store "
-                f"is corrupt"
-            )
-        return records
-
-    def read_chunk_columns(self, chunk: StoreChunk,
-                           fields: Sequence[str]) -> Dict[str, List[Any]]:
-        """Read only the requested columns of one committed chunk.
-
-        ``fields`` may name fixed record columns or swept parameters.
-        Binary shards decode just the requested members; a field absent
-        from the store raises :class:`~repro.exceptions.StoreError` naming
-        the available metric columns and swept parameters.
-        """
+    def _read_chunk_block(self, chunk: StoreChunk,
+                          fields: Optional[Sequence[str]] = None
+                          ) -> Tuple[Dict[str, List[Any]],
+                                     List[Dict[str, Any]]]:
+        """One committed chunk, verified and decoded by
+        :func:`decode_chunk_columns` into ``(columns, params)``."""
         data, shard, entry = self._read_chunk_bytes(chunk)
         try:
-            columns, _ = decode_chunk_columns(data, self.shard_format,
-                                              list(fields))
+            columns, params = decode_chunk_columns(data, fields)
         except StoreError as error:
             if "has no column" in str(error):
                 raise StoreError(f"store {self.path}: {error}") from None
@@ -1140,14 +943,28 @@ class RunStore:
                 f"store shard {shard} holds an unreadable record in chunk "
                 f"{chunk.id}: {error}; the store is corrupt"
             ) from None
-        for name, values in columns.items():
-            if len(values) != entry["count"]:
-                raise StoreError(
-                    f"store shard {shard} holds {len(values)} values of "
-                    f"column {name!r} for chunk {chunk.id}, expected "
-                    f"{entry['count']}; the store is corrupt"
-                )
-        return columns
+        if len(params) != entry["count"]:
+            raise StoreError(
+                f"store shard {shard} holds {len(params)} records for "
+                f"chunk {chunk.id}, expected {entry['count']}; the store "
+                f"is corrupt"
+            )
+        return columns, params
+
+    def read_chunk(self, chunk: StoreChunk) -> List[RunRecord]:
+        """Read back one committed chunk, verifying its integrity."""
+        return _records(*self._read_chunk_block(chunk))
+
+    def read_chunk_columns(self, chunk: StoreChunk,
+                           fields: Sequence[str]) -> Dict[str, List[Any]]:
+        """Read only the requested columns of one committed chunk.
+
+        ``fields`` may name fixed record columns or swept parameters.  A
+        field absent from the store raises
+        :class:`~repro.exceptions.StoreError` naming the available metric
+        columns and swept parameters.
+        """
+        return self._read_chunk_block(chunk, list(fields))[0]
 
     def iter_column_blocks(self, fields: Sequence[str]
                            ) -> Iterator[Dict[str, List[Any]]]:
@@ -1169,10 +986,9 @@ class RunStore:
         """Stream every committed record in plan order, chunk by chunk.
 
         Only one chunk is materialised at a time, so incremental consumers
-        (:func:`~repro.study.results.aggregate_stream`) aggregate
-        million-run stores without holding every record in memory.
-        Uncommitted chunks are skipped; use :meth:`load_results` (or check
-        :attr:`is_complete`) when completeness matters.
+        run in bounded memory.  Uncommitted chunks are skipped; use
+        :meth:`load_results` (or check :attr:`is_complete`) when
+        completeness matters.
         """
         completed = self.completed_ids()
         for chunk in self.chunks():
@@ -1185,14 +1001,9 @@ class RunStore:
         The result is byte-identical (``to_json``) to what
         :meth:`Study.run` returned for the same plan — records in plan
         order, metadata from the stored study description.  An incomplete
-        store raises unless ``allow_partial`` is set.
-
-        Both shard formats load straight into the result set's columnar
-        backing without materialising record objects: jsonl chunks decode
-        into value lists through :func:`decode_chunk_columns`, and npz
-        chunks keep their typed members as numpy arrays, concatenated per
-        column (json-fallback members degrade that one column to a list,
-        values intact).
+        store raises unless ``allow_partial`` is set.  Chunks decode
+        straight into the result set's columns through
+        :func:`decode_chunk_columns`; no record object is built.
         """
         if not allow_partial and not self.is_complete:
             raise StoreError(
@@ -1202,7 +1013,7 @@ class RunStore:
                 f"resume the study to finish it, or pass allow_partial=True "
                 f"to load what exists"
             )
-        parts: Dict[str, List[Any]] = {name: [] for name in FIXED_FIELDS}
+        columns: Dict[str, List[Any]] = {name: [] for name in FIXED_FIELDS}
         params: List[Dict[str, Any]] = []
         completed = self.completed_ids()
         for chunk in self.chunks():
@@ -1210,56 +1021,9 @@ class RunStore:
                 continue
             block, block_params = self._read_chunk_block(chunk)
             for name, values in block.items():
-                parts[name].append(values)
+                columns[name].extend(values)
             params.extend(block_params)
-        columns: Dict[str, Any] = {}
-        for name, pieces in parts.items():
-            if (pieces and all(isinstance(p, np.ndarray) for p in pieces)
-                    and len({p.dtype.kind for p in pieces}) == 1):
-                columns[name] = np.concatenate(pieces)
-            else:
-                flat: List[Any] = []
-                for piece in pieces:
-                    flat.extend(piece.tolist()
-                                if isinstance(piece, np.ndarray) else piece)
-                columns[name] = flat
         return ResultSet._from_columns(columns, params, metadata=self.study)
-
-    def _read_chunk_block(self, chunk: StoreChunk):
-        """One committed chunk decoded to ``(columns, params)`` for
-        :meth:`load_results`: every fixed column plus one parameter mapping
-        per record.  Typed npz members stay numpy arrays."""
-        data, shard, entry = self._read_chunk_bytes(chunk)
-        try:
-            if self.shard_format != "npz":
-                columns, params = decode_chunk_columns(data, "jsonl", None)
-            else:
-                with _npz_open(data) as npz:
-                    columns = {}
-                    for name in FIXED_FIELDS:
-                        if name in npz.files:
-                            columns[name] = npz[name]
-                            continue
-                        member = _npz_member(npz, name)
-                        if member is None:
-                            raise _missing_column_error(
-                                name, _npz_available(npz))
-                        columns[name] = member
-                    params = _npz_params(npz)
-        except StoreError as error:
-            if "has no column" in str(error):
-                raise StoreError(f"store {self.path}: {error}") from None
-            raise StoreError(
-                f"store shard {shard} holds an unreadable record in chunk "
-                f"{chunk.id}: {error}; the store is corrupt"
-            ) from None
-        if len(params) != entry["count"]:
-            raise StoreError(
-                f"store shard {shard} holds {len(params)} records for "
-                f"chunk {chunk.id}, expected {entry['count']}; the store "
-                f"is corrupt"
-            )
-        return columns, params
 
     def __repr__(self) -> str:
         state = "unopened"

@@ -551,19 +551,23 @@ class Study:
             :data:`~repro.study.store.DEFAULT_CHUNK_SIZE`); an existing
             store keeps its committed layout.
         store_format:
-            Shard encoding for a fresh store — ``"jsonl"`` (default) or
-            ``"npz"`` (columnar binary); an existing store keeps its
-            committed format.  The returned set — and its ``to_json``
-            text — is byte-identical either way.
+            Accepts only ``None`` and ``"jsonl"``, the one shard encoding;
+            anything else raises :class:`~repro.exceptions.ConfigurationError`.
+            The keyword remains only because the benchmark harness
+            (``perfbench/sweep.py``) passes ``store_format="jsonl"``.
         """
         plan = plan if plan is not None else self.plan()
         if store_chunk_size is not None and store_chunk_size < 1:
             raise ConfigurationError("store chunk size must be positive")
         if max_chunks is not None and max_chunks < 0:
             raise ConfigurationError("max_chunks cannot be negative")
+        if store_format not in (None, "jsonl"):
+            raise ConfigurationError(
+                f"unknown store shard format {store_format!r}; run stores "
+                f"are written as jsonl only"
+            )
         if store is not None and not isinstance(store, RunStore):
-            store = RunStore(store, chunk_size=store_chunk_size,
-                             shard_format=store_format)
+            store = RunStore(store, chunk_size=store_chunk_size)
         cells = plan.cells
         compiled: Dict[int, CompiledCell] = {}
 

@@ -12,6 +12,7 @@ backends and chunked dispatch.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -297,24 +298,72 @@ def test_serial_backend_draws_each_seeds_variates_once(monkeypatch):
     ]
 
 
+class _SinkOfTwo:
+    """A sink declaring a two-seed granularity; records each batch size."""
+
+    chunk_size = 2
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, start, batch):
+        self.sizes.append(len(batch))
+
+
 def test_process_backend_chunked_results_match_serial():
     compiler = CellCompiler(system=SystemConfig())
     cells = [compiler.compile("TLIM-16", design)
              for design in ("original", "async_buf", "adapt_buf")]
     tasks = [ExecutionTask(cell, seed) for cell in cells for seed in SEEDS]
     serial = SerialBackend().execute(tasks)
-    with ProcessPoolBackend(max_workers=2, chunksize=2) as backend:
-        first = backend.execute(tasks)
+    sink = _SinkOfTwo()
+    with ProcessPoolBackend(max_workers=2) as backend:
+        first = backend.execute(tasks, sink=sink)
         # Second call brings a cell the pool initializer never saw, which
         # rebuilds the pool with the accumulated cell set.
         extra = compiler.compile("QFT-16", "async_buf")
         tasks_2 = tasks + [ExecutionTask(extra, seed) for seed in SEEDS]
-        second = backend.execute(tasks_2)
+        second = backend.execute(tasks_2, sink=sink)
+    assert max(sink.sizes) == 2
+    assert sum(sink.sizes) == len(tasks) + len(tasks_2)
     assert first == serial
     assert second[:len(tasks)] == serial
     assert second[len(tasks):] == SerialBackend().execute(
         [ExecutionTask(extra, seed) for seed in SEEDS]
     )
+
+
+def test_process_backend_cancels_queued_chunks_when_the_sink_raises(
+        monkeypatch):
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording_submit(self, *args, **kwargs):
+        future = submit(self, *args, **kwargs)
+        submitted.append(future)
+        return future
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+
+    class SinkFailed(RuntimeError):
+        pass
+
+    class FailingSink:
+        chunk_size = 2
+
+        def __call__(self, start, batch):
+            raise SinkFailed("commit failed")
+
+    cell = CellCompiler(system=SystemConfig()).compile("TLIM-16", "sync_buf")
+    tasks = [ExecutionTask(cell, seed) for seed in range(64)]
+    with ProcessPoolBackend(max_workers=2) as backend:
+        with pytest.raises(SinkFailed):
+            backend.execute(tasks, sink=FailingSink())
+        assert len(submitted) == 32
+        # Chunks a worker already took still finish; the queue behind
+        # them is dropped instead of delaying the pool's next call.
+        assert sum(future.cancelled() for future in submitted) >= 16
+        assert backend.execute(tasks[:4]) == SerialBackend().execute(tasks[:4])
 
 
 def test_process_backend_default_workers_never_one_on_multicore(monkeypatch):

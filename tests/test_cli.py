@@ -235,10 +235,6 @@ class TestStoreAndStatus:
         assert main([*self.SWEEP, "--store-chunk-size", "0", "--quiet"]) == 2
         assert "store chunk size must be positive" in capsys.readouterr().err
 
-    def test_store_format_requires_store(self, capsys):
-        assert main([*self.SWEEP, "--store-format", "npz", "--quiet"]) == 2
-        assert "--store-format needs --store" in capsys.readouterr().err
-
     def test_status_on_missing_store_fails(self, tmp_path, capsys):
         assert main(["status", "--store", str(tmp_path / "nope")]) == 2
         assert "not a run store" in capsys.readouterr().err

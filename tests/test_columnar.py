@@ -1,11 +1,11 @@
-"""Equivalence suite pinning the columnar ResultSet and npz shard format.
+"""Equivalence suite pinning the columnar ResultSet and the store codec.
 
-The columnar backing and the binary store exist purely for speed: every
-observable — ``to_json`` bytes, filter/group_by/aggregate results, resume
-behaviour — must be *identical* to the record-by-record implementation
-they replaced.  The reference implementations live in this file, written
-the naive way (python loops over ``RunRecord`` objects), and every test
-is an equality between the fast path and the naive path.
+The columnar backing and the run store's column decoder exist purely for
+speed: every observable — ``to_json`` bytes, filter/group_by/aggregate
+results, chunk round-trips — must be *identical* to the record-by-record
+implementation they replaced.  The reference implementations live in this
+file, written the naive way (python loops over ``RunRecord`` objects), and
+every test is an equality between the fast path and the naive path.
 """
 
 import json
@@ -13,12 +13,11 @@ import math
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import Study, SystemConfig
 from repro.analysis.statistics import summarize
-from repro.exceptions import StoreError
+from repro.exceptions import ConfigurationError, StoreError
 from repro.study import ResultSet, RunStore, aggregate_stream
 from repro.study.results import KEY_FIELDS, METRIC_FIELDS, RunRecord
 from repro.study.store import decode_chunk, encode_chunk
@@ -267,12 +266,10 @@ class TestToJsonMatchesJsonDumps:
             records, self.METADATA, indent)
 
     def test_columns_without_records(self, indent):
-        # The from_store shape: typed arrays, a numpy unicode column
-        # (what npz shards hold) and no materialised records.
+        # The from_store shape: value lists and no materialised records.
         records = mixed_grid() + unicode_grid()
         columns = {name: [getattr(r, name) for r in records]
                    for name in KEY_FIELDS + METRIC_FIELDS}
-        columns["benchmark"] = np.array(columns["benchmark"], dtype=np.str_)
         cold = ResultSet._from_columns(columns, [r.params for r in records])
         assert cold._records is None
         assert cold.to_json(indent=indent) == reference_to_json(
@@ -286,31 +283,27 @@ class TestToJsonMatchesJsonDumps:
 
 # ----------------------------------------------------------------------
 class TestChunkCodecEquivalence:
-    def test_npz_round_trip_preserves_json_bytes(self):
-        records = mixed_grid()
-        rebuilt = decode_chunk(encode_chunk(records, "npz"), "npz")
+    def test_round_trip_preserves_json_bytes(self):
+        records = mixed_grid() + unicode_grid()
+        rebuilt = decode_chunk(encode_chunk(records))
         assert reference_to_json(rebuilt) == reference_to_json(records)
 
-    def test_jsonl_and_npz_decode_identically(self):
-        records = mixed_grid()
-        via_jsonl = decode_chunk(encode_chunk(records, "jsonl"), "jsonl")
-        via_npz = decode_chunk(encode_chunk(records, "npz"), "npz")
-        assert reference_to_json(via_jsonl) == reference_to_json(via_npz)
-
-    def test_npz_records_get_independent_params(self):
+    def test_records_get_independent_params(self):
         records = [RunRecord(benchmark="b", design="d", seed=s,
                              depth=1.0, fidelity=1.0, num_remote=0,
                              mean_remote_wait=0.0, mean_link_fidelity=1.0,
                              epr_generated=0.0, epr_wasted=0.0,
                              params={"x": 1})
                    for s in (1, 2)]
-        first, second = decode_chunk(encode_chunk(records, "npz"), "npz")
+        first, second = decode_chunk(encode_chunk(records))
         first.params["x"] = 99
         assert second.params["x"] == 1
 
-    def test_garbage_npz_chunk_raises_store_error(self):
-        with pytest.raises(StoreError, match="not an npz chunk"):
-            decode_chunk(b"\x00\x01 not a zip", "npz")
+    def test_garbage_chunk_raises_store_error(self):
+        for garbage in (b"\x00\x01 not json\n", b"\xff\xfe\n",
+                        b"[1, 2]\n", b'{"a": 1}, {"b": 2}\n'):
+            with pytest.raises(StoreError, match="unreadable record"):
+                decode_chunk(garbage)
 
 
 # ----------------------------------------------------------------------
@@ -320,179 +313,87 @@ class TestStoreFormatEquivalence:
         with small_study() as study:
             return study.run().to_json()
 
-    @pytest.mark.parametrize("shard_format", ["jsonl", "npz"])
-    def test_store_loads_as_columns(self, tmp_path, baseline_json,
-                                    shard_format):
+    def test_store_loads_as_columns(self, tmp_path, baseline_json):
         store = tmp_path / "st"
         with small_study() as study:
-            study.run(store=store, store_chunk_size=3,
-                      store_format=shard_format)
+            study.run(store=store, store_chunk_size=3)
         loaded = RunStore.load(store).load_results()
         assert loaded._records is None  # no RunRecord was built
         assert loaded.to_json() == baseline_json
 
-    def test_jsonl_and_npz_stores_serialise_identically(
-            self, tmp_path, baseline_json):
-        outputs = {}
-        for shard_format in ("jsonl", "npz"):
-            store = tmp_path / shard_format
-            with small_study() as study:
-                ran = study.run(store=store, store_chunk_size=2,
-                                store_format=shard_format)
-            loaded = ResultSet.from_store(store)
+    def test_unknown_format_rejected(self, tmp_path, baseline_json):
+        # "jsonl" is the one shard encoding the keyword still accepts.
+        with small_study() as study:
+            ran = study.run(store=tmp_path / "st", store_format="jsonl")
             assert ran.to_json() == baseline_json
-            outputs[shard_format] = loaded.to_json()
-        assert outputs["jsonl"] == outputs["npz"] == baseline_json
-
-    def test_npz_interrupt_and_resume_matches_uninterrupted(
-            self, tmp_path, baseline_json):
-        store = tmp_path / "st"
-        with small_study() as study:
-            partial = study.run(store=store, max_chunks=1,
-                                store_chunk_size=2, store_format="npz")
-        assert len(partial) == 2
-        # Resume does not need the format repeated: the manifest owns it.
-        with small_study() as study:
-            resumed = study.run(store=store)
-        assert resumed.to_json() == baseline_json
-        assert ResultSet.from_store(store).to_json() == baseline_json
-        assert RunStore.load(store).shard_format == "npz"
-
-    def test_npz_crash_mid_run_leaves_resumable_store(
-            self, tmp_path, baseline_json):
-        store = tmp_path / "st"
-
-        class Interrupted(RuntimeError):
-            pass
-
-        def bomb(event):
-            if event.done_chunks >= 2:
-                raise Interrupted()
-
-        with small_study() as study:
-            with pytest.raises(Interrupted):
-                study.run(store=store, store_chunk_size=2,
-                          store_format="npz", progress=bomb)
-        assert len(RunStore.load(store).completed_ids()) >= 2
-        with small_study() as study:
-            assert study.run(store=store).to_json() == baseline_json
-
-    def test_npz_flipped_byte_fails_checksum(self, tmp_path):
-        store = tmp_path / "st"
-        with small_study() as study:
-            study.run(store=store, store_chunk_size=2, store_format="npz")
-        shard = sorted((store / "shards").glob("*.npz"))[0]
-        data = bytearray(shard.read_bytes())
-        data[40] ^= 0xFF
-        shard.write_bytes(bytes(data))
-        with pytest.raises(StoreError, match="checksum"):
-            ResultSet.from_store(store)
-
-    def test_npz_manifest_records_format_and_schema(self, tmp_path):
-        store = tmp_path / "st"
-        with small_study() as study:
-            study.run(store=store, store_chunk_size=2, store_format="npz")
-        manifest = json.loads((store / "manifest.json").read_text())
-        assert manifest["format"] == "npz"
-        assert manifest["schema"] == RunStore.NPZ_SCHEMA_VERSION
-        loaded = RunStore.load(store)
-        assert loaded.summary()["format"] == "npz"
-        assert all(c.id for c in loaded.chunks())
-
-    def test_committed_format_wins_on_resume(self, tmp_path,
-                                             baseline_json):
-        # Like chunk_size, the committed format is part of the store's
-        # durable identity: a different request on resume must not
-        # switch encodings mid-store.
-        store = tmp_path / "st"
-        with small_study() as study:
-            study.run(store=store, max_chunks=1, store_chunk_size=2,
-                      store_format="npz")
-        with small_study() as study:
-            resumed = study.run(store=store, store_format="jsonl")
-        assert resumed.to_json() == baseline_json
-        assert RunStore.load(store).shard_format == "npz"
-        assert not list((store / "shards").glob("*.jsonl"))
-
-    def test_unknown_format_rejected(self, tmp_path):
-        from repro.exceptions import ConfigurationError
-        with pytest.raises(ConfigurationError, match="shard format"):
-            RunStore(tmp_path / "st", shard_format="parquet")
-
-    def test_swept_params_round_trip_npz(self, tmp_path):
-        def sweep():
-            return small_study(
-                designs=["ideal"],
-                axes={"epr_success_probability": [0.2, 0.8]})
-
-        with sweep() as study:
-            expected = study.run().to_json()
-        store = tmp_path / "st"
-        with sweep() as study:
-            study.run(store=store, store_chunk_size=2, store_format="npz")
-        reloaded = ResultSet.from_store(store)
-        assert reloaded.to_json() == expected
-        assert reloaded.values("epr_success_probability") == [
-            0.2, 0.2, 0.2, 0.2, 0.8, 0.8, 0.8, 0.8]
+            with pytest.raises(ConfigurationError, match="shard format"):
+                study.run(store=tmp_path / "other", store_format="npz")
+        assert not (tmp_path / "other").exists()
 
 
 # ----------------------------------------------------------------------
-class TestGoldenNpzFixture:
-    """A committed npz store must keep loading byte-identically forever.
+class TestManifestCompatibility:
+    """A store this build cannot read is refused with guidance, never
+    half-read."""
 
-    The fixture under ``tests/data/golden_npz_store`` was written once by
-    a known-good build; any codec or layout change that alters a single
-    serialised byte of its load is a format break and must show up here,
-    not in a user's archived results.
-    """
+    #: A store of the retired binary npz format (manifest schema 2).
+    NPZ_STORE = Path(__file__).parent / "data" / "golden_npz_store"
 
-    FIXTURE = Path(__file__).parent / "data" / "golden_npz_store"
-    EXPECTED = Path(__file__).parent / "data" / \
-        "golden_npz_store.expected.json"
+    @pytest.fixture(scope="class")
+    def jsonl_store(self, tmp_path_factory):
+        store = tmp_path_factory.mktemp("manifest") / "st"
+        with small_study() as study:
+            study.run(store=store, store_chunk_size=2)
+        return store
 
-    def test_load_is_byte_identical(self):
-        loaded = ResultSet.from_store(self.FIXTURE)
-        assert loaded.to_json() == self.EXPECTED.read_text()
+    def rewritten(self, source, destination, **fields):
+        shutil.copytree(source, destination)
+        manifest = json.loads((destination / "manifest.json").read_text())
+        manifest.update(fields)
+        (destination / "manifest.json").write_text(json.dumps(manifest))
+        return destination
 
-    def test_aggregate_stream_reads_fixture(self):
-        stats = aggregate_stream(self.FIXTURE, "depth", by="design")
-        loaded = ResultSet.from_store(self.FIXTURE)
-        assert stats == loaded.aggregate("depth", by="design")
+    def test_npz_store_is_refused_with_rerun_remedy(self, tmp_path,
+                                                    jsonl_store):
+        stores = [self.NPZ_STORE,
+                  self.rewritten(jsonl_store, tmp_path / "tagged",
+                                 format="npz"),
+                  self.rewritten(jsonl_store, tmp_path / "schema2",
+                                 schema=2)]
+        for store in stores:
+            for read in (ResultSet.from_store, RunStore.load,
+                         lambda path: aggregate_stream(path, "depth")):
+                with pytest.raises(StoreError) as excinfo:
+                    read(store)
+                message = str(excinfo.value)
+                assert "npz" in message
+                assert "re-run the study into a fresh --store" in message
 
-    def test_newer_schema_fails_with_migration_guidance(self, tmp_path):
-        # A store written by a future build must be refused with the
-        # documented migration message, never half-read.
-        copy = tmp_path / "future"
-        shutil.copytree(self.FIXTURE, copy)
-        manifest = json.loads((copy / "manifest.json").read_text())
-        manifest["schema"] = 99
-        (copy / "manifest.json").write_text(json.dumps(manifest))
+    def test_newer_schema_fails_with_migration_guidance(self, tmp_path,
+                                                        jsonl_store):
+        copy = self.rewritten(jsonl_store, tmp_path / "future", schema=99)
         with pytest.raises(StoreError) as excinfo:
             ResultSet.from_store(copy)
         message = str(excinfo.value)
         assert "unsupported store schema 99" in message
-        assert "this build reads schemas 1, 2" in message
+        assert "this build reads schema 1" in message
         assert "upgrade this checkout" in message
         assert "re-run the study into a fresh --store directory" in message
 
-    def test_unknown_format_tag_fails_loudly(self, tmp_path):
-        copy = tmp_path / "weird"
-        shutil.copytree(self.FIXTURE, copy)
-        manifest = json.loads((copy / "manifest.json").read_text())
-        manifest["format"] = "parquet"
-        (copy / "manifest.json").write_text(json.dumps(manifest))
+    def test_unknown_format_tag_fails_loudly(self, tmp_path, jsonl_store):
+        copy = self.rewritten(jsonl_store, tmp_path / "weird",
+                              format="parquet")
         with pytest.raises(StoreError, match="unknown shard format"):
             ResultSet.from_store(copy)
 
 
 # ----------------------------------------------------------------------
 class TestAggregateStreamEquivalence:
-    @pytest.fixture(scope="class", params=["jsonl", "npz"])
-    def stored(self, request, tmp_path_factory):
-        store = tmp_path_factory.mktemp("agg") / request.param
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        store = tmp_path_factory.mktemp("agg") / "st"
         with small_study() as study:
-            results = study.run(store=store, store_chunk_size=3,
-                                store_format=request.param)
+            results = study.run(store=store, store_chunk_size=3)
         return store, results
 
     def test_matches_in_memory_aggregate(self, stored):

@@ -282,8 +282,6 @@ class TestBackends:
     def test_process_backend_validation(self):
         with pytest.raises(ConfigurationError):
             ProcessPoolBackend(max_workers=0)
-        with pytest.raises(ConfigurationError):
-            ProcessPoolBackend(chunksize=0)
 
     def test_empty_task_list(self):
         assert SerialBackend().execute([]) == []

@@ -3,10 +3,10 @@
 ``tests/data/golden_physics.json`` was written by ``tools/golden_physics.py
 --write``.  The batched production core, the reference ``DesignExecutor``
 (run through the whole ``Study.run`` pipeline by a test-side backend), the
-process backend and both store shard formats must reproduce it byte for
-byte, so a change to the entanglement process or the fidelity model cannot
-move a paper number without regenerating the fixture (which needs the flag
-and a CHANGES.md line).
+process backend and a run store must reproduce it byte for byte, so a
+change to the entanglement process or the fidelity model cannot move a
+paper number without regenerating the fixture (which needs the flag and a
+CHANGES.md line).
 """
 
 import importlib.util
@@ -62,10 +62,8 @@ def test_process_backend_reproduces_the_golden():
         backend.close()
 
 
-@pytest.mark.parametrize("shard_format", ["jsonl", "npz"])
-def test_store_shard_formats_reproduce_the_golden(tmp_path, shard_format):
-    assert_matches_golden(golden.render(store_root=tmp_path,
-                                        store_format=shard_format))
+def test_store_reproduces_the_golden(tmp_path):
+    assert_matches_golden(golden.render(store_root=tmp_path))
 
 
 def test_golden_covers_the_paper_grid_and_the_edge_cells():

@@ -202,12 +202,12 @@ def test_summarize_bounds(samples):
 
 
 # ---------------------------------------------------------------------------
-# columnar results / npz shard round-trips
+# columnar results / store chunk round-trips
 # ---------------------------------------------------------------------------
 
 # Any JSON-encodable text (no surrogates — they cannot reach UTF-8
-# shards); NULs and other control characters are deliberately *allowed*
-# to exercise the npz string-column fallback.
+# shards); NULs, line separators and other control characters are
+# deliberately *allowed*: escaped by JSON, they must never split a line.
 _axis_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12)
 
@@ -260,21 +260,24 @@ def _canonical_json(records):
 
 @settings(max_examples=60, deadline=None)
 @given(_record_batches)
-def test_npz_chunk_round_trip_is_lossless(records):
+def test_chunk_round_trip_is_lossless(records):
     from repro.study.store import decode_chunk, encode_chunk
 
-    rebuilt = decode_chunk(encode_chunk(records, "npz"), "npz")
+    rebuilt = decode_chunk(encode_chunk(records))
     assert _canonical_json(rebuilt) == _canonical_json(records)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_record_batches)
-def test_jsonl_and_npz_chunks_decode_identically(records):
+def test_chunk_decode_matches_per_line_reference(records):
+    from repro.study.results import RunRecord
     from repro.study.store import decode_chunk, encode_chunk
 
-    via_jsonl = decode_chunk(encode_chunk(records, "jsonl"), "jsonl")
-    via_npz = decode_chunk(encode_chunk(records, "npz"), "npz")
-    assert _canonical_json(via_jsonl) == _canonical_json(via_npz)
+    data = encode_chunk(records)
+    # The record-by-record decode the column decoder replaced.
+    reference = [RunRecord.from_dict(json.loads(line))
+                 for line in data.decode("utf-8").splitlines()]
+    assert _canonical_json(decode_chunk(data)) == _canonical_json(reference)
 
 
 @settings(max_examples=60, deadline=None)

@@ -74,6 +74,7 @@ class TestStoreLifecycle:
             study.run(store=store, store_chunk_size=2)
         manifest = json.loads((store / "manifest.json").read_text())
         assert manifest["schema"] == RunStore.SCHEMA_VERSION
+        assert manifest["format"] == "jsonl"
         assert manifest["chunk_size"] == 2
         assert manifest["total_tasks"] == 8
         assert manifest["total_chunks"] == 4
@@ -364,14 +365,11 @@ class TestFinishedStudyCostsOneRead:
             monkeypatch.setattr(RunStore, name, counted)
         return counts
 
-    @pytest.mark.parametrize("shard_format", ["jsonl", "npz"])
-    def test_complete_store_compiles_nothing(self, tmp_path, compiled, reads,
-                                             shard_format):
+    def test_complete_store_compiles_nothing(self, tmp_path, compiled, reads):
         store = tmp_path / "st"
         cache = ArtifactCache()
         with small_study(cache=cache) as study:
-            first = study.run(store=store, store_chunk_size=2,
-                              store_format=shard_format).to_json()
+            first = study.run(store=store, store_chunk_size=2).to_json()
         assert compiled == [("TLIM-32", "ideal"), ("TLIM-32", "original")]
         compiled.clear()
         reads.update(load_results=0, read_chunk=0)

@@ -23,7 +23,7 @@ grid of paper configurations, one entry per group:
 
 ``tests/test_golden_physics.py`` asserts the same bytes from the batched
 core, the reference ``DesignExecutor`` (through a test-side backend), the
-process backend and both store shard formats.  Usage::
+process backend and a run store.  Usage::
 
     python tools/golden_physics.py           # compare; exit 1 naming each group that differs
     python tools/golden_physics.py --write   # regenerate the fixture
@@ -120,8 +120,7 @@ def golden_studies(backend=None) -> List[Tuple[str, Study]]:
     ]
 
 
-def render(backend=None, store_root: Optional[Path] = None,
-           store_format: Optional[str] = None) -> Dict[str, str]:
+def render(backend=None, store_root: Optional[Path] = None) -> Dict[str, str]:
     """``to_json`` text per group.
 
     With ``store_root`` every group runs into a run store under it, and the
@@ -135,7 +134,7 @@ def render(backend=None, store_root: Optional[Path] = None,
                     results = study.run()
                 else:
                     path = Path(store_root) / name
-                    study.run(store=path, store_format=store_format)
+                    study.run(store=path)
                     results = ResultSet.from_store(path)
             finally:
                 study.close()
