@@ -20,11 +20,14 @@ Only metrics whose *direction* is recognisable from their name are gated:
 
 Everything else (counts, sizes, configuration echoes) is recorded for the
 history but never gated.  The first recording of a metric has no history
-and passes (bootstrap).  Ledger reads tolerate a torn final line — the
-fsync-before-newline append protocol means a torn tail is an interrupted
-append, never committed history — and the next record truncates it
-before appending, while an unparsable *committed* line raises: the
-run-store chunk log's protocol, through the same helpers
+and passes (bootstrap), but a check against a ledger with history must
+match at least one recorded gated metric: a payload whose file was renamed
+lands in a namespace the ledger never saw, and comparing nothing would
+pass (:func:`unmatched_namespaces`).  Ledger reads tolerate a torn final
+line — the fsync-before-newline append protocol means a torn tail is an
+interrupted append, never committed history — and the next record
+truncates it before appending, while an unparsable *committed* line
+raises: the run-store chunk log's protocol, through the same helpers
 (:func:`~repro.study.store.read_committed_lines`,
 :func:`~repro.study.store.open_for_append`).
 """
@@ -47,6 +50,7 @@ __all__ = [
     "check_metrics",
     "classify_metric",
     "flatten_metrics",
+    "unmatched_namespaces",
     "DEFAULT_WINDOW",
     "DEFAULT_ALLOWANCE",
 ]
@@ -190,6 +194,31 @@ def check_metrics(current: Mapping[str, float],
                 window=min(window, len(past)),
             ))
     return regressions
+
+
+def _namespaces(metrics) -> List[str]:
+    return sorted({name.split(".", 1)[0] for name in metrics})
+
+
+def unmatched_namespaces(current: Mapping[str, float],
+                         history: Sequence[Mapping[str, float]],
+                         ) -> Optional[Tuple[List[str], List[str]]]:
+    """``(payload, recorded)`` namespaces of a check that compares nothing.
+
+    A payload's metrics are namespaced by its file name
+    (``BENCH_runtime.json`` → ``runtime.*``), so a renamed payload matches
+    no recorded metric and every one of its metrics would bootstrap.
+    Returns ``None`` when the ledger is empty, when ``current`` gates
+    nothing, or when at least one gated metric has history — a new metric
+    next to matched ones still bootstraps.
+    """
+    gated = [name for name in current if classify_metric(name) is not None]
+    if not history or not gated:
+        return None
+    recorded = {name for entry in history for name in entry}
+    if any(name in recorded for name in gated):
+        return None
+    return _namespaces(gated), _namespaces(recorded)
 
 
 class BenchLedger:

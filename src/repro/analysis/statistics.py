@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["SampleStatistics", "summarize", "relative_change"]
+__all__ = ["SampleStatistics", "summarize", "relative_change", "ordered_sum"]
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,19 @@ def summarize(samples: Sequence[float]) -> SampleStatistics:
         maximum=maximum,
         count=count,
     )
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Sum ``values`` left to right from ``0.0``.
+
+    The same bits on every Python version, where ``sum()`` of floats is
+    not: Python 3.12 compensates it, 3.9-3.11 add left to right, and the
+    pinned results were written in that order.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def relative_change(baseline: float, value: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.statistics import SampleStatistics, summarize
+from repro.analysis.statistics import SampleStatistics, ordered_sum, summarize
 from repro.runtime.metrics import ExecutionResult
 
 __all__ = ["DesignSummary", "BenchmarkComparison"]
@@ -42,9 +42,10 @@ class DesignSummary:
             benchmark=first.benchmark,
             depth=summarize([r.makespan for r in results]),
             fidelity=summarize([r.fidelity for r in results]),
-            mean_remote_wait=sum(r.mean_remote_wait() for r in results) / len(results),
-            mean_link_fidelity=sum(r.mean_link_fidelity() for r in results)
+            mean_remote_wait=ordered_sum(r.mean_remote_wait() for r in results)
             / len(results),
+            mean_link_fidelity=ordered_sum(r.mean_link_fidelity()
+                                           for r in results) / len(results),
             epr_generated=sum(r.epr_statistics.get("generated", 0) for r in results)
             / len(results),
             epr_wasted=sum(r.epr_statistics.get("wasted", 0) for r in results)

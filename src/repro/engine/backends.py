@@ -4,7 +4,8 @@ Following the ``Distributor`` idiom of pytket-dqc, every backend implements
 one abstract operation — :meth:`ExecutionBackend.execute` — that maps an
 ordered sequence of :class:`ExecutionTask` (one ``(CompiledCell, seed)``
 pair each) to the matching ordered list of
-:class:`~repro.runtime.metrics.ExecutionResult`.  Because a compiled cell is
+:class:`~repro.runtime.metrics.ExecutionResult`, or, given a sink, streams
+them to it one batch at a time and keeps none.  Because a compiled cell is
 replayed with a fresh, seed-deterministic entanglement process, every
 backend must produce *identical* results for identical task lists; the
 backends differ only in wall-clock strategy:
@@ -104,7 +105,8 @@ def chunk_tasks(tasks: Sequence[ExecutionTask],
 #: Streaming consumer of per-chunk results: called as ``sink(start, batch)``
 #: where ``start`` is the index of the chunk's first task in the submitted
 #: task list and ``batch`` the chunk's results in task order.  Chunks arrive
-#: in *completion* order (parallel backends finish chunks out of order).  A
+#: in *completion* order (parallel backends finish chunks out of order), and
+#: each batch is the sink's to keep or drop: the backend holds none.  A
 #: sink may expose a ``chunk_size`` attribute as a granularity hint, which
 #: backends use to cap their internal chunking so streamed units align with
 #: the consumer's (e.g. a run store's) durable chunk boundaries.
@@ -127,13 +129,14 @@ class ExecutionBackend(ABC):
     per seed).  Backends are reusable across :meth:`execute` calls and
     usable as context managers; :meth:`close` releases any worker state.
 
-    Besides returning the full ordered result list, backends *stream*: an
-    optional ``sink`` receives every internal ``(cell, seed-chunk)`` batch
-    as it completes, which is what lets a
+    Backends *stream*: an optional ``sink`` receives every internal
+    ``(cell, seed-chunk)`` batch as it completes, which is what lets a
     :class:`~repro.study.store.RunStore` persist progress incrementally and
-    progress reporting observe a running study.  Streaming never changes
-    the returned results — execution is deterministic per seed regardless
-    of chunking.
+    progress reporting observe a running study.  The batches then belong
+    to the sink: a backend keeps no reference to one once it has handed it
+    over, so a sweep executes in memory bounded by its chunks, not by its
+    runs.  Chunking never changes results — execution is deterministic per
+    seed.
     """
 
     name: str = "abstract"
@@ -141,10 +144,11 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def execute(self, tasks: Sequence[ExecutionTask],
                 sink: Optional[ResultSink] = None) -> List[ExecutionResult]:
-        """Run every task and return results in task order.
+        """Run every task; without a sink, return results in task order.
 
-        When ``sink`` is given, additionally deliver each completed chunk
-        to it (in completion order) before returning.
+        With a ``sink``, deliver each completed chunk to it (in completion
+        order) and return an empty list: the sink is the only consumer of
+        the results, and no batch outlives its delivery in the backend.
         """
 
     def close(self) -> None:
@@ -178,11 +182,15 @@ class SerialBackend(ExecutionBackend):
             chunk_size = min(chunk_size, hint)
         variates = VariateTable()
         results: List[ExecutionResult] = []
+        done = 0
         for cell, seeds in chunk_tasks(tasks, chunk_size=chunk_size):
             batch = cell.execute_batch(seeds, variates=variates)
-            if sink is not None:
-                sink(len(results), batch)
-            results.extend(batch)
+            if sink is None:
+                results.extend(batch)
+            else:
+                sink(done, batch)
+                del batch  # the sink owns it now
+            done += len(seeds)
         return results
 
 
@@ -309,15 +317,18 @@ class ProcessPoolBackend(ExecutionBackend):
             future = pool.submit(_run_seed_chunk, (cell.cache_key, tuple(seeds)))
             start_of[future] = offset
             offset += len(seeds)
-        # Collect in completion order so the sink observes (and can persist)
-        # chunks the moment workers finish them, then reassemble positionally.
+        # Completion order, so the sink observes (and can persist) chunks
+        # the moment workers finish them.  A finished future leaves
+        # start_of, so once the sink returns nothing here holds its batch;
+        # without a sink, batches are reassembled positionally.
         collected: Dict[int, List[ExecutionResult]] = {}
         try:
             for future in as_completed(start_of):
-                batch = future.result()
-                if sink is not None:
-                    sink(start_of[future], batch)
-                collected[start_of[future]] = batch
+                start = start_of.pop(future)
+                if sink is None:
+                    collected[start] = future.result()
+                else:
+                    sink(start, future.result())
         except BaseException:
             # A failing sink (a store write, a cancelled job) or chunk ends
             # the call: queued chunks would only compute thrown-away results
@@ -325,10 +336,8 @@ class ProcessPoolBackend(ExecutionBackend):
             for future in start_of:
                 future.cancel()
             raise
-        results: List[ExecutionResult] = []
-        for start in sorted(collected):
-            results.extend(collected[start])
-        return results
+        return [result for start in sorted(collected)
+                for result in collected[start]]
 
     def close(self) -> None:
         if self._pool is not None:

@@ -8,12 +8,20 @@ deterministic.  :class:`CellCompiler` performs that deterministic work
 exactly once per cell and packages it as a :class:`CompiledCell`, which the
 execute stage (see :mod:`repro.engine.backends`) can then replay under any
 seed, serially or across processes.
+
+Much of that work does not depend on the design at all.  A lookup table
+depends on the program, the segment length and the policy; a cell's gate
+streams on those and on whether the design is ideal, adaptive or neither.
+So the designs of one benchmark share them: original, sync_buf and
+async_buf replay one stream set, adapt_buf and init_buf one lookup table
+and one stream set, and each is built once.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from repro.benchmarks.registry import build_benchmark
 from repro.circuits.circuit import QuantumCircuit
@@ -27,7 +35,7 @@ from repro.partitioning.assigner import DistributedProgram, distribute_circuit
 from repro.partitioning.registry import get_partitioner
 from repro.runtime.batched import BatchedExecutor
 from repro.runtime.designs import DesignSpec, get_design
-from repro.runtime.executor import DesignExecutor
+from repro.runtime.executor import DesignExecutor, resolve_segment_length
 from repro.runtime.gatestream import CompiledStreams, lower_cell
 from repro.runtime.metrics import ExecutionResult
 from repro.scheduling.lookup import ScheduleLookupTable
@@ -48,7 +56,8 @@ class CompiledCell:
     designs — the pre-built
     :class:`~repro.scheduling.lookup.ScheduleLookupTable`.  Executing the
     cell under a seed only reads this state, so threads may replay one
-    cell (shared through the artifact cache) at the same time.
+    cell (shared through the artifact cache) at the same time, and the
+    cells of one compiler may share their streams and lookup table.
     """
 
     benchmark: str
@@ -136,6 +145,10 @@ class CellCompiler:
         self.partition_seed = partition_seed
         self.cache = cache if cache is not None else default_cache(cache_dir)
         self._architecture: Optional[DQCArchitecture] = None
+        # Streams and lookup tables by what builds them; weak, so they live
+        # only as long as some cell holds them.
+        self._built: "weakref.WeakValueDictionary[Any, Any]" = (
+            weakref.WeakValueDictionary())
 
     # ------------------------------------------------------------------
     @property
@@ -236,7 +249,11 @@ class CellCompiler:
         spec = design if isinstance(design, DesignSpec) else get_design(design)
         policy = adaptive_policy or AdaptivePolicy()
         program = self.resolve_program(circuit)
-        key = self._cell_key(circuit, program, spec, segment_length, policy)
+        program_token = self._program_token(circuit, program)
+        key = fingerprint(
+            "cell", self.system, self._partition_token, self.partition_seed,
+            program_token, spec, segment_length, policy,
+        )
         cell = self.cache.get("cell", key)
         if cell is not None:
             return cell
@@ -252,13 +269,31 @@ class CellCompiler:
                          f"{self.system.topology!r}"),
             )
 
+        # Everything lower_cell and build_program_lookup read, bar the
+        # design's class: cells that agree on it share both artifacts.
+        built_from = fingerprint(
+            self.system, self._partition_token, self.partition_seed,
+            program_token,
+            resolve_segment_length(self.architecture, segment_length), policy,
+        )
         lookup: Optional[ScheduleLookupTable] = None
         if spec.adaptive_scheduling:
             # Reuse the executor's resolution logic (segment length from the
             # architecture's communication pairs) so the engine path stays
             # bit-identical to direct DesignExecutor use.
-            builder = self._lookup_builder(spec, segment_length, policy)
-            lookup = builder.build_lookup(program)
+            lookup = self._build_once(
+                ("lookup", built_from),
+                lambda: self._lookup_builder(spec, segment_length, policy)
+                .build_lookup(program))
+        design_class = ("ideal" if spec.ideal else
+                        "adaptive" if spec.adaptive_scheduling else "flat")
+        # Lower the program (and, for adaptive designs, every segment
+        # variant) into flat gate streams once; the batched executor
+        # replays these rows for every seed.
+        streams = self._build_once(
+            ("streams", design_class, built_from),
+            lambda: lower_cell(program, self.architecture, spec,
+                               lookup=lookup))
 
         cell = CompiledCell(
             benchmark=program.name or str(circuit),
@@ -269,12 +304,16 @@ class CellCompiler:
             adaptive_policy=policy,
             lookup=lookup,
             cache_key=key,
-            # Lower the program (and, for adaptive designs, every segment
-            # variant) into flat gate streams once per cell; the batched
-            # executor replays these rows for every seed.
-            streams=lower_cell(program, self.architecture, spec, lookup=lookup),
+            streams=streams,
         )
         return self.cache.put("cell", key, cell)
+
+    def _build_once(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The artifact built for ``key``, building it if no cell holds it."""
+        artifact = self._built.get(key)
+        if artifact is None:
+            artifact = self._built[key] = build()
+        return artifact
 
     def _lookup_builder(self, spec: DesignSpec,
                         segment_length: Optional[int],
@@ -284,10 +323,3 @@ class CellCompiler:
             segment_length=segment_length, adaptive_policy=policy,
         )
 
-    def _cell_key(self, circuit: CircuitLike, program: DistributedProgram,
-                  spec: DesignSpec, segment_length: Optional[int],
-                  policy: AdaptivePolicy) -> str:
-        return fingerprint(
-            "cell", self.system, self._partition_token, self.partition_seed,
-            self._program_token(circuit, program), spec, segment_length, policy,
-        )

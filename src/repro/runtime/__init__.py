@@ -15,7 +15,7 @@ from repro.runtime.batched import BatchedExecutor
 from repro.runtime.designs import DESIGNS, DesignSpec, get_design, list_designs
 from repro.runtime.executor import DesignExecutor, execute_design
 from repro.runtime.gatestream import CompiledStreams, GateStream, lower_cell
-from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
+from repro.runtime.metrics import ExecutionResult
 from repro.runtime.resources import DataQubitTracker, EntanglementDirectory
 from repro.runtime.trace import ExecutionTrace, GateTraceEntry
 
@@ -33,7 +33,6 @@ __all__ = [
     "GateStream",
     "lower_cell",
     "ExecutionResult",
-    "RemoteGateRecord",
     "ExecutionTrace",
     "GateTraceEntry",
 ]

@@ -29,12 +29,13 @@ per generator; the variates, and so the results, are the same.
 A batch builds one :class:`~repro.runtime.resources.EntanglementDirectory`,
 whose per-node-pair setup (attempt schedule, link and buffer counts) every
 run shares through :meth:`~repro.runtime.resources.EntanglementDirectory.for_seed`.
-The replay loop keeps its state in local variables, makes one
+The replay loop keeps its state in local variables and makes one
 :meth:`~repro.entanglement.service.EntanglementService.acquire` call per
-remote gate, and records each remote gate as plain floats that become
-:class:`~repro.runtime.metrics.RemoteGateRecord` objects once per run.
-Runs only read the compiled cell: each counts its own adaptive variant
-choices, so threads may replay one cell at once.
+remote gate.  It builds no per-gate object: each remote gate adds its wait
+and its link fidelity to two running totals, in gate order, and its link
+fidelity to the list the fidelity model multiplies out.  Runs only read
+the compiled cell: each counts its own adaptive variant choices, so
+threads may replay one cell at once.
 
 The ideal (monolithic) design is deterministic per cell, so a seed batch
 simulates it once and stamps per-seed results from the shared outcome.
@@ -43,7 +44,6 @@ simulates it once and stamps per-seed results from the shared outcome.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import starmap
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.entanglement.generator import VariateTable
@@ -60,8 +60,8 @@ from repro.runtime.gatestream import (
     GateStream,
     SegmentStreams,
 )
-from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
-from repro.runtime.resources import EntanglementDirectory
+from repro.runtime.metrics import ExecutionResult
+from repro.runtime.resources import EntanglementDirectory, idle_total
 from repro.scheduling.lookup import ScheduleLookupTable
 from repro.scheduling.variants import SchedulingVariant
 
@@ -149,15 +149,15 @@ class BatchedExecutor:
         pair_list = streams.pair_list
         services = [None] * len(pair_list)
         remote_latency = streams.remote_latency
-        # One (gate, ready, start, finish, created, fidelity) per remote gate.
-        remote: List[tuple] = []
+        link_fidelities: List[float] = []
+        wait_total = 0.0
+        fidelity_total = 0.0
         histogram = dict.fromkeys(SchedulingVariant.ALL, 0)
         if lookup is None:
             played = (streams.flat,)
         else:
             played = self._adaptive_streams(streams.segments, lookup, avail,
                                             directory, histogram)
-        gate = 0
         for stream in played:
             for op, a, b, duration, pair_id in stream.rows:
                 if op == OP_REMOTE:
@@ -168,7 +168,7 @@ class BatchedExecutor:
                     if service is None:
                         service = services[pair_id] = directory.service(
                             *pair_list[pair_id])
-                    start, created, fidelity = service.acquire(ready)
+                    start, _created, fidelity = service.acquire(ready)
                     finish = start + remote_latency
                     avail[a] = finish
                     avail[b] = finish
@@ -178,8 +178,11 @@ class BatchedExecutor:
                         first_use[a] = start
                     if first_use[b] is None:
                         first_use[b] = start
-                    remote.append((gate, ready, start, finish, created,
-                                   fidelity))
+                    wait = start - ready
+                    if wait > 0.0:
+                        wait_total += wait
+                    fidelity_total += fidelity
+                    link_fidelities.append(fidelity)
                 elif op == OP_LOCAL_2Q:
                     time_a = avail[a]
                     time_b = avail[b]
@@ -199,18 +202,17 @@ class BatchedExecutor:
                     busy[a] += duration
                     if first_use[a] is None:
                         first_use[a] = start
-                gate += 1
 
         makespan = max(avail)
         directory.finalize(makespan)
-        idle_total = _idle_total(makespan, busy, first_use)
+        idle = idle_total(makespan, busy, first_use)
         breakdown = self.fidelity_model.estimate(
             num_single_qubit=streams.num_single,
             num_local_two_qubit=streams.num_local_two,
-            remote_link_fidelities=[row[5] for row in remote],
+            remote_link_fidelities=link_fidelities,
             makespan=makespan,
             num_measurements=streams.num_measure,
-            qubit_idle_total=idle_total,
+            qubit_idle_total=idle,
         )
         return ExecutionResult(
             design=self.design.name,
@@ -221,10 +223,11 @@ class BatchedExecutor:
             fidelity_breakdown=breakdown,
             num_single_qubit=streams.num_single,
             num_local_two_qubit=streams.num_local_two,
-            num_remote=len(remote),
+            num_remote=len(link_fidelities),
             num_measurements=streams.num_measure,
-            qubit_idle_total=idle_total,
-            remote_records=list(starmap(RemoteGateRecord, remote)),
+            qubit_idle_total=idle,
+            remote_wait_total=wait_total,
+            link_fidelity_total=fidelity_total,
             epr_statistics=directory.aggregate_statistics(),
             variant_histogram=histogram if lookup is not None else {},
         )
@@ -291,14 +294,14 @@ class BatchedExecutor:
                     first_use[a] = start
 
         makespan = max(avail)
-        idle_total = _idle_total(makespan, busy, first_use)
+        idle = idle_total(makespan, busy, first_use)
         breakdown = self.fidelity_model.estimate(
             num_single_qubit=streams.num_single,
             num_local_two_qubit=streams.num_two_total,
             remote_link_fidelities=[],
             makespan=makespan,
             num_measurements=streams.num_measure,
-            qubit_idle_total=idle_total,
+            qubit_idle_total=idle,
         )
         return [
             ExecutionResult(
@@ -312,23 +315,7 @@ class BatchedExecutor:
                 num_local_two_qubit=streams.num_two_total,
                 num_remote=0,
                 num_measurements=streams.num_measure,
-                qubit_idle_total=idle_total,
+                qubit_idle_total=idle,
             )
             for seed in seeds
         ]
-
-
-def _idle_total(makespan: float, busy: List[float],
-                first_use: List[Optional[float]]) -> float:
-    """Summed idle time of the used qubits from first use to ``makespan``."""
-    idle_total = 0.0
-    for first, busy_time in zip(first_use, busy):
-        if first is None:
-            continue
-        span = makespan - first
-        if span < 0.0:
-            span = 0.0
-        idle = span - busy_time
-        if idle > 0.0:
-            idle_total += idle
-    return idle_total

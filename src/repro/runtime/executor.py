@@ -30,7 +30,7 @@ from repro.hardware.architecture import DQCArchitecture
 from repro.noise.fidelity import FidelityModel
 from repro.partitioning.assigner import DistributedProgram
 from repro.runtime.designs import DesignSpec, get_design
-from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
+from repro.runtime.metrics import ExecutionResult
 from repro.runtime.resources import DataQubitTracker, EntanglementDirectory
 from repro.runtime.trace import ExecutionTrace, GateTraceEntry
 from repro.scheduling.lookup import ScheduleLookupTable, build_lookup_table
@@ -225,7 +225,9 @@ class DesignExecutor:
             async_groups=self.design.async_groups,
         )
 
-        remote_records: List[RemoteGateRecord] = []
+        link_fidelities: List[float] = []
+        wait_total = 0.0
+        fidelity_total = 0.0
         histogram: Dict[str, int] = {}
 
         if self.design.adaptive_scheduling:
@@ -241,11 +243,15 @@ class DesignExecutor:
             for gate in batch:
                 gate_counter += 1
                 if gate.is_remote:
-                    record = self._execute_remote(
+                    ready, start, link_fidelity = self._execute_remote(
                         gate, gate_counter - 1, program, tracker, directory,
                         times, trace,
                     )
-                    remote_records.append(record)
+                    wait = start - ready
+                    if wait > 0.0:
+                        wait_total += wait
+                    fidelity_total += link_fidelity
+                    link_fidelities.append(link_fidelity)
                 else:
                     self._execute_local(gate, gate_counter - 1, tracker, times, trace)
 
@@ -253,7 +259,6 @@ class DesignExecutor:
         directory.finalize(makespan)
 
         counts = self._local_counts(program.circuit, treat_remote_as_local=False)
-        link_fidelities = [record.link_fidelity for record in remote_records]
         breakdown = self.fidelity_model.estimate(
             num_single_qubit=counts["single"],
             num_local_two_qubit=counts["two"],
@@ -272,10 +277,11 @@ class DesignExecutor:
             fidelity_breakdown=breakdown,
             num_single_qubit=counts["single"],
             num_local_two_qubit=counts["two"],
-            num_remote=len(remote_records),
+            num_remote=len(link_fidelities),
             num_measurements=counts["measure"],
             qubit_idle_total=tracker.total_idle_time(),
-            remote_records=remote_records,
+            remote_wait_total=wait_total,
+            link_fidelity_total=fidelity_total,
             epr_statistics=directory.aggregate_statistics(),
             variant_histogram=histogram,
         )
@@ -296,7 +302,9 @@ class DesignExecutor:
     def _execute_remote(self, gate: Gate, index: int,
                         program: DistributedProgram, tracker: DataQubitTracker,
                         directory: EntanglementDirectory, times,
-                        trace: Optional[ExecutionTrace]) -> RemoteGateRecord:
+                        trace: Optional[ExecutionTrace],
+                        ) -> Tuple[float, float, float]:
+        """Run one remote gate; returns its ``(ready, start, link_fidelity)``."""
         node_a = program.node_of(gate.qubits[0])
         node_b = program.node_of(gate.qubits[1])
         if node_a == node_b:
@@ -306,21 +314,14 @@ class DesignExecutor:
             )
         ready = tracker.earliest_start(gate.qubits)
         service = directory.service(node_a, node_b)
-        start, created, link_fidelity = service.acquire(ready)
+        start, _created, link_fidelity = service.acquire(ready)
         duration = times.remote_gate_latency()
         finish = tracker.occupy(gate.qubits, start, duration)
         if trace is not None:
             trace.record(GateTraceEntry(index, gate.name, gate.qubits,
                                         start, finish, is_remote=True,
                                         link_fidelity=link_fidelity))
-        return RemoteGateRecord(
-            gate_index=index,
-            ready_time=ready,
-            start_time=start,
-            finish_time=finish,
-            link_created_time=created,
-            link_fidelity=link_fidelity,
-        )
+        return ready, start, link_fidelity
 
     # ------------------------------------------------------------------
     # adaptive scheduling

@@ -5,38 +5,23 @@ simulated run: the circuit depth (makespan in local-CNOT units), the
 estimated output fidelity with its multiplicative breakdown, and the
 entanglement-supply statistics (generated / consumed / wasted pairs, waiting
 times) that explain *why* one design beats another.
+
+A result holds no per-gate objects.  Its remote-gate means come from two
+totals the execution cores add up in gate order, left to right from
+``0.0``, as they replay: the entanglement waits and the consumed-link
+fidelities.  That order is fixed on every Python version, where ``sum()``
+of floats is not (3.12 compensates it).  Per-gate times stay a feature of
+the reference executor's traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.noise.fidelity import FidelityBreakdown
 
-__all__ = ["RemoteGateRecord", "ExecutionResult"]
-
-
-@dataclass
-class RemoteGateRecord:
-    """Bookkeeping for one executed remote gate."""
-
-    gate_index: int
-    ready_time: float
-    start_time: float
-    finish_time: float
-    link_created_time: float
-    link_fidelity: float
-
-    @property
-    def wait_time(self) -> float:
-        """Time the gate waited for entanglement after becoming ready."""
-        return max(0.0, self.start_time - self.ready_time)
-
-    @property
-    def link_age(self) -> float:
-        """Age of the consumed link at the start of the teleportation."""
-        return max(0.0, self.start_time - self.link_created_time)
+__all__ = ["ExecutionResult"]
 
 
 @dataclass
@@ -54,7 +39,11 @@ class ExecutionResult:
     num_remote: int
     num_measurements: int
     qubit_idle_total: float
-    remote_records: List[RemoteGateRecord] = field(default_factory=list)
+    #: Summed wait of the remote gates for a link (``start - ready`` where
+    #: positive), in gate order.
+    remote_wait_total: float = 0.0
+    #: Summed Werner fidelity of the links the remote gates consumed.
+    link_fidelity_total: float = 0.0
     epr_statistics: Dict[str, float] = field(default_factory=dict)
     variant_histogram: Dict[str, int] = field(default_factory=dict)
 
@@ -79,23 +68,15 @@ class ExecutionResult:
     # ------------------------------------------------------------------
     def mean_remote_wait(self) -> float:
         """Mean entanglement waiting time per remote gate."""
-        if not self.remote_records:
+        if not self.num_remote:
             return 0.0
-        return sum(r.wait_time for r in self.remote_records) / len(self.remote_records)
-
-    def mean_link_age(self) -> float:
-        """Mean consumed-link age across remote gates."""
-        if not self.remote_records:
-            return 0.0
-        return sum(r.link_age for r in self.remote_records) / len(self.remote_records)
+        return self.remote_wait_total / self.num_remote
 
     def mean_link_fidelity(self) -> float:
         """Mean consumed-link fidelity across remote gates."""
-        if not self.remote_records:
+        if not self.num_remote:
             return 0.0
-        return sum(r.link_fidelity for r in self.remote_records) / len(
-            self.remote_records
-        )
+        return self.link_fidelity_total / self.num_remote
 
     def epr_waste_fraction(self) -> float:
         """Fraction of generated EPR pairs that were never consumed."""

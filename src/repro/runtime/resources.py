@@ -27,9 +27,31 @@ from repro.entanglement.service import EntanglementService
 from repro.hardware.architecture import DQCArchitecture
 from repro.exceptions import RuntimeSimulationError
 
-__all__ = ["DataQubitTracker", "EntanglementDirectory"]
+__all__ = ["DataQubitTracker", "EntanglementDirectory", "idle_total"]
 
 NodePair = Tuple[int, int]
+
+
+def idle_total(horizon: float, busy: List[float],
+               first_use: List[Optional[float]]) -> float:
+    """Summed idle time of the used qubits from first use to ``horizon``.
+
+    A qubit idles for its span from first use to ``horizon`` less its busy
+    time, floored at zero.  The positive idle times are added in qubit
+    order, left to right from ``0.0``: both execution cores total idle time
+    here, and Python 3.12's compensated ``sum()`` would round differently.
+    """
+    total = 0.0
+    for first, busy_time in zip(first_use, busy):
+        if first is None:
+            continue
+        span = horizon - first
+        if span < 0.0:
+            span = 0.0
+        idle = span - busy_time
+        if idle > 0.0:
+            total += idle
+    return total
 
 
 class DataQubitTracker:
@@ -105,8 +127,9 @@ class DataQubitTracker:
         return max(0.0, span - self._busy[qubit])
 
     def total_idle_time(self, horizon: Optional[float] = None) -> float:
-        """Sum of idle times over all qubits."""
-        return sum(self.idle_time(q, horizon) for q in range(self.num_qubits))
+        """Sum of idle times over all qubits (see :func:`idle_total`)."""
+        return idle_total(self.makespan if horizon is None else horizon,
+                          self._busy, self._first_use)
 
     def utilisation(self) -> float:
         """Mean busy fraction of qubits that were used at least once."""

@@ -827,8 +827,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.analysis.ledger import (
-        DEFAULT_ALLOWANCE, DEFAULT_WINDOW, BenchLedger, classify_metric,
-        load_bench_file,
+        DEFAULT_ALLOWANCE, DEFAULT_WINDOW, BenchLedger, check_metrics,
+        classify_metric, load_bench_file, unmatched_namespaces,
     )
 
     ledger = BenchLedger(args.ledger)
@@ -874,14 +874,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                   f"{len(current)} metric(s) from {len(args.files)} "
                   f"payload(s) (history: {len(ledger.entries())} run(s))")
         return 0
-    regressions = ledger.check(current, window=window, allowance=allowance)
+    history = ledger.history()
+    regressions = check_metrics(current, history, window=window,
+                                allowance=allowance)
+    unmatched = unmatched_namespaces(current, history)
+    failed = bool(regressions) or unmatched is not None
     gated = [name for name in sorted(current)
              if classify_metric(name) is not None]
+    unmatched_message = None
+    if unmatched is not None:
+        payload, recorded = unmatched
+        unmatched_message = (
+            f"no gated metric of payload namespace(s) {', '.join(payload)} "
+            f"has recorded history; the ledger records namespace(s) "
+            f"{', '.join(recorded)} (a namespace is the payload's file name "
+            f"without BENCH_ and .json)")
     if args.json:
         print(json.dumps({
-            "ok": not regressions,
+            "ok": not failed,
             "gated_metrics": gated,
-            "history_runs": len(ledger.entries()),
+            "history_runs": len(history),
+            "unmatched": unmatched_message,
             "regressions": [
                 {"metric": r.metric, "value": r.value,
                  "baseline": r.baseline, "direction": r.direction,
@@ -890,14 +903,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             ],
         }, indent=2))
     else:
-        if regressions:
-            for regression in regressions:
-                print(f"bench: REGRESSION {regression.describe()}",
-                      file=sys.stderr)
+        for regression in regressions:
+            print(f"bench: REGRESSION {regression.describe()}",
+                  file=sys.stderr)
+        if unmatched_message is not None:
+            print(f"bench: UNMATCHED {unmatched_message}", file=sys.stderr)
         print(f"bench ledger {ledger.path}: checked {len(gated)} gated "
-              f"metric(s) against {len(ledger.entries())} recorded run(s) "
-              f"— {'FAIL' if regressions else 'ok'}")
-    return 1 if regressions else 0
+              f"metric(s) against {len(history)} recorded run(s) "
+              f"— {'FAIL' if failed else 'ok'}")
+    return 1 if failed else 0
 
 
 def _cmd_list_benchmarks() -> int:

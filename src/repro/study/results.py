@@ -43,7 +43,7 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.statistics import SampleStatistics, summarize
+from repro.analysis.statistics import SampleStatistics, ordered_sum, summarize
 from repro.core.results import BenchmarkComparison, DesignSummary
 from repro.exceptions import ConfigurationError, StoreError
 from repro.runtime.metrics import ExecutionResult
@@ -521,10 +521,10 @@ class ResultSet:
             benchmark=first.benchmark,
             depth=summarize([r.depth for r in records]),
             fidelity=summarize([r.fidelity for r in records]),
-            mean_remote_wait=sum(r.mean_remote_wait for r in records)
+            mean_remote_wait=ordered_sum(r.mean_remote_wait for r in records)
             / len(records),
-            mean_link_fidelity=sum(r.mean_link_fidelity for r in records)
-            / len(records),
+            mean_link_fidelity=ordered_sum(r.mean_link_fidelity
+                                           for r in records) / len(records),
             epr_generated=sum(r.epr_generated for r in records) / len(records),
             epr_wasted=sum(r.epr_wasted for r in records) / len(records),
             num_runs=len(records),

@@ -1035,8 +1035,9 @@ class _ChunkSink:
             RunRecord.from_execution_result(result, self._params[chunk.cell])
             for result in results
         ]
-        # The raw results are never read again once flattened to records;
-        # dropping them halves the sink's peak memory on long sweeps.
+        # Backends keep no batch once it is delivered, so these slots hold
+        # the last references to the flushed results: clearing them leaves
+        # only the results of chunks still waiting for a piece alive.
         self._results[start:start + chunk.count] = [None] * chunk.count
         if self._store is not None:
             self._store.append_chunk(chunk, records)

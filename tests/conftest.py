@@ -7,6 +7,7 @@ import pytest
 from repro.benchmarks import build_benchmark, qaoa_regular_circuit, tlim_circuit
 from repro.circuits import QuantumCircuit
 from repro.core import DQCSimulator, SystemConfig
+from repro.entanglement.service import EntanglementService
 from repro.hardware import two_node_architecture
 from repro.partitioning import distribute_circuit
 
@@ -107,3 +108,24 @@ def directory_fsyncs(monkeypatch):
 
     monkeypatch.setattr(os, "fsync", fsync)
     return count
+
+
+@pytest.fixture
+def acquire_calls(monkeypatch):
+    """Every remote gate of every run from here on, in call order.
+
+    Both execution cores look ``EntanglementService.acquire`` up on the
+    class for each remote gate, so a class-level wrapper sees all of them:
+    one ``(ready, start, created, fidelity)`` tuple per call, the ready
+    time in and the link out.
+    """
+    calls = []
+    acquire = EntanglementService.acquire
+
+    def recording(service, after):
+        start, created, fidelity = acquire(service, after)
+        calls.append((after, start, created, fidelity))
+        return start, created, fidelity
+
+    monkeypatch.setattr(EntanglementService, "acquire", recording)
+    return calls

@@ -1,21 +1,25 @@
 """Batched execution core: equivalence with the legacy reference executor.
 
-The contract of this PR: for identical seeds the trajectory-batched
-executor produces :class:`ExecutionResult`s *bit-identical* to the legacy
-:class:`DesignExecutor` — every field, including remote-gate records,
+The contract: for identical seeds the trajectory-batched executor produces
+:class:`ExecutionResult`s *bit-identical* to the legacy
+:class:`DesignExecutor` — every field, including the remote-gate totals,
 fidelity breakdowns, entanglement statistics, and adaptive variant
-histograms.  These tests pin that contract across all six designs, across
-topologies, with prebuilt schedule lookup tables, and through the engine's
-backends and chunked dispatch.
+histograms — and makes the same ``EntanglementService.acquire`` call, with
+the same link out, for every remote gate.  These tests pin that contract
+across all six designs, across topologies, with prebuilt schedule lookup
+tables, and through the engine's backends and chunked dispatch.
 """
 
 from __future__ import annotations
 
 import os
+import weakref
 from concurrent.futures import ProcessPoolExecutor
+from itertools import islice
 
 import pytest
 
+from repro.analysis.statistics import ordered_sum
 from repro.core.config import SystemConfig
 from repro.engine import (
     ArtifactCache,
@@ -47,19 +51,40 @@ def reference_batch(cell, seeds):
     ]
 
 
-def _assert_identical(legacy, batched):
+def _assert_identical(acquire_calls, run_legacy, run_batched):
+    """Replay through both cores; require identical runs and remote gates.
+
+    ``run_legacy`` and ``run_batched`` replay the same seeds.  Every remote
+    gate is compared through the ``acquire`` call it makes (the
+    ``acquire_calls`` capture): the ready time in, and the link's start,
+    creation time and fidelity out.  Each run's remote-gate totals must be
+    its own gates' values added in gate order.  Returns the batched runs.
+    """
+    del acquire_calls[:]
+    legacy = run_legacy()
+    legacy_gates = acquire_calls[:]
+    del acquire_calls[:]
+    batched = run_batched()
+    assert acquire_calls == legacy_gates
+    assert len(legacy_gates) == sum(run.num_remote for run in legacy)
     assert len(legacy) == len(batched)
+    gates = iter(legacy_gates)
     for reference, candidate in zip(legacy, batched):
         assert candidate.seed == reference.seed
         assert candidate.makespan == reference.makespan
         assert candidate.fidelity == reference.fidelity
         assert candidate.fidelity_breakdown == reference.fidelity_breakdown
         assert candidate.qubit_idle_total == reference.qubit_idle_total
-        assert candidate.remote_records == reference.remote_records
+        run_gates = list(islice(gates, reference.num_remote))
+        assert candidate.remote_wait_total == ordered_sum(
+            max(0.0, start - ready) for ready, start, _, _ in run_gates)
+        assert candidate.link_fidelity_total == ordered_sum(
+            fidelity for _, _, _, fidelity in run_gates)
         assert candidate.epr_statistics == reference.epr_statistics
         assert candidate.variant_histogram == reference.variant_histogram
         # Full dataclass equality last: catches any field the above missed.
         assert candidate == reference
+    return batched
 
 
 # ---------------------------------------------------------------------------
@@ -67,12 +92,12 @@ def _assert_identical(legacy, batched):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("design", list_designs())
 @pytest.mark.parametrize("benchmark_name", ["TLIM-16", "QAOA-r2-16"])
-def test_batched_equals_legacy_all_designs(benchmark_name, design):
+def test_batched_equals_legacy_all_designs(benchmark_name, design,
+                                           acquire_calls):
     compiler = CellCompiler(system=SystemConfig())
     cell = compiler.compile(benchmark_name, design)
-    legacy = reference_batch(cell, SEEDS)
-    batched = cell.execute_batch(SEEDS)
-    _assert_identical(legacy, batched)
+    _assert_identical(acquire_calls, lambda: reference_batch(cell, SEEDS),
+                      lambda: cell.execute_batch(SEEDS))
 
 
 @pytest.mark.parametrize("topology,partition_method", [
@@ -80,33 +105,34 @@ def test_batched_equals_legacy_all_designs(benchmark_name, design):
     ("ring", "multilevel"),
     ("line", "contiguous"),
 ])
-def test_batched_equals_legacy_across_topologies(topology, partition_method):
+def test_batched_equals_legacy_across_topologies(topology, partition_method,
+                                                 acquire_calls):
     system = SystemConfig(num_nodes=4, data_qubits_per_node=8,
                           comm_qubits_per_node=8, buffer_qubits_per_node=8,
                           topology=topology, partition_method=partition_method)
     compiler = CellCompiler(system=system)
     for design in ("original", "async_buf", "adapt_buf"):
         cell = compiler.compile("TLIM-32", design)
-        _assert_identical(reference_batch(cell, SEEDS),
-                          cell.execute_batch(SEEDS))
+        _assert_identical(acquire_calls, lambda: reference_batch(cell, SEEDS),
+                          lambda: cell.execute_batch(SEEDS))
 
 
-def test_batched_adaptive_uses_prebuilt_lookup():
+def test_batched_adaptive_uses_prebuilt_lookup(acquire_calls):
     """The engine path hands the compile-time lookup to both cores."""
     compiler = CellCompiler(system=SystemConfig())
     cell = compiler.compile("QAOA-r2-16", "adapt_buf")
     assert cell.lookup is not None
     assert cell.streams is not None and cell.streams.segments is not None
     assert len(cell.streams.segments) == cell.lookup.num_segments
-    legacy = reference_batch(cell, SEEDS)
-    batched = cell.execute_batch(SEEDS)
-    _assert_identical(legacy, batched)
+    batched = _assert_identical(acquire_calls,
+                                lambda: reference_batch(cell, SEEDS),
+                                lambda: cell.execute_batch(SEEDS))
     # Some run must actually exercise the adaptive rule for this to be a
     # meaningful equivalence case.
     assert any(sum(r.variant_histogram.values()) > 0 for r in batched)
 
 
-def test_batched_adaptive_seeds_genuinely_diverge():
+def test_batched_adaptive_seeds_genuinely_diverge(acquire_calls):
     """The equivalence only means something if seeds pick different variants.
 
     On the 4-node system the adaptive design's per-seed lookup decisions
@@ -117,10 +143,11 @@ def test_batched_adaptive_seeds_genuinely_diverge():
                           comm_qubits_per_node=8, buffer_qubits_per_node=8)
     cell = CellCompiler(system=system).compile("TLIM-32", "adapt_buf")
     seeds = list(range(1, 13))
-    batched = cell.execute_batch(seeds)
+    batched = _assert_identical(acquire_calls,
+                                lambda: reference_batch(cell, seeds),
+                                lambda: cell.execute_batch(seeds))
     histograms = {tuple(sorted(r.variant_histogram.items())) for r in batched}
     assert len(histograms) > 1
-    _assert_identical(reference_batch(cell, seeds), batched)
 
 
 def test_empty_seed_batch():
@@ -129,7 +156,7 @@ def test_empty_seed_batch():
     assert reference_batch(cell, []) == []
 
 
-def test_batched_standalone_without_prebuilt_streams():
+def test_batched_standalone_without_prebuilt_streams(acquire_calls):
     """BatchedExecutor over explicitly lowered streams, outside the compiler.
 
     The reference DesignExecutor builds its own lookup table; the batched
@@ -143,26 +170,26 @@ def test_batched_standalone_without_prebuilt_streams():
     program = distribute_circuit(build_benchmark("TLIM-16"), num_nodes=2)
     for name in ("async_buf", "adapt_buf", "ideal"):
         design = get_design(name)
-        legacy = [
-            DesignExecutor(architecture, design, seed=seed).run(program)
-            for seed in SEEDS
-        ]
         lookup = (build_program_lookup(architecture, program)
                   if design.adaptive_scheduling else None)
         streams = lower_cell(program, architecture, design, lookup=lookup)
-        batched = BatchedExecutor(architecture, design, streams=streams,
-                                  lookup=lookup).run_batch(program, SEEDS)
-        _assert_identical(legacy, batched)
+        executor = BatchedExecutor(architecture, design, streams=streams,
+                                   lookup=lookup)
+        _assert_identical(
+            acquire_calls,
+            lambda: [DesignExecutor(architecture, design, seed=seed)
+                     .run(program) for seed in SEEDS],
+            lambda: executor.run_batch(program, SEEDS))
 
 
-def test_batched_custom_segment_length_and_policy():
+def test_batched_custom_segment_length_and_policy(acquire_calls):
     from repro.scheduling.policies import AdaptivePolicy
 
     compiler = CellCompiler(system=SystemConfig())
     cell = compiler.compile("TLIM-16", "adapt_buf", segment_length=3,
                             adaptive_policy=AdaptivePolicy(asap_threshold=2))
-    _assert_identical(reference_batch(cell, SEEDS),
-                      cell.execute_batch(SEEDS))
+    _assert_identical(acquire_calls, lambda: reference_batch(cell, SEEDS),
+                      lambda: cell.execute_batch(SEEDS))
 
 
 def test_ideal_batch_results_are_independent_objects():
@@ -172,7 +199,6 @@ def test_ideal_batch_results_are_independent_objects():
     assert results[0].seed == 1 and results[1].seed == 2
     assert results[0].fidelity_breakdown == results[1].fidelity_breakdown
     assert results[0].fidelity_breakdown is not results[1].fidelity_breakdown
-    assert results[0].remote_records is not results[1].remote_records
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +325,27 @@ def test_serial_backend_draws_each_seeds_variates_once(monkeypatch):
 
 
 class _SinkOfTwo:
-    """A sink declaring a two-seed granularity; records each batch size."""
+    """A sink declaring a two-seed granularity; collects the results.
+
+    ``results()`` reassembles what the sink received in task order;
+    ``sizes`` records each batch's size.
+    """
 
     chunk_size = 2
 
     def __init__(self):
         self.sizes = []
+        self.batches = {}
 
     def __call__(self, start, batch):
         self.sizes.append(len(batch))
+        self.batches[start] = batch
+
+    def results(self):
+        collected = [result for start in sorted(self.batches)
+                     for result in self.batches[start]]
+        self.batches = {}
+        return collected
 
 
 def test_process_backend_chunked_results_match_serial():
@@ -318,12 +356,17 @@ def test_process_backend_chunked_results_match_serial():
     serial = SerialBackend().execute(tasks)
     sink = _SinkOfTwo()
     with ProcessPoolBackend(max_workers=2) as backend:
-        first = backend.execute(tasks, sink=sink)
+        # With a sink, the results are the sink's: the call returns none.
+        assert backend.execute(tasks, sink=sink) == []
+        first = sink.results()
         # Second call brings a cell the pool initializer never saw, which
         # rebuilds the pool with the accumulated cell set.
         extra = compiler.compile("QFT-16", "async_buf")
         tasks_2 = tasks + [ExecutionTask(extra, seed) for seed in SEEDS]
-        second = backend.execute(tasks_2, sink=sink)
+        assert backend.execute(tasks_2, sink=sink) == []
+        second = sink.results()
+        # Without one, the ordered list comes back.
+        assert backend.execute(tasks) == serial
     assert max(sink.sizes) == 2
     assert sum(sink.sizes) == len(tasks) + len(tasks_2)
     assert first == serial
@@ -331,6 +374,43 @@ def test_process_backend_chunked_results_match_serial():
     assert second[len(tasks):] == SerialBackend().execute(
         [ExecutionTask(extra, seed) for seed in SEEDS]
     )
+
+
+class _ForgetfulSink:
+    """A sink that keeps nothing, and checks that nobody else does either.
+
+    It holds a weak reference to every result it is handed.  On each call,
+    every result of an earlier batch must be gone: the backend may keep no
+    batch once the sink call that received it has returned.
+    """
+
+    chunk_size = 2
+
+    def __init__(self):
+        self.earlier = []
+        self.batches = 0
+
+    def __call__(self, start, batch):
+        alive = [ref for ref in self.earlier if ref() is not None]
+        assert not alive, f"{len(alive)} earlier results still alive"
+        self.earlier.extend(weakref.ref(result) for result in batch)
+        self.batches += 1
+
+
+@pytest.mark.parametrize("backend_factory", [
+    SerialBackend, lambda: ProcessPoolBackend(max_workers=2),
+], ids=["serial", "process"])
+def test_backends_keep_no_batch_they_handed_to_the_sink(backend_factory):
+    compiler = CellCompiler(system=SystemConfig())
+    cells = [compiler.compile("TLIM-16", design)
+             for design in ("original", "async_buf", "ideal")]
+    tasks = [ExecutionTask(cell, seed) for cell in cells
+             for seed in range(1, 7)]
+    sink = _ForgetfulSink()
+    with backend_factory() as backend:
+        assert backend.execute(tasks, sink=sink) == []
+    assert sink.batches == len(tasks) // 2
+    assert all(ref() is None for ref in sink.earlier)
 
 
 def test_process_backend_cancels_queued_chunks_when_the_sink_raises(

@@ -21,6 +21,7 @@ from repro.analysis.ledger import (
     classify_metric,
     flatten_metrics,
     load_bench_file,
+    unmatched_namespaces,
 )
 from repro.study.cli import main
 
@@ -126,6 +127,18 @@ class TestCheckMetrics:
     def test_metric_absent_from_history_bootstraps(self):
         history = self._history(1.0, 1.0)
         assert check_metrics({"y.other_s": 9.0}, history) == []
+
+    def test_a_check_must_match_some_recorded_metric(self):
+        history = self._history(1.0, 1.0)
+        # A renamed payload matches nothing: both namespaces are named.
+        assert unmatched_namespaces({"x_bad.run_s": 9.0, "x_bad.n": 3.0},
+                                    history) == (["x_bad"], ["x"])
+        # A new metric next to a matched one still bootstraps.
+        assert unmatched_namespaces({"x.run_s": 1.0, "y.other_s": 9.0},
+                                    history) is None
+        # An empty ledger, or a payload that gates nothing, bootstraps.
+        assert unmatched_namespaces({"x_bad.run_s": 9.0}, []) is None
+        assert unmatched_namespaces({"x_bad.count": 9.0}, history) is None
 
     def test_invalid_window_and_allowance_rejected(self):
         with pytest.raises(LedgerError, match="window"):
@@ -264,6 +277,28 @@ class TestBenchCli:
         assert "baseline 1" in captured.err
         assert "REGRESSION demo.load.speedup" in captured.err
         assert "FAIL" in captured.out
+
+    def test_check_of_a_renamed_payload_fails(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        assert main(["bench", "record", str(self._payload(tmp_path, 1.0)),
+                     "--ledger", str(ledger)]) == 0
+        capsys.readouterr()
+        # The same payload, 30% slower, saved under another file name: its
+        # metrics land in a namespace the ledger never recorded.
+        renamed = tmp_path / "BENCH_demo_bad.json"
+        renamed.write_text(self._payload(tmp_path, 1.3).read_text())
+        assert main(["bench", "check", str(renamed),
+                     "--ledger", str(ledger)]) == 1
+        captured = capsys.readouterr()
+        assert ("payload namespace(s) demo_bad has recorded history"
+                in captured.err)
+        assert "the ledger records namespace(s) demo " in captured.err
+        assert "FAIL" in captured.out
+        assert main(["bench", "check", str(renamed), "--ledger",
+                     str(ledger), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False and report["regressions"] == []
+        assert "demo_bad" in report["unmatched"]
 
     def test_check_json_output(self, tmp_path, capsys):
         ledger = tmp_path / "ledger.jsonl"

@@ -140,10 +140,16 @@ class TestCellCompiler:
         compiler = CellCompiler(system=tlim_system)
         base = compiler.compile("TLIM-32", "adapt_buf")
         other_design = compiler.compile("TLIM-32", "original")
-        other_length = compiler.compile("TLIM-32", "adapt_buf", segment_length=2)
+        other_length = compiler.compile("TLIM-32", "adapt_buf", segment_length=3)
         assert base is not other_design
         assert base is not other_length
         assert other_length.lookup is not base.lookup
+        # An override equal to the resolved default (2 here) is another
+        # cell, but builds the same lookup table, so the cells share it.
+        default_length = compiler.compile("TLIM-32", "adapt_buf",
+                                          segment_length=2)
+        assert default_length is not base
+        assert default_length.lookup is base.lookup
 
     def test_adaptive_cell_carries_lookup(self, tlim_system):
         compiler = CellCompiler(system=tlim_system)
@@ -230,6 +236,49 @@ class TestCompileOnce:
         results = small_study(designs=["adapt_buf"]).run()
         assert len(results) == len(SMALL_SEEDS)
         assert len(calls) == 1
+
+    def test_designs_of_one_benchmark_build_each_artifact_once(
+            self, monkeypatch):
+        """Streams and lookups depend on the design only through its class.
+
+        original, sync_buf and async_buf lower to one stream set; adapt_buf
+        and init_buf share one lookup table and one stream set; ideal has
+        its own streams: three lowerings and one lookup for six cells.
+        """
+        import repro.engine.compiler as compiler_module
+        from repro.runtime import DesignExecutor, list_designs
+
+        calls = {"lower_cell": 0, "build_lookup": 0}
+        lower_cell = compiler_module.lower_cell
+        build_lookup = DesignExecutor.build_lookup
+
+        def counted_lower_cell(*args, **kwargs):
+            calls["lower_cell"] += 1
+            return lower_cell(*args, **kwargs)
+
+        def counted_build_lookup(self, program):
+            calls["build_lookup"] += 1
+            return build_lookup(self, program)
+
+        monkeypatch.setattr(compiler_module, "lower_cell", counted_lower_cell)
+        monkeypatch.setattr(DesignExecutor, "build_lookup",
+                            counted_build_lookup)
+        compiler = CellCompiler(system=SMALL_SYSTEM, cache=ArtifactCache())
+        cells = {design: compiler.compile("TLIM-32", design)
+                 for design in list_designs()}
+        assert len(cells) == 6
+        assert calls == {"lower_cell": 3, "build_lookup": 1}
+        assert (cells["original"].streams is cells["sync_buf"].streams
+                is cells["async_buf"].streams)
+        assert cells["adapt_buf"].streams is cells["init_buf"].streams
+        assert cells["adapt_buf"].lookup is cells["init_buf"].lookup
+        assert cells["ideal"].streams is not cells["original"].streams
+        # A cell built alone replays exactly like its sharing twin.
+        alone = CellCompiler(system=SMALL_SYSTEM, cache=ArtifactCache()
+                             ).compile("TLIM-32", "init_buf")
+        assert alone.streams is not cells["init_buf"].streams
+        assert (alone.execute_batch(SMALL_SEEDS)
+                == cells["init_buf"].execute_batch(SMALL_SEEDS))
 
     def test_simulator_reuses_lookup_across_seeds(self, monkeypatch):
         calls = []

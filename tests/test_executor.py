@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.statistics import ordered_sum
 from repro.benchmarks import qft_circuit, tlim_circuit
 from repro.circuits import QuantumCircuit
 from repro.partitioning import Partition, distribute_circuit
@@ -42,18 +43,29 @@ class TestIdealExecution:
 
 class TestDistributedExecution:
     def test_remote_gates_recorded(self, small_architecture, small_program):
-        result = execute_design(small_program, small_architecture, "async_buf",
-                                seed=2)
+        executor = DesignExecutor(small_architecture, "async_buf", seed=2,
+                                  collect_trace=True)
+        result = executor.run(small_program)
         assert result.num_remote == small_program.remote_gate_count()
-        assert len(result.remote_records) == result.num_remote
-        assert all(r.link_fidelity > 0.25 for r in result.remote_records)
+        remote = executor.last_trace.remote_entries()
+        assert len(remote) == result.num_remote
+        assert all(entry.link_fidelity > 0.25 for entry in remote)
+        # The trace lists remote gates in the order the total added them.
+        assert result.link_fidelity_total == ordered_sum(
+            entry.link_fidelity for entry in remote)
 
-    def test_remote_gate_starts_after_ready(self, small_architecture, small_program):
-        result = execute_design(small_program, small_architecture, "sync_buf",
-                                seed=2)
-        for record in result.remote_records:
-            assert record.start_time >= record.ready_time - 1e-9
-            assert record.finish_time > record.start_time
+    def test_remote_gate_starts_after_ready(self, small_architecture,
+                                            small_program, acquire_calls):
+        executor = DesignExecutor(small_architecture, "sync_buf", seed=2,
+                                  collect_trace=True)
+        result = executor.run(small_program)
+        assert len(acquire_calls) == result.num_remote
+        for ready, start, _created, _fidelity in acquire_calls:
+            assert start >= ready - 1e-9
+        for entry in executor.last_trace.remote_entries():
+            assert entry.finish > entry.start
+        assert result.remote_wait_total == ordered_sum(
+            max(0.0, start - ready) for ready, start, _, _ in acquire_calls)
 
     def test_depth_at_least_ideal(self, small_architecture, small_program):
         ideal = execute_design(small_program, small_architecture, "ideal")
@@ -101,11 +113,13 @@ class TestDistributedExecution:
                     + result.epr_statistics["consumed_direct"])
         assert consumed == result.num_remote
 
-    def test_init_buf_prefills(self, small_architecture, small_program):
-        result = execute_design(small_program, small_architecture, "init_buf", seed=5)
+    def test_init_buf_prefills(self, small_architecture, small_program,
+                               acquire_calls):
+        execute_design(small_program, small_architecture, "init_buf", seed=5)
         # With pre-filled buffers the first remote gate should not wait.
-        first_record = min(result.remote_records, key=lambda r: r.ready_time)
-        assert first_record.wait_time == pytest.approx(0.0, abs=1e-9)
+        ready, start, _created, _fidelity = min(acquire_calls,
+                                                key=lambda call: call[0])
+        assert start - ready == pytest.approx(0.0, abs=1e-9)
 
 
 class TestAdaptiveExecution:

@@ -1,5 +1,8 @@
 """Unit tests for the resource trackers, designs, and metrics."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.entanglement import AttemptPolicy
@@ -13,7 +16,7 @@ from repro.runtime import (
     list_designs,
 )
 from repro.runtime.designs import DESIGN_ORDER
-from repro.runtime.metrics import ExecutionResult, RemoteGateRecord
+from repro.runtime.metrics import ExecutionResult
 from repro.noise.fidelity import FidelityBreakdown
 from repro.exceptions import ConfigurationError, RuntimeSimulationError
 
@@ -142,10 +145,7 @@ class TestMetricsAndTrace:
             fidelity=fidelity, fidelity_breakdown=FidelityBreakdown(),
             num_single_qubit=4, num_local_two_qubit=3, num_remote=2,
             num_measurements=0, qubit_idle_total=10.0,
-            remote_records=[
-                RemoteGateRecord(1, 5.0, 7.0, 8.2, 6.0, 0.98),
-                RemoteGateRecord(3, 9.0, 9.0, 10.2, 8.5, 0.97),
-            ],
+            remote_wait_total=2.0, link_fidelity_total=0.98 + 0.97,
             epr_statistics={"generated": 10, "wasted": 4},
         )
 
@@ -157,7 +157,6 @@ class TestMetricsAndTrace:
     def test_remote_summaries(self):
         result = self._result()
         assert result.mean_remote_wait() == pytest.approx(1.0)
-        assert result.mean_link_age() == pytest.approx((1.0 + 0.5) / 2)
         assert result.mean_link_fidelity() == pytest.approx(0.975)
         assert result.epr_waste_fraction() == pytest.approx(0.4)
         assert result.summary()["remote_gates"] == 2
@@ -178,3 +177,101 @@ class TestMetricsAndTrace:
         assert len(trace.remote_entries()) == 1
         assert trace.busy_intervals(0) == [(0.0, 1.2)]
         assert "cx" in trace.render()
+
+
+class TestSummationOrder:
+    """Simulated totals add left to right from ``0.0`` on every Python.
+
+    Python 3.12's ``sum()`` of floats is compensated, while 3.9-3.11 (which
+    wrote the golden records and the benchmark pins) add left to right.  On
+    these inputs the two disagree: left to right gives ``1.0``, and a
+    compensated sum (3.12's ``sum()``, or ``math.fsum``) gives
+    ``1.0000000000000002``.
+    """
+
+    VALUES = [1.0, 1e-16, 1e-16]
+    #: The tracker's inputs: exactly representable idle times that round
+    #: the same way (2**-53 is half an ulp of 1.0).
+    TINY = 2.0 ** -53
+
+    def test_the_inputs_tell_the_two_orders_apart(self):
+        from repro.analysis.statistics import ordered_sum
+
+        for values in (self.VALUES, [1.0, self.TINY, self.TINY]):
+            assert ordered_sum(values) == 1.0
+            assert math.fsum(values) == 1.0000000000000002
+
+    def test_tracker_idle_total_adds_in_qubit_order(self):
+        tracker = DataQubitTracker(4)
+        tracker.occupy((3,), 0.0, 1.0)  # sets the makespan, never idles
+        tracker.occupy((0,), 0.0, 0.0)  # idles 1.0
+        tracker.occupy((1,), 1.0 - self.TINY, 0.0)  # idles TINY
+        tracker.occupy((2,), 1.0 - self.TINY, 0.0)
+        idle = [tracker.idle_time(q) for q in range(4)]
+        assert idle == [1.0, self.TINY, self.TINY, 0.0]
+        assert tracker.total_idle_time() == 1.0
+        assert math.fsum(idle) != 1.0
+
+    @pytest.fixture
+    def three_remote_gates(self, monkeypatch):
+        """A program of three remote gates, all ready at 0.0, whose links
+        arrive after waits of VALUES with fidelities of VALUES."""
+        from repro.circuits import QuantumCircuit
+        from repro.entanglement.service import EntanglementService
+        from repro.partitioning import Partition, distribute_circuit
+
+        circuit = QuantumCircuit(6, name="three-remote")
+        for qubit in range(3):
+            circuit.cx(qubit, qubit + 3)
+        program = distribute_circuit(
+            circuit, num_nodes=2,
+            partition=Partition({q: q // 3 for q in range(6)}, 2))
+        assert program.remote_gate_count() == 3
+        links = itertools.cycle(self.VALUES)
+
+        def scripted(service, after):
+            value = next(links)
+            return after + value, after, value
+
+        monkeypatch.setattr(EntanglementService, "acquire", scripted)
+        return program
+
+    def test_execution_result_means_add_in_gate_order(self,
+                                                      three_remote_gates):
+        from repro.core import SystemConfig
+        from repro.engine import CellCompiler
+        from repro.runtime import DesignExecutor
+
+        cell = CellCompiler(system=SystemConfig()).compile(
+            three_remote_gates, "original")
+        batched = cell.execute_batch([1])[0]
+        reference = DesignExecutor(cell.architecture, "original",
+                                   seed=1).run(three_remote_gates)
+        for result in (batched, reference):
+            assert result.num_remote == 3
+            assert result.remote_wait_total == 1.0
+            assert result.link_fidelity_total == 1.0
+            assert result.mean_remote_wait() == 1.0 / 3
+            assert result.mean_link_fidelity() == 1.0 / 3
+        assert math.fsum(self.VALUES) / 3 != 1.0 / 3
+
+    def test_design_summaries_add_in_run_order(self):
+        from repro.core.results import DesignSummary
+        from repro.study.results import ResultSet, RunRecord
+
+        runs = [
+            ExecutionResult(
+                design="sync_buf", benchmark="toy", seed=seed, makespan=1.0,
+                fidelity=0.5, fidelity_breakdown=FidelityBreakdown(),
+                num_single_qubit=0, num_local_two_qubit=0, num_remote=1,
+                num_measurements=0, qubit_idle_total=0.0,
+                remote_wait_total=value, link_fidelity_total=value)
+            for seed, value in enumerate(self.VALUES)
+        ]
+        summary = DesignSummary.from_results(runs)
+        rebuilt = ResultSet(
+            [RunRecord.from_execution_result(run) for run in runs]
+        ).to_comparisons()["toy"].design("sync_buf")
+        for aggregate in (summary, rebuilt):
+            assert aggregate.mean_remote_wait == 1.0 / 3
+            assert aggregate.mean_link_fidelity == 1.0 / 3

@@ -363,6 +363,44 @@ class TestStudyRun:
 # ----------------------------------------------------------------------
 # result set serialisation (satellite)
 # ----------------------------------------------------------------------
+def test_run_keeps_no_result_of_a_committed_chunk(tmp_path, monkeypatch):
+    """Execute holds O(chunk) results: each dies once its chunk commits.
+
+    Every ``execute_batch`` result is watched through a weak reference;
+    when a chunk's progress event fires, no result of an earlier chunk may
+    still be alive anywhere in the backend or the sink.
+    """
+    import weakref
+
+    from repro.engine.compiler import CompiledCell
+
+    batches = []
+    execute_batch = CompiledCell.execute_batch
+
+    def watched(self, seeds, **kwargs):
+        batch = execute_batch(self, seeds, **kwargs)
+        batches.append([weakref.ref(result) for result in batch])
+        return batch
+
+    monkeypatch.setattr(CompiledCell, "execute_batch", watched)
+    alive_at_events = []
+
+    def progress(event):
+        alive_at_events.append(sum(ref() is not None
+                                   for batch in batches[:-1]
+                                   for ref in batch))
+
+    study = Study(benchmarks=["TLIM-16", "QFT-16"], num_runs=3,
+                  backend="serial")
+    results = study.run(store=tmp_path / "store", store_chunk_size=2,
+                        progress=progress)
+    assert len(results) == 2 * 6 * 3
+    # 2 benchmarks x 6 designs x chunks of seeds (0, 1) and (2,).
+    assert len(batches) == 24
+    assert len(alive_at_events) == 1 + 24
+    assert alive_at_events == [0] * len(alive_at_events)
+
+
 class TestResultSetSerialization:
     @pytest.fixture(scope="class")
     def sweep_results(self):
