@@ -294,7 +294,9 @@ def _run_service_phase(plan: Dict[str, Any], spec: Dict[str, Any],
                 if job_id is None:
                     job_id = client.submit(spec)["id"]
                     log(f"  service job {job_id} submitted")
-                status = client.job(job_id)
+                # Held until the job ends, for at most a second, so the
+                # loop still looks for a dead daemon that often.
+                status = client.job(job_id, wait=1.0)
                 if status["state"] == "done":
                     final_status = status
                     result_text = client.results(job_id, fmt="json")
@@ -303,10 +305,10 @@ def _run_service_phase(plan: Dict[str, Any], spec: Dict[str, Any],
                         f"{job_id}: {status['state']}: "
                         f"{status.get('error') or status.get('last_failure')}")
                     job_id = None  # resubmit; the shared store resumes
-                else:
-                    time.sleep(0.2)
             except ServiceError as error:
-                if error.status == 0:  # daemon mid-death; loop restarts it
+                # A crash cuts a held request as it cuts any other: status
+                # 0, and the loop restarts the daemon.
+                if error.status == 0:
                     time.sleep(0.2)
                     continue
                 if error.status == 404:

@@ -6,7 +6,7 @@ maps to one endpoint, JSON error bodies become :class:`ServiceError`
 validation error's ``field`` / ``allowed`` diagnosis), a service that
 cannot be reached or drops the connection becomes a status-0
 ``unreachable`` :class:`ServiceError`, and :meth:`ServiceClient.wait`
-polls a job to a terminal state.
+holds status requests until a job reaches a terminal state.
 """
 
 from __future__ import annotations
@@ -125,9 +125,16 @@ class ServiceClient:
                          if value is not None)
         return self._request("GET", "/jobs" + (f"?{query}" if query else ""))
 
-    def job(self, job_id: str) -> Dict[str, Any]:
-        """``GET /jobs/<id>`` — state, progress, resume point."""
-        return self._request("GET", f"/jobs/{job_id}")
+    def job(self, job_id: str, *,
+            wait: Optional[float] = None) -> Dict[str, Any]:
+        """``GET /jobs/<id>`` — state, progress, resume point.
+
+        With ``wait``, the daemon holds the request until the job is
+        terminal or ``wait`` seconds pass (``GET /jobs/<id>?wait=<s>``); keep
+        it below the client's ``timeout``, which bounds the whole request.
+        """
+        query = f"?wait={wait:.3f}" if wait is not None else ""
+        return self._request("GET", f"/jobs/{job_id}{query}")
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """``POST /jobs/<id>/cancel`` — returns the resulting state."""
@@ -145,11 +152,21 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def wait(self, job_id: str, *, timeout: Optional[float] = None,
              poll: float = 0.25) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; return its status."""
+        """Wait until the job reaches a terminal state; return its status.
+
+        Each status request is held by the daemon until the job ends, for
+        less than both the remaining ``timeout`` and half the client's
+        socket ``timeout``, so a job that ends is reported at once.
+        ``poll`` is the pause after an answer that is still not terminal:
+        a hold that expired, or a daemon that ignores ``wait``.
+        """
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         while True:
-            status = self.job(job_id)
+            hold = self.timeout / 2
+            if deadline is not None:
+                hold = max(0.0, min(hold, deadline - time.monotonic()))
+            status = self.job(job_id, wait=hold)
             if status["state"] in ("done", "failed", "cancelled"):
                 return status
             if deadline is not None and time.monotonic() > deadline:

@@ -46,6 +46,11 @@ __all__ = ["ServiceConfig", "StudyDaemon", "QuotaError", "JobNotReady"]
 #: Default TCP port of the service (REPRO, loosely, on a phone keypad).
 DEFAULT_PORT = 8765
 
+#: Seconds between the HTTP serve loop's checks for a shutdown request, so
+#: the longest ``stop()`` waits for the loop to end (``http.server``'s
+#: default is 0.5 s).
+SERVE_POLL_S = 0.05
+
 #: The progress fields a job status reports as its resume point.
 _RESUME_KEYS = ("done_chunks", "total_chunks", "done_tasks", "total_tasks",
                 "complete")
@@ -154,7 +159,7 @@ class StudyDaemon:
         self._server = build_server(self, self.config.host, self.config.port)
         self._server_thread = threading.Thread(
             target=self._server.serve_forever, name="repro-http",
-            daemon=True,
+            kwargs={"poll_interval": SERVE_POLL_S}, daemon=True,
         )
         self._server_thread.start()
         if self.config.job_ttl is not None:
@@ -176,7 +181,11 @@ class StudyDaemon:
 
         Jobs mid-run are re-queued (their committed chunks are durable),
         so the next :meth:`start` against the same data root resumes them.
+        Held status requests (``GET /jobs/<id>?wait=``) are answered first,
+        with their job's current state: the server's close waits for every
+        request thread.
         """
+        self.registry.release_waiters()
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()

@@ -7,6 +7,8 @@ Endpoints (all JSON unless noted)::
                                   429 quota-exceeded payload
     GET  /jobs[?state=…&client=…] list jobs + the caller's quota accounting
     GET  /jobs/<id>               job state + live progress + resume point
+         ?wait=<s>                held until the job ends or s seconds pass
+                                  (at most MAX_WAIT_S); 400 invalid-wait
     GET  /jobs/<id>/results       results from the job's store
          ?format=json|csv         (text/csv for csv); 409 until done
     POST /jobs/<id>/cancel        cooperative cancel → resulting state
@@ -15,7 +17,11 @@ Endpoints (all JSON unless noted)::
 Tenancy is the ``X-Client`` request header (default ``anonymous``);
 priority is the ``X-Priority`` header on submit.  The server is a
 ``ThreadingHTTPServer`` with daemon threads: requests never block the
-scheduler, and status polling stays responsive while jobs run.
+scheduler, and status requests stay responsive while jobs run.  A held
+status request (``?wait=``) sleeps on the job registry's condition, not on
+a timer, so it answers the moment its job is done, failed or cancelled —
+a client waiting for a job sends one request instead of polling.  The
+status itself is built once, after the hold.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ __all__ = ["build_server", "ServiceRequestHandler"]
 #: Submission bodies larger than this are rejected outright (a study spec
 #: is a few KB; anything megabytes-large is a mistake or abuse).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest hold of one ``GET /jobs/<id>?wait=<s>`` request, in seconds;
+#: a larger ``s`` is clamped to it (a client re-asks if the job runs on).
+MAX_WAIT_S = 300.0
 
 _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9_.-]+)$")
 _RESULTS_PATH = re.compile(r"^/jobs/([A-Za-z0-9_.-]+)/results$")
@@ -158,8 +168,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self._get_results(_RESULTS_PATH.match(url.path).group(1),
                                   query)
             elif _JOB_PATH.match(url.path):
-                job_id = _JOB_PATH.match(url.path).group(1)
-                self._send_json(200, self.daemon.job_status(job_id))
+                self._get_job(_JOB_PATH.match(url.path).group(1), query)
             else:
                 self._not_found()
         except JobError as error:
@@ -169,6 +178,24 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": "internal",
                                   "message": f"{type(error).__name__}: "
                                              f"{error}"})
+
+    def _get_job(self, job_id: str, query: Dict[str, Any]) -> None:
+        raw = (query.get("wait") or [None])[0]
+        if raw is not None:
+            try:
+                wait = float(raw)
+            except ValueError:
+                wait = -1.0
+            if not wait >= 0.0:  # negative, unparsable or NaN
+                self._send_json(400, {
+                    "error": "invalid-wait",
+                    "message": f"wait must be a number of seconds >= 0, "
+                               f"got {raw!r}",
+                })
+                return
+            self.daemon.registry.wait_until_terminal(
+                job_id, min(wait, MAX_WAIT_S))
+        self._send_json(200, self.daemon.job_status(job_id))
 
     def _get_results(self, job_id: str, query: Dict[str, Any]) -> None:
         fmt = (query.get("format") or ["json"])[0]

@@ -18,6 +18,9 @@ The state machine::
 Transitions are validated under one registry lock, which is what makes a
 racing cancel-vs-start well defined: exactly one of ``queued → running``
 and ``queued → cancelled`` wins, and the loser observes the new state.
+A condition over the same lock wakes status requests held until their
+job ends (:meth:`JobRegistry.wait_until_terminal`) the moment a
+transition is recorded.
 """
 
 from __future__ import annotations
@@ -253,6 +256,10 @@ class JobRegistry:
         self.journal = journal
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.RLock()
+        #: Notified on every recorded transition and by
+        #: :meth:`release_waiters`; held status requests sleep on it.
+        self._changed = threading.Condition(self._lock)
+        self._released = False
         self._next_index = 0
 
     # ------------------------------------------------------------------
@@ -375,6 +382,7 @@ class JobRegistry:
             event["failure"] = failure
         self.journal.append(event)
         self._apply(job, event)
+        self._changed.notify_all()
 
     def prune(self, job_id: str) -> Job:
         """Journal and forget a *terminal* job (the TTL garbage collector).
@@ -396,6 +404,25 @@ class JobRegistry:
                                  "ts": time.time()})
             del self._jobs[job.id]
             return job
+
+    def wait_until_terminal(self, job_id: str, timeout: float) -> None:
+        """Block until the job ends or ``timeout`` seconds pass.
+
+        Returns at once for a terminal job, and once :meth:`release_waiters`
+        was called; the caller reads the job's status afterwards.  Raises
+        :class:`JobError` for an unknown id.  (Only terminal jobs are
+        pruned, so a pruned job has no wait left to end.)
+        """
+        with self._changed:
+            job = self.get(job_id)
+            self._changed.wait_for(
+                lambda: job.is_terminal or self._released, timeout)
+
+    def release_waiters(self) -> None:
+        """End every held wait now, and every later one at once (shutdown)."""
+        with self._changed:
+            self._released = True
+            self._changed.notify_all()
 
     # ------------------------------------------------------------------
     # queries

@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--priority", type=int, default=0, metavar="N",
                         help="queue priority (higher runs first; default 0)")
     submit.add_argument("--wait", action="store_true",
-                        help="poll until the job reaches a terminal state")
+                        help="wait until the job reaches a terminal state")
     submit.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="give up waiting after S seconds (with --wait)")
     submit.add_argument("--json", action="store_true",

@@ -17,11 +17,18 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
 
-from repro.exceptions import ConfigurationError, SpecValidationError, StoreError
+from repro.exceptions import (
+    ConfigurationError,
+    ReproError,
+    SpecValidationError,
+    StoreError,
+)
 from repro.service import (
     JobJournal,
     JobRegistry,
@@ -31,6 +38,7 @@ from repro.service import (
     ServiceError,
     StudyDaemon,
 )
+from repro.service.httpapi import ServiceRequestHandler
 from repro.service.jobqueue import JobQueue
 from repro.service.jobs import Job
 from repro.study.store import ProgressEvent, RunStore
@@ -208,6 +216,36 @@ class TestJobRegistry:
         assert registry.try_transition("job-000001", JobState.CANCELLED)
         # The worker that pops the id afterwards loses the claim.
         assert not registry.try_transition("job-000001", JobState.RUNNING)
+
+    def test_every_held_wait_wakes_when_its_job_ends(self, tmp_path):
+        registry = JobRegistry(JobJournal(tmp_path / "j"))
+        registry.load()
+        ids = []
+        for index in range(8):
+            registry.add(make_job(index))
+            ids.append(f"job-{index + 1:06d}")
+        woke = {}
+
+        def hold(job_id):
+            registry.wait_until_terminal(job_id, 30)
+            woke[job_id] = registry.get(job_id).state
+
+        threads = [threading.Thread(target=hold, args=(job_id,), daemon=True)
+                   for job_id in ids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for job_id in ids:
+                registry.try_transition(job_id, JobState.RUNNING)
+                registry.try_transition(job_id, JobState.DONE)
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert woke == {job_id: JobState.DONE for job_id in ids}
 
     def test_restart_requeues_running_jobs(self, tmp_path):
         journal = JobJournal(tmp_path / "j")
@@ -418,7 +456,8 @@ class TestClientConnectionErrors:
     @pytest.mark.parametrize("call", [
         lambda client: client.health(),
         lambda client: client.job("job-1"),
-    ], ids=["health", "job"])
+        lambda client: client.job("job-1", wait=1.0),
+    ], ids=["health", "job", "held-job"])
     def test_dropped_connection_is_an_unreachable_error(self, reset, call):
         url, server = drop_after_request(reset)
         with pytest.raises(ServiceError) as caught:
@@ -456,6 +495,164 @@ class TestQueuedJobs:
         other.submit(small_spec(num_runs=6))
         idle_client.cancel(first["id"])
         idle_client.submit(small_spec(num_runs=5))
+
+
+# ----------------------------------------------------------------------
+# held status requests: GET /jobs/<id>?wait=<s> answers when the job ends
+# ----------------------------------------------------------------------
+def hold_in_thread(client, job_id, wait=60.0):
+    """Send ``GET /jobs/<id>?wait=`` from a thread; returns (thread, box)."""
+    box = []
+    thread = threading.Thread(
+        target=lambda: box.append(client.job(job_id, wait=wait)),
+        daemon=True)
+    thread.start()
+    return thread, box
+
+
+def assert_held_then_answered(thread, box, end_hold, within=10.0):
+    """The request is still held, then answers soon after ``end_hold()``."""
+    time.sleep(0.3)
+    assert thread.is_alive(), f"request answered at once: {box[0]['state']}"
+    ended = time.monotonic()
+    end_hold()
+    thread.join(timeout=within)
+    assert not thread.is_alive(), "held request never answered"
+    return box[0], time.monotonic() - ended
+
+
+def get_status(url, job_id, query):
+    """``GET /jobs/<id>?<query>`` as (HTTP status, payload, seconds)."""
+    started = time.monotonic()
+    try:
+        with urllib.request.urlopen(f"{url}/jobs/{job_id}?{query}",
+                                    timeout=30) as response:
+            code, payload = response.status, json.load(response)
+    except urllib.error.HTTPError as error:
+        code, payload = error.code, json.load(error)
+    return code, payload, time.monotonic() - started
+
+
+def slow_down_chunks(monkeypatch, seconds=0.05):
+    """Pause every job for ``seconds`` after each chunk it commits."""
+    run = Study.run
+
+    def slowed(study, *args, progress, **kwargs):
+        def observe(event):
+            progress(event)
+            time.sleep(seconds)
+        return run(study, *args, progress=observe, **kwargs)
+
+    monkeypatch.setattr(Study, "run", slowed)
+
+
+def count_status_builds(daemon, monkeypatch):
+    """Record the time of every status the daemon builds."""
+    stamps = []
+    original = daemon.job_status
+
+    def counting(job_id):
+        stamps.append(time.monotonic())
+        return original(job_id)
+
+    monkeypatch.setattr(daemon, "job_status", counting)
+    return stamps
+
+
+class TestHeldStatusRequests:
+    def test_wait_returns_when_the_job_ends_not_after_a_poll(
+            self, daemon, client, monkeypatch):
+        stamps = count_status_builds(daemon, monkeypatch)
+        started = time.monotonic()
+        job = client.submit(small_spec(designs=["original"]))
+        status = client.wait(job["id"], timeout=60, poll=30)
+        assert status["state"] == "done"
+        assert time.monotonic() - started < 10
+        assert 1 <= len(stamps) <= 2
+
+    def test_cancel_of_a_running_job_answers_the_hold(
+            self, daemon, client, monkeypatch):
+        slow_down_chunks(monkeypatch)
+        job = client.submit(slow_spec())
+        poll_until(lambda: daemon.scheduler.progress(job["id"])["latest"])
+        thread, box = hold_in_thread(client, job["id"])
+        status, _ = assert_held_then_answered(
+            thread, box, lambda: client.cancel(job["id"]))
+        assert status["state"] == "cancelled"
+
+    def test_failure_of_a_running_job_answers_the_hold(
+            self, daemon, client, monkeypatch):
+        fail = threading.Event()
+
+        def failing_run(study, *args, **kwargs):
+            fail.wait(30)
+            raise ReproError("injected run failure")
+
+        monkeypatch.setattr(Study, "run", failing_run)
+        job = client.submit(small_spec())
+        poll_until(lambda: client.job(job["id"])["state"] == "running")
+        thread, box = hold_in_thread(client, job["id"])
+        status, _ = assert_held_then_answered(thread, box, fail.set)
+        assert status["state"] == "failed"
+        assert status["error"] == "injected run failure"
+
+    def test_daemon_stop_answers_the_hold_with_the_current_state(
+            self, idle_daemon, idle_client):
+        job = idle_client.submit(small_spec())
+        thread, box = hold_in_thread(idle_client, job["id"])
+        status, seconds = assert_held_then_answered(
+            thread, box, lambda: idle_daemon.stop(timeout=5), within=1.0)
+        assert status["state"] == "queued"
+        assert seconds < 1.0
+
+    def test_immediate_answers_and_rejected_waits(self, idle_client):
+        url = idle_client.url
+        queued = idle_client.submit(small_spec())["id"]
+        ended = idle_client.submit(small_spec(num_runs=4))["id"]
+        idle_client.cancel(ended)
+        code, payload, seconds = get_status(url, queued, "wait=0")
+        assert (code, payload["state"]) == (200, "queued")
+        assert seconds < 5
+        for wait in ("0", "0.5", "60", "1e9"):
+            code, payload, seconds = get_status(url, ended, f"wait={wait}")
+            assert (code, payload["state"]) == (200, "cancelled")
+            assert seconds < 5
+        code, payload, seconds = get_status(url, "job-999999", "wait=60")
+        assert (code, payload["error"]) == (404, "unknown-job")
+        assert seconds < 5
+        for wait in ("-1", "abc", "nan"):
+            code, payload, _ = get_status(url, queued, f"wait={wait}")
+            assert (code, payload["error"]) == (400, "invalid-wait")
+
+    def test_wait_polls_a_daemon_that_ignores_wait(
+            self, daemon, client, monkeypatch):
+        original = ServiceRequestHandler._get_job
+        monkeypatch.setattr(
+            ServiceRequestHandler, "_get_job",
+            lambda handler, job_id, query: original(handler, job_id, {}))
+        stamps = count_status_builds(daemon, monkeypatch)
+        release = threading.Event()
+        run = Study.run
+
+        def gated_run(study, *args, **kwargs):
+            release.wait(30)
+            return run(study, *args, **kwargs)
+
+        monkeypatch.setattr(Study, "run", gated_run)
+        job = client.submit(small_spec())
+        box = []
+        waiter = threading.Thread(
+            target=lambda: box.append(
+                client.wait(job["id"], timeout=60, poll=0.1)),
+            daemon=True)
+        waiter.start()
+        poll_until(lambda: len(stamps) >= 3)
+        release.set()
+        waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert box[0]["state"] == "done"
+        gaps = [b - a for a, b in zip(stamps, stamps[1:])]
+        assert min(gaps) >= 0.1
 
 
 # ----------------------------------------------------------------------
@@ -648,6 +845,19 @@ class TestGracefulRestart:
             assert client.results(job["id"]) == foreground_json(spec)
         finally:
             second.stop(timeout=5)
+
+
+class TestPromptStop:
+    def test_idle_daemon_stops_within_the_serve_poll(self, tmp_path):
+        spent = 0.0
+        for _ in range(10):
+            daemon = StudyDaemon(ServiceConfig(data_root=tmp_path / "svc",
+                                               port=0))
+            daemon.start()
+            started = time.monotonic()
+            daemon.stop(timeout=5)
+            spent += time.monotonic() - started
+        assert spent < 1.0
 
 
 # ----------------------------------------------------------------------
