@@ -20,7 +20,7 @@ from typing import (
     Union,
 )
 
-from repro.hardware.parameters import OPERATION_TABLE
+from repro.hardware.parameters import GateFidelities, GateTimes
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
     from repro.core.results import BenchmarkComparison
@@ -85,18 +85,18 @@ def table1_report(properties: Mapping[str, Mapping[str, object]],
 
 def table2_report() -> str:
     """Table II: quantum operation properties used by the simulator."""
-    headers = ["Name", "Latency", "Fidelity"]
-    label = {
-        "single_qubit": "1Q gates",
-        "local_cnot": "Local CNOT gates",
-        "measurement": "Measurement",
-        "epr_preparation": "EPR pair preparation",
-    }
+    times, fidelities = GateTimes(), GateFidelities()
     rows = [
-        [label[key], properties.latency, f"{properties.fidelity * 100:.2f}%"]
-        for key, properties in OPERATION_TABLE.items()
+        [label, latency, f"{fidelity * 100:.2f}%"]
+        for label, latency, fidelity in (
+            ("1Q gates", times.single_qubit, fidelities.single_qubit),
+            ("Local CNOT gates", times.local_cnot, fidelities.local_cnot),
+            ("Measurement", times.measurement, fidelities.measurement),
+            ("EPR pair preparation", times.epr_generation_cycle,
+             fidelities.epr_pair),
+        )
     ]
-    return format_table(headers, rows)
+    return format_table(["Name", "Latency", "Fidelity"], rows)
 
 
 def comparison_report(comparison: "BenchmarkComparison",

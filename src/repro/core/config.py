@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.hardware.architecture import DQCArchitecture, two_node_architecture
+from repro.hardware.architecture import DQCArchitecture
+from repro.hardware.node import QPUNode
 from repro.hardware.parameters import GateFidelities, GateTimes, PhysicalConstants
 from repro.hardware.topology import get_topology
 from repro.partitioning.registry import get_partitioner
@@ -28,8 +29,7 @@ class SystemConfig:
     ----------
     num_nodes:
         Number of QPU nodes (2 in the paper's evaluation; the architecture
-        model supports more — :meth:`build_architecture` materialises a
-        generic node ring for ``num_nodes > 2``).
+        model supports more, linked by :attr:`topology`).
     data_qubits_per_node:
         Data-qubit capacity per node (16 for the 32-qubit experiments,
         32 for the 64-qubit experiments).
@@ -95,35 +95,24 @@ class SystemConfig:
     def build_architecture(self) -> DQCArchitecture:
         """Materialise the :class:`DQCArchitecture` for this configuration.
 
-        The interconnect ``links`` come from the registered :attr:`topology`
-        (``None`` for ``all_to_all``, reproducing the paper's setting).
+        Every node gets the same qubit counts; the interconnect ``links``
+        come from the registered :attr:`topology` (``None`` for
+        ``all_to_all``, reproducing the paper's setting).
         """
+        nodes = [
+            QPUNode(index, self.data_qubits_per_node,
+                    self.comm_qubits_per_node, self.buffer_qubits_per_node)
+            for index in range(self.num_nodes)
+        ]
         physics = PhysicalConstants(
             local_cnot_time_ns=self.local_cnot_time_ns,
             decoherence_time_us=self.decoherence_time_us,
             epr_success_probability=self.epr_success_probability,
         )
-        links = get_topology(self.topology).links(self.num_nodes)
-        if self.num_nodes == 2:
-            return two_node_architecture(
-                data_qubits_per_node=self.data_qubits_per_node,
-                comm_qubits_per_node=self.comm_qubits_per_node,
-                buffer_qubits_per_node=self.buffer_qubits_per_node,
-                gate_times=self.gate_times,
-                fidelities=self.fidelities,
-                physics=physics,
-                links=links,
-            )
-        from repro.hardware.node import QPUNode
-
-        nodes = [
-            QPUNode(i, self.data_qubits_per_node, self.comm_qubits_per_node,
-                    self.buffer_qubits_per_node)
-            for i in range(self.num_nodes)
-        ]
-        return DQCArchitecture(nodes=nodes, gate_times=self.gate_times,
-                               fidelities=self.fidelities, physics=physics,
-                               links=links)
+        return DQCArchitecture(
+            nodes=nodes, gate_times=self.gate_times,
+            fidelities=self.fidelities, physics=physics,
+            links=get_topology(self.topology).links(self.num_nodes))
 
     def with_comm_and_buffer(self, comm: int, buffer: int) -> "SystemConfig":
         """Copy with different communication / buffer qubit counts (Fig. 7)."""

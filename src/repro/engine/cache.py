@@ -48,8 +48,9 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 
 #: On-disk format version; bump when pickled artifact layouts change so
 #: stale entries from older code are invalidated wholesale (they live under
-#: a different ``v<N>`` directory and are simply never read again).
-CACHE_FORMAT_VERSION = 3
+#: a different ``v<N>`` directory and are simply never read again).  4: QPU
+#: nodes pickle as qubit counts, without per-qubit clock objects.
+CACHE_FORMAT_VERSION = 4
 
 #: Internal sentinel distinguishing "nothing stored" from a stored ``None``.
 _MISSING = object()
@@ -91,15 +92,11 @@ class ArtifactCache:
     """In-memory store of compile artifacts with hit / miss accounting.
 
     Entries are namespaced (``"program"``, ``"cell"``, ...) so one cache can
-    hold every artifact kind of the compile stage.  The cache is unbounded by
-    default; pass ``max_entries`` to evict the oldest entries FIFO, which is
-    enough for sweep workloads where old configurations never return.
+    hold every artifact kind of the compile stage.  The cache is unbounded:
+    a sweep compiles each distinct cell once, and a process keeps them all.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._entries: Dict[Tuple[str, str], Any] = {}
         self.hits = 0
         self.misses = 0
@@ -121,16 +118,8 @@ class ArtifactCache:
 
     def put(self, namespace: str, key: str, artifact: Any) -> Any:
         """Store an artifact and return it (for call-site chaining)."""
-        self._store_memory(namespace, key, artifact)
-        return artifact
-
-    def _store_memory(self, namespace: str, key: str, artifact: Any) -> None:
-        if (self.max_entries is not None
-                and (namespace, key) not in self._entries
-                and len(self._entries) >= self.max_entries):
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
         self._entries[(namespace, key)] = artifact
+        return artifact
 
     def count(self, namespace: Optional[str] = None) -> int:
         """Number of stored artifacts, optionally within one namespace."""
@@ -188,7 +177,7 @@ class ArtifactCache:
 
 
 class PersistentArtifactCache(ArtifactCache):
-    """Two-tier artifact cache: an in-memory LRU front over a disk store.
+    """Two-tier artifact cache: an in-memory front over a disk store.
 
     Artifacts are pickled under ``directory/v<version>/<namespace>/<key>.pkl``
     so a fresh process (or machine reboot) starts sweeps with compilation
@@ -203,17 +192,13 @@ class PersistentArtifactCache(ArtifactCache):
     entry and readers never observe a torn file.  Unreadable or corrupted
     entries are treated as misses and deleted.  Disk write failures (e.g. a
     full disk) degrade the cache to memory-only for the affected entries and
-    are counted in ``disk_errors`` rather than aborting the sweep.
-
-    With ``max_entries`` set, the memory front evicts least-recently-used
-    entries (a memory hit refreshes recency); evicted artifacts remain on
-    disk and are promoted back on their next lookup.
+    are counted in ``disk_errors`` rather than aborting the sweep.  A disk
+    hit is promoted to the memory front.
     """
 
     def __init__(self, directory: Union[str, Path],
-                 max_entries: Optional[int] = None,
                  version: int = CACHE_FORMAT_VERSION) -> None:
-        super().__init__(max_entries=max_entries)
+        super().__init__()
         self.directory = Path(directory).expanduser()
         self.version = int(version)
         self.memory_hits = 0
@@ -236,11 +221,6 @@ class PersistentArtifactCache(ArtifactCache):
         if entry is not _MISSING:
             self.hits += 1
             self.memory_hits += 1
-            if self.max_entries is not None:
-                # LRU refresh: re-insert so eviction pops the least
-                # recently *used* entry, not the least recently stored.
-                del self._entries[(namespace, key)]
-                self._entries[(namespace, key)] = entry
             return entry
         artifact = self._read_disk(namespace, key)
         if artifact is _MISSING:
@@ -248,11 +228,11 @@ class PersistentArtifactCache(ArtifactCache):
             return None
         self.hits += 1
         self.disk_hits += 1
-        self._store_memory(namespace, key, artifact)
+        self._entries[(namespace, key)] = artifact
         return artifact
 
     def put(self, namespace: str, key: str, artifact: Any) -> Any:
-        self._store_memory(namespace, key, artifact)
+        self._entries[(namespace, key)] = artifact
         self._write_disk(namespace, key, artifact)
         return artifact
 
@@ -362,8 +342,7 @@ def resolve_cache_dir(override: Union[None, str, Path] = None
     return None
 
 
-def default_cache(cache_dir: Union[None, str, Path] = None,
-                  max_entries: Optional[int] = None) -> ArtifactCache:
+def default_cache(cache_dir: Union[None, str, Path] = None) -> ArtifactCache:
     """Build the default artifact cache, honouring ``REPRO_CACHE_DIR``.
 
     Returns a :class:`PersistentArtifactCache` when a cache directory is
@@ -372,5 +351,5 @@ def default_cache(cache_dir: Union[None, str, Path] = None,
     """
     directory = resolve_cache_dir(cache_dir)
     if directory is None:
-        return ArtifactCache(max_entries=max_entries)
-    return PersistentArtifactCache(directory, max_entries=max_entries)
+        return ArtifactCache()
+    return PersistentArtifactCache(directory)

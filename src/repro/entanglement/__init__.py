@@ -1,6 +1,6 @@
 """Remote-entanglement-generation substrate.
 
-Werner states and decay, attempt scheduling (synchronous vs asynchronous),
+Werner-state decay, attempt scheduling (synchronous vs asynchronous),
 the stochastic generator, its success tape and the variate table generators
 share, buffer pools, and the interactive supply service used by the runtime.
 """
@@ -13,7 +13,7 @@ from repro.entanglement.generator import (
     VariateTable,
 )
 from repro.entanglement.service import EntanglementService, ServiceStatistics
-from repro.entanglement.werner import WernerState, werner_density_matrix, werner_fidelity_after
+from repro.entanglement.werner import werner_density_matrix, werner_fidelity_after
 
 __all__ = [
     "AttemptPolicy",
@@ -25,7 +25,6 @@ __all__ = [
     "EntanglementService",
     "ServiceStatistics",
     "VariateTable",
-    "WernerState",
     "werner_density_matrix",
     "werner_fidelity_after",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -125,16 +125,6 @@ class AttemptSchedule:
         return tuple(self.first_completion(pair)
                      for pair in range(self.num_pairs))
 
-    def attempt_start(self, pair_index: int, attempt: int) -> float:
-        """Start time of the ``attempt``-th attempt (0-based) of a pair.
-
-        In steady-state mode the first attempt may have started before the
-        program (negative times are possible by construction).
-        """
-        if attempt < 0:
-            raise EntanglementError("attempt index must be non-negative")
-        return self.attempt_completion(pair_index, attempt) - self.cycle_time
-
     def attempt_completion(self, pair_index: int, attempt: int) -> float:
         """Completion (heralding) time of the ``attempt``-th attempt."""
         if attempt < 0:
@@ -156,9 +146,9 @@ class AttemptSchedule:
     def attempt_index_completing_after(self, pair_index: int, time: float) -> int:
         """Index of the first attempt whose completion is strictly after ``time``.
 
-        Used when a pair resumes attempting after having been blocked: the
-        pair re-joins its own phase grid rather than starting an arbitrary
-        new phase, which preserves the synchronous/asynchronous pattern.
+        The attempt bound of the generator's interval rule, which
+        :meth:`~repro.entanglement.generator.EntanglementGenerator.attempt_after`
+        replicates inline.
         """
         first = self.first_completion(pair_index)
         if time < first - 1e-12:
@@ -170,29 +160,6 @@ class AttemptSchedule:
         if abs(elapsed - round(elapsed)) < 1e-9:
             index = int(round(elapsed)) + 1
         return index
-
-    def completions_between(self, pair_index: int, start: float,
-                            end: float) -> List[float]:
-        """All attempt completion times of a pair in the interval ``(start, end]``."""
-        if end < start:
-            raise EntanglementError("interval end must not precede start")
-        completions = []
-        attempt = self.attempt_index_completing_after(pair_index, start)
-        while True:
-            completion = self.attempt_completion(pair_index, attempt)
-            if completion > end + 1e-12:
-                break
-            if completion > start + 1e-12:
-                completions.append(completion)
-            attempt += 1
-        return completions
-
-    def completion_stream(self, pair_index: int) -> Iterator[float]:
-        """Infinite iterator over the completion times of a pair's attempts."""
-        attempt = 0
-        while True:
-            yield self.attempt_completion(pair_index, attempt)
-            attempt += 1
 
     # ------------------------------------------------------------------
     def _check_pair(self, pair_index: int) -> None:

@@ -4,8 +4,8 @@ The buffer qubits of the paper hold the halves of successfully generated
 entanglement until a remote gate consumes them.  :class:`BufferPool` tracks
 the stored links between one node pair, enforces the buffer-qubit capacity,
 applies an optional storage-cutoff policy (links stored for too long are
-reset to avoid consuming heavily decohered entanglement), and accumulates
-the statistics used in the evaluation (EPR waste, mean stored age).
+reset to avoid consuming heavily decohered entanglement), and counts the
+links it stores, serves and wastes.
 
 A stored link is the float pair ``(created, buffered)``: the completion
 time of the attempt that generated it and the time its buffering SWAP
@@ -40,14 +40,6 @@ class BufferStatistics:
     consumed_total: int = 0
     expired_total: int = 0
     rejected_total: int = 0
-    total_consumed_age: float = 0.0
-
-    @property
-    def mean_consumed_age(self) -> float:
-        """Mean link age (time between creation and consumption)."""
-        if self.consumed_total == 0:
-            return 0.0
-        return self.total_consumed_age / self.consumed_total
 
     @property
     def wasted_total(self) -> int:
@@ -181,9 +173,7 @@ class BufferPool:
         del stored[best]
         age = ready - best_created
         age = age if age > 0.0 else 0.0
-        statistics = self.statistics
-        statistics.consumed_total += 1
-        statistics.total_consumed_age += age
+        self.statistics.consumed_total += 1
         return ready, best_created, age
 
     def expire_until(self, time: float) -> int:

@@ -356,28 +356,3 @@ class EntanglementGenerator:
                 return True
             index += 1
         return False
-
-    # ------------------------------------------------------------------
-    def expected_rate(self) -> float:
-        """Expected number of successes per time unit across all pairs."""
-        return (
-            self.schedule.num_pairs
-            * self.success_probability
-            / self.schedule.cycle_time
-        )
-
-    def expected_wait_for_next_success(self) -> float:
-        """Mean waiting time for the next success from a random instant.
-
-        With ``n`` pairs attempting continuously, successes form an
-        approximately periodic thinned process of rate
-        ``n * psucc / T_EG``; the mean residual waiting time is roughly half
-        an inter-arrival period plus half a cycle of heralding alignment.
-        Used only for analytical sanity checks and examples.
-        """
-        rate = self.expected_rate()
-        if rate == 0:
-            return float("inf")
-        return 0.5 / rate + 0.5 * self.schedule.cycle_time / max(
-            1, self.schedule.effective_groups
-        )

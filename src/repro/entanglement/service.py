@@ -41,6 +41,7 @@ from repro.entanglement.buffer import BufferPool
 from repro.entanglement.generator import EntanglementGenerator
 from repro.entanglement.werner import werner_fidelity_after
 from repro.exceptions import EntanglementError
+from repro.hardware.parameters import GateFidelities
 
 __all__ = ["EntanglementService", "ServiceStatistics"]
 
@@ -52,7 +53,6 @@ class ServiceStatistics:
     generated_total: int = 0
     consumed_from_buffer: int = 0
     consumed_direct: int = 0
-    direct_consumed_age: float = 0.0
 
     @property
     def consumed_total(self) -> int:
@@ -72,7 +72,8 @@ class EntanglementService:
     kappa:
         Decoherence rate used for link-fidelity decay.
     initial_fidelity:
-        Werner fidelity of freshly generated links (Table II: 0.99).
+        Werner fidelity of freshly generated links (default: Table II's
+        EPR pair fidelity).
     swap_latency:
         Latency of the local SWAP that moves a fresh link into the buffer.
     buffer_cutoff:
@@ -105,7 +106,7 @@ class EntanglementService:
         generator: EntanglementGenerator,
         buffer_capacity: int,
         kappa: float,
-        initial_fidelity: float = 0.99,
+        initial_fidelity: float = GateFidelities.epr_pair,
         swap_latency: float = 1.0,
         buffer_cutoff: Optional[float] = None,
         prefill: int = 0,
@@ -212,7 +213,6 @@ class EntanglementService:
             age = age if age > 0.0 else 0.0
             statistics.generated_total += 1
             statistics.consumed_direct += 1
-            statistics.direct_consumed_age += age
         return start, created, werner_fidelity_after(
             self.initial_fidelity, age, self.kappa)
 
@@ -228,28 +228,3 @@ class EntanglementService:
     def total_wasted(self) -> int:
         """Links generated (or pre-filled) but never consumed."""
         return self.buffer.statistics.wasted_total
-
-    def mean_consumed_fidelity(self) -> float:
-        """Mean Werner fidelity of consumed links at their consumption time.
-
-        Derived from the recorded consumption ages and the decay law; used in
-        reports and tests (higher is better, 0 if nothing was consumed).
-        """
-        total = 0.0
-        count = 0
-        buffer_stats = self.buffer.statistics
-        if buffer_stats.consumed_total:
-            mean_age = buffer_stats.mean_consumed_age
-            total += buffer_stats.consumed_total * werner_fidelity_after(
-                self.initial_fidelity, mean_age, self.kappa
-            )
-            count += buffer_stats.consumed_total
-        if self.statistics.consumed_direct:
-            mean_age = (
-                self.statistics.direct_consumed_age / self.statistics.consumed_direct
-            )
-            total += self.statistics.consumed_direct * werner_fidelity_after(
-                self.initial_fidelity, mean_age, self.kappa
-            )
-            count += self.statistics.consumed_direct
-        return total / count if count else 0.0

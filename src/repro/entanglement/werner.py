@@ -14,14 +14,11 @@ fidelity evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.exceptions import EntanglementError
 
-__all__ = ["WernerState", "werner_fidelity_after", "werner_density_matrix"]
+__all__ = ["werner_fidelity_after", "werner_density_matrix"]
 
 # |Phi+> Bell state in the computational basis {00, 01, 10, 11}.
 _PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
@@ -77,42 +74,3 @@ def werner_density_matrix(fidelity: float) -> np.ndarray:
         )
     weight = (4.0 * fidelity - 1.0) / 3.0
     return weight * _PHI_PLUS_PROJECTOR + (1.0 - weight) * _MAXIMALLY_MIXED_2Q
-
-
-@dataclass(frozen=True)
-class WernerState:
-    """A two-qubit Werner state parameterised by its Bell fidelity."""
-
-    fidelity: float
-
-    def __post_init__(self) -> None:
-        if not (0.25 <= self.fidelity <= 1.0 + 1e-12):
-            raise EntanglementError(
-                f"Werner fidelity must be in [0.25, 1], got {self.fidelity}"
-            )
-
-    @property
-    def singlet_weight(self) -> float:
-        """Weight ``p`` of the pure Bell component."""
-        return (4.0 * self.fidelity - 1.0) / 3.0
-
-    def density_matrix(self) -> np.ndarray:
-        """4x4 density matrix of the state."""
-        return werner_density_matrix(self.fidelity)
-
-    def after_idling(self, elapsed: float, kappa: float) -> "WernerState":
-        """Return the state after idling under depolarizing decoherence."""
-        return WernerState(werner_fidelity_after(self.fidelity, elapsed, kappa))
-
-    def is_entangled(self) -> bool:
-        """Werner states are entangled iff their fidelity exceeds 1/2."""
-        return self.fidelity > 0.5
-
-    def concurrence(self) -> float:
-        """Concurrence of the Werner state: ``max(0, (6F - 3) / 3) / ...``.
-
-        For a Werner state with Bell fidelity ``F`` the concurrence is
-        ``max(0, (3 * singlet_weight - 1) / 2)`` which simplifies to
-        ``max(0, 2F - 1)``.
-        """
-        return max(0.0, 2.0 * self.fidelity - 1.0)

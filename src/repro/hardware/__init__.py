@@ -1,19 +1,13 @@
-"""DQC hardware model: qubit roles, QPU nodes, architectures, parameters."""
+"""DQC hardware model: QPU nodes as qubit counts, architectures, parameters."""
 
 from repro.hardware.architecture import DQCArchitecture, two_node_architecture
 from repro.hardware.node import QPUNode
 from repro.hardware.parameters import (
-    DEFAULT_GATE_FIDELITIES,
-    DEFAULT_GATE_TIMES,
-    DEFAULT_PHYSICS,
-    OPERATION_TABLE,
     GateFidelities,
     GateTimes,
     HeraldedLinkModel,
-    OperationProperties,
     PhysicalConstants,
 )
-from repro.hardware.qubit import PhysicalQubit, QubitRole
 from repro.hardware.topology import (
     Topology,
     get_topology,
@@ -31,15 +25,8 @@ __all__ = [
     "register_topology",
     "validate_remote_pairs",
     "QPUNode",
-    "PhysicalQubit",
-    "QubitRole",
     "GateTimes",
     "GateFidelities",
     "PhysicalConstants",
     "HeraldedLinkModel",
-    "OperationProperties",
-    "OPERATION_TABLE",
-    "DEFAULT_GATE_TIMES",
-    "DEFAULT_GATE_FIDELITIES",
-    "DEFAULT_PHYSICS",
 ]

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.node import QPUNode
-from repro.hardware.parameters import (
-    DEFAULT_GATE_FIDELITIES,
-    DEFAULT_GATE_TIMES,
-    DEFAULT_PHYSICS,
-    GateFidelities,
-    GateTimes,
-    PhysicalConstants,
-)
+from repro.hardware.parameters import GateFidelities, GateTimes, PhysicalConstants
 from repro.exceptions import ArchitectureError, TopologyError
 
 __all__ = ["DQCArchitecture", "two_node_architecture"]
@@ -112,26 +105,9 @@ class DQCArchitecture:
         return sum(node.num_data_qubits for node in self.nodes)
 
     @property
-    def total_comm_qubits(self) -> int:
-        """Total communication qubits across all nodes."""
-        return sum(node.num_comm_qubits for node in self.nodes)
-
-    @property
-    def total_buffer_qubits(self) -> int:
-        """Total buffer qubits across all nodes."""
-        return sum(node.num_buffer_qubits for node in self.nodes)
-
-    @property
     def decoherence_rate(self) -> float:
         """Decoherence rate ``kappa`` per depth unit."""
         return self.physics.decoherence_rate_per_unit
-
-    def node(self, index: int) -> QPUNode:
-        """Node by index."""
-        try:
-            return self.nodes[index]
-        except IndexError as exc:
-            raise ArchitectureError(f"no node with index {index}") from exc
 
     def node_pairs(self) -> List[NodePair]:
         """All connected node pairs (a < b)."""
@@ -156,30 +132,22 @@ class DQCArchitecture:
         communication qubits to its single peer (2-node setting); for more
         nodes the qubits are divided evenly among the peers of each node.
         """
-        if not self.are_connected(node_a, node_b):
-            return 0
-        pairs_per_node = []
-        for index in (node_a, node_b):
-            peers = sum(1 for pair in self.node_pairs() if index in pair)
-            comm = self.node(index).num_comm_qubits
-            pairs_per_node.append(comm // max(1, peers))
-        return min(pairs_per_node)
+        return self._share_between(node_a, node_b, "num_comm_qubits")
 
     def buffer_capacity_between(self, node_a: int, node_b: int) -> int:
         """Number of EPR pairs storable between two nodes (buffer-limited)."""
+        return self._share_between(node_a, node_b, "num_buffer_qubits")
+
+    def _share_between(self, node_a: int, node_b: int, count: str) -> int:
+        """The smaller of the two nodes' ``count`` split evenly among peers."""
         if not self.are_connected(node_a, node_b):
             return 0
-        capacities = []
-        for index in (node_a, node_b):
-            peers = sum(1 for pair in self.node_pairs() if index in pair)
-            buffer = self.node(index).num_buffer_qubits
-            capacities.append(buffer // max(1, peers))
-        return min(capacities)
-
-    def reset_clocks(self) -> None:
-        """Reset the timing state of every qubit (between simulation runs)."""
-        for node in self.nodes:
-            node.reset_clocks()
+        pairs = self.node_pairs()
+        return min(
+            getattr(self.nodes[index], count)
+            // max(1, sum(1 for pair in pairs if index in pair))
+            for index in (node_a, node_b)
+        )
 
     def validate_capacity(self, qubits_per_node: List[int]) -> None:
         """Check that each node can host the requested number of data qubits."""
@@ -191,15 +159,6 @@ class DQCArchitecture:
                     f"node {node.index} hosts only {node.num_data_qubits} data "
                     f"qubits but the program needs {demand}"
                 )
-
-    def describe(self) -> Dict[str, object]:
-        """Summary dictionary for reports."""
-        return {
-            "nodes": [node.describe() for node in self.nodes],
-            "psucc": self.physics.epr_success_probability,
-            "kappa_per_unit": self.decoherence_rate,
-            "epr_cycle": self.gate_times.epr_generation_cycle,
-        }
 
 
 def two_node_architecture(

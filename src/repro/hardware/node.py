@@ -1,17 +1,15 @@
 """A single QPU node of the distributed architecture.
 
-Each node hosts three pools of physical qubits (data / communication /
-buffer) as described in Sec. III-B of the paper.  The node tracks the data
-qubits' availability during circuit execution and exposes the communication
-and buffer pools to the entanglement-generation subsystem.
+Each node hosts data, communication and buffer qubits (Sec. III-B of the
+paper).  A simulated run reads only their counts: the executors keep data
+qubit time themselves, and the entanglement service derives its pairs and
+buffer capacity from the communication and buffer counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
 
-from repro.hardware.qubit import PhysicalQubit, QubitRole
 from repro.exceptions import ArchitectureError
 
 __all__ = ["QPUNode"]
@@ -19,7 +17,7 @@ __all__ = ["QPUNode"]
 
 @dataclass
 class QPUNode:
-    """One quantum processing unit.
+    """One quantum processing unit, as its qubit counts.
 
     Parameters
     ----------
@@ -37,9 +35,6 @@ class QPUNode:
     num_data_qubits: int
     num_comm_qubits: int
     num_buffer_qubits: int
-    data_qubits: List[PhysicalQubit] = field(init=False)
-    comm_qubits: List[PhysicalQubit] = field(init=False)
-    buffer_qubits: List[PhysicalQubit] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
@@ -48,51 +43,3 @@ class QPUNode:
             raise ArchitectureError("a node needs at least one data qubit")
         if self.num_comm_qubits < 0 or self.num_buffer_qubits < 0:
             raise ArchitectureError("qubit counts must be non-negative")
-        self.data_qubits = [
-            PhysicalQubit(self.index, i, QubitRole.DATA)
-            for i in range(self.num_data_qubits)
-        ]
-        self.comm_qubits = [
-            PhysicalQubit(self.index, i, QubitRole.COMMUNICATION)
-            for i in range(self.num_comm_qubits)
-        ]
-        self.buffer_qubits = [
-            PhysicalQubit(self.index, i, QubitRole.BUFFER)
-            for i in range(self.num_buffer_qubits)
-        ]
-
-    # ------------------------------------------------------------------
-    @property
-    def total_qubits(self) -> int:
-        """Total number of physical qubits on the node."""
-        return self.num_data_qubits + self.num_comm_qubits + self.num_buffer_qubits
-
-    def data_qubit(self, index: int) -> PhysicalQubit:
-        """Data qubit by local index."""
-        try:
-            return self.data_qubits[index]
-        except IndexError as exc:
-            raise ArchitectureError(
-                f"node {self.index} has no data qubit {index}"
-            ) from exc
-
-    def reset_clocks(self) -> None:
-        """Reset timing bookkeeping of all qubits (between simulation runs)."""
-        for qubit in self.data_qubits + self.comm_qubits + self.buffer_qubits:
-            qubit.reset_clock()
-
-    def data_utilisation(self, makespan: float) -> float:
-        """Average busy fraction of data qubits over a run of length ``makespan``."""
-        if makespan <= 0:
-            return 0.0
-        busy = sum(q.total_busy_time for q in self.data_qubits)
-        return busy / (makespan * self.num_data_qubits)
-
-    def describe(self) -> Dict[str, int]:
-        """Summary dictionary used in reports and tests."""
-        return {
-            "node": self.index,
-            "data": self.num_data_qubits,
-            "communication": self.num_comm_qubits,
-            "buffer": self.num_buffer_qubits,
-        }

@@ -3,9 +3,10 @@
 This module encodes Table II of the paper (quantum operation properties) and
 the system configuration of Sec. IV-A: entanglement-generation success
 probability ``psucc = 0.4``, decoherence time ``1/kappa = 150 us``, and a
-local CNOT time of 300 ns.  All latencies are expressed in units of the
-local CNOT time (one "depth unit"), matching how the paper reports circuit
-depth.
+local CNOT time of 300 ns.  Table II is stated once, as the defaults of
+:class:`GateTimes` and :class:`GateFidelities`; the report that prints it
+reads them.  All latencies are expressed in units of the local CNOT time
+(one "depth unit"), matching how the paper reports circuit depth.
 
 It also provides :class:`HeraldedLinkModel`, a small physical model of
 heralded remote entanglement generation (Sec. III-A): photon–qubit
@@ -19,46 +20,17 @@ the physical model backs the ablation benchmarks and examples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.exceptions import ConfigurationError
 
 __all__ = [
-    "OperationProperties",
-    "OPERATION_TABLE",
     "GateTimes",
     "GateFidelities",
     "PhysicalConstants",
     "HeraldedLinkModel",
-    "DEFAULT_GATE_TIMES",
-    "DEFAULT_GATE_FIDELITIES",
-    "DEFAULT_PHYSICS",
 ]
-
-
-@dataclass(frozen=True)
-class OperationProperties:
-    """Latency (in local-CNOT units) and fidelity of one operation type."""
-
-    name: str
-    latency: float
-    fidelity: float
-
-    def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ConfigurationError(f"{self.name}: latency must be non-negative")
-        if not (0.0 < self.fidelity <= 1.0):
-            raise ConfigurationError(f"{self.name}: fidelity must be in (0, 1]")
-
-
-#: Table II of the paper.
-OPERATION_TABLE: Dict[str, OperationProperties] = {
-    "single_qubit": OperationProperties("single_qubit", 0.1, 0.9999),
-    "local_cnot": OperationProperties("local_cnot", 1.0, 0.999),
-    "measurement": OperationProperties("measurement", 5.0, 0.998),
-    "epr_preparation": OperationProperties("epr_preparation", 10.0, 0.99),
-}
 
 
 @dataclass(frozen=True)
@@ -155,19 +127,6 @@ class GateFidelities:
             "epr_pair": self.epr_pair,
         }
 
-    def fidelity_of(self, gate_name: str) -> float:
-        """Fidelity of a circuit gate by IR name."""
-        if gate_name in {"measure", "reset"}:
-            return self.measurement
-        if gate_name == "barrier":
-            return 1.0
-        from repro.circuits.gate import gate_spec
-
-        spec = gate_spec(gate_name)
-        if spec.num_qubits == 1:
-            return self.single_qubit
-        return self.local_cnot
-
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -176,8 +135,8 @@ class PhysicalConstants:
     Attributes
     ----------
     local_cnot_time_ns:
-        Wall-clock duration of one local CNOT (300 ns in the paper); converts
-        depth units to seconds.
+        Wall-clock duration of one local CNOT (300 ns in the paper), the
+        length of one depth unit.
     decoherence_time_us:
         Qubit decoherence time ``1/kappa`` (150 us in the paper).
     epr_success_probability:
@@ -201,10 +160,6 @@ class PhysicalConstants:
     def decoherence_rate_per_unit(self) -> float:
         """Decoherence rate ``kappa`` per depth unit (local CNOT time)."""
         return (self.local_cnot_time_ns * 1e-9) / (self.decoherence_time_us * 1e-6)
-
-    def seconds(self, depth_units: float) -> float:
-        """Convert a latency in depth units to seconds."""
-        return depth_units * self.local_cnot_time_ns * 1e-9
 
 
 @dataclass(frozen=True)
@@ -288,8 +243,3 @@ class HeraldedLinkModel:
     def cycle_time_units(self, constants: PhysicalConstants) -> float:
         """Cycle time expressed in local-CNOT depth units."""
         return self.cycle_time_ns / constants.local_cnot_time_ns
-
-
-DEFAULT_GATE_TIMES = GateTimes()
-DEFAULT_GATE_FIDELITIES = GateFidelities()
-DEFAULT_PHYSICS = PhysicalConstants()

@@ -2,12 +2,9 @@
 
 from repro.noise.channels import (
     PAULI_MATRICES,
-    amplitude_damping_kraus,
     average_gate_fidelity_of_depolarizing,
-    dephasing_kraus,
     depolarizing_kraus,
     depolarizing_parameter_for_fidelity,
-    pauli_channel_kraus,
     validate_kraus,
 )
 from repro.noise.density_matrix import DensityMatrix, expand_operator
@@ -21,9 +18,6 @@ from repro.noise.teleportation import (
 __all__ = [
     "PAULI_MATRICES",
     "depolarizing_kraus",
-    "pauli_channel_kraus",
-    "dephasing_kraus",
-    "amplitude_damping_kraus",
     "depolarizing_parameter_for_fidelity",
     "average_gate_fidelity_of_depolarizing",
     "validate_kraus",

@@ -1,9 +1,10 @@
 """Quantum noise channels in Kraus form.
 
-Provides the channels used by the fidelity model of the paper: the unbiased
-depolarizing channel (buffer-qubit idling and local gate noise), general
-Pauli channels, and classical measurement-error models.  All channels are
-represented by lists of Kraus operators acting on one or two qubits.
+Provides the channel the fidelity model of the paper uses: the unbiased
+depolarizing channel (the local gate and correction noise of the
+teleportation evaluation), with the conversion between its parameter and
+an average gate fidelity.  Channels are lists of Kraus operators acting on
+one to three qubits.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from repro.exceptions import NoiseError
 __all__ = [
     "PAULI_MATRICES",
     "depolarizing_kraus",
-    "pauli_channel_kraus",
-    "dephasing_kraus",
-    "amplitude_damping_kraus",
     "depolarizing_parameter_for_fidelity",
     "average_gate_fidelity_of_depolarizing",
     "validate_kraus",
@@ -45,26 +43,6 @@ def validate_kraus(operators: Sequence[np.ndarray], atol: float = 1e-9) -> bool:
             raise NoiseError("all Kraus operators must share the same shape")
         total += op.conj().T @ op
     return bool(np.allclose(total, np.eye(dim), atol=atol))
-
-
-def pauli_channel_kraus(probabilities: Dict[str, float]) -> List[np.ndarray]:
-    """Single-qubit Pauli channel.
-
-    ``probabilities`` maps Pauli labels (``"X"``, ``"Y"``, ``"Z"``) to error
-    probabilities; the identity gets the remaining weight.
-    """
-    error_total = sum(probabilities.values())
-    if error_total > 1.0 + 1e-12:
-        raise NoiseError("Pauli error probabilities sum to more than 1")
-    if any(p < 0 for p in probabilities.values()):
-        raise NoiseError("Pauli error probabilities must be non-negative")
-    kraus = [math.sqrt(max(0.0, 1.0 - error_total)) * PAULI_MATRICES["I"]]
-    for label, probability in probabilities.items():
-        if label not in ("X", "Y", "Z"):
-            raise NoiseError(f"unknown Pauli label {label!r}")
-        if probability > 0:
-            kraus.append(math.sqrt(probability) * PAULI_MATRICES[label])
-    return kraus
 
 
 def depolarizing_kraus(probability: float, num_qubits: int = 1) -> List[np.ndarray]:
@@ -99,20 +77,6 @@ def depolarizing_kraus(probability: float, num_qubits: int = 1) -> List[np.ndarr
         if weight > 0:
             kraus.append(math.sqrt(weight) * matrix)
     return kraus
-
-
-def dephasing_kraus(probability: float) -> List[np.ndarray]:
-    """Single-qubit dephasing (phase-flip) channel."""
-    return pauli_channel_kraus({"Z": probability})
-
-
-def amplitude_damping_kraus(gamma: float) -> List[np.ndarray]:
-    """Single-qubit amplitude-damping channel with decay probability ``gamma``."""
-    if not (0.0 <= gamma <= 1.0):
-        raise NoiseError("damping probability must be in [0, 1]")
-    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return [k0, k1]
 
 
 def depolarizing_parameter_for_fidelity(average_fidelity: float,

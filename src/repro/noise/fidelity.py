@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
 from repro.hardware.parameters import GateFidelities
-from repro.noise.teleportation import remote_gate_fidelity, remote_gate_product
+from repro.noise.teleportation import remote_gate_product
 from repro.exceptions import NoiseError
 
 __all__ = ["FidelityModel", "FidelityBreakdown"]
@@ -78,15 +78,6 @@ class FidelityModel:
         self.idle_mode = idle_mode
 
     # ------------------------------------------------------------------
-    def remote_fidelity(self, link_fidelity: float) -> float:
-        """Fidelity of one teleported remote gate for a given link fidelity."""
-        return remote_gate_fidelity(
-            link_fidelity,
-            cnot_fidelity=self.fidelities.local_cnot,
-            measurement_fidelity=self.fidelities.measurement,
-            correction_fidelity=self.fidelities.single_qubit,
-        )
-
     def idling_factor(self, makespan: float, qubit_idle_total: float = 0.0) -> float:
         """Idling-decoherence factor for one execution."""
         if makespan < 0 or qubit_idle_total < 0:

@@ -26,6 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.entanglement.werner import werner_density_matrix
+from repro.hardware.parameters import GateFidelities
 from repro.noise.channels import (
     depolarizing_kraus,
     depolarizing_parameter_for_fidelity,
@@ -77,9 +78,9 @@ _IDEAL_TARGET = _ideal_choi_target()
 @lru_cache(maxsize=2048)
 def teleported_cnot_process_fidelity(
     link_fidelity: float,
-    cnot_fidelity: float = 0.999,
-    measurement_fidelity: float = 0.998,
-    correction_fidelity: float = 0.9999,
+    cnot_fidelity: float = GateFidelities.local_cnot,
+    measurement_fidelity: float = GateFidelities.measurement,
+    correction_fidelity: float = GateFidelities.single_qubit,
 ) -> float:
     """Process (entanglement) fidelity of the teleported CNOT channel.
 
@@ -89,12 +90,15 @@ def teleported_cnot_process_fidelity(
         Werner fidelity of the consumed entanglement link at consumption
         time (0.99 fresh, lower after buffering).
     cnot_fidelity:
-        Average gate fidelity of the local CNOTs (Table II: 0.999).
+        Average gate fidelity of the local CNOTs.
     measurement_fidelity:
-        Single-qubit measurement fidelity (Table II: 0.998); its complement
-        is the probability of applying the wrong Pauli correction.
+        Single-qubit measurement fidelity; its complement is the
+        probability of applying the wrong Pauli correction.
     correction_fidelity:
         Average gate fidelity of the single-qubit Pauli corrections.
+
+    The three gate fidelities default to Table II's, the
+    :class:`~repro.hardware.parameters.GateFidelities` defaults.
     """
     if not (0.25 <= link_fidelity <= 1.0 + 1e-12):
         raise NoiseError(f"link fidelity {link_fidelity} outside [0.25, 1]")
@@ -144,9 +148,9 @@ def teleported_cnot_process_fidelity(
 
 def teleported_cnot_average_fidelity(
     link_fidelity: float,
-    cnot_fidelity: float = 0.999,
-    measurement_fidelity: float = 0.998,
-    correction_fidelity: float = 0.9999,
+    cnot_fidelity: float = GateFidelities.local_cnot,
+    measurement_fidelity: float = GateFidelities.measurement,
+    correction_fidelity: float = GateFidelities.single_qubit,
 ) -> float:
     """Average gate fidelity of the teleported CNOT.
 
@@ -187,9 +191,9 @@ def _affine_coefficients(
 
 def remote_gate_fidelity(
     link_fidelity: float,
-    cnot_fidelity: float = 0.999,
-    measurement_fidelity: float = 0.998,
-    correction_fidelity: float = 0.9999,
+    cnot_fidelity: float = GateFidelities.local_cnot,
+    measurement_fidelity: float = GateFidelities.measurement,
+    correction_fidelity: float = GateFidelities.single_qubit,
 ) -> float:
     """Remote-gate fidelity for a link fidelity, in O(1) after two sims.
 
@@ -207,9 +211,9 @@ def remote_gate_fidelity(
 
 def remote_gate_product(
     link_fidelities: Iterable[float],
-    cnot_fidelity: float = 0.999,
-    measurement_fidelity: float = 0.998,
-    correction_fidelity: float = 0.9999,
+    cnot_fidelity: float = GateFidelities.local_cnot,
+    measurement_fidelity: float = GateFidelities.measurement,
+    correction_fidelity: float = GateFidelities.single_qubit,
 ) -> float:
     """Product of :func:`remote_gate_fidelity` over ``link_fidelities``.
 

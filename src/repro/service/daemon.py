@@ -41,7 +41,8 @@ from repro.service.scheduler import Scheduler
 from repro.study.store import RunStore
 from repro.study.study import Study
 
-__all__ = ["ServiceConfig", "StudyDaemon", "QuotaError", "JobNotReady"]
+__all__ = ["ServiceConfig", "StudyDaemon", "QuotaError", "JobNotReady",
+           "DaemonStopped"]
 
 #: Default TCP port of the service (REPRO, loosely, on a phone keypad).
 DEFAULT_PORT = 8765
@@ -89,6 +90,17 @@ class JobNotReady(ReproError):
         """JSON payload of the 409 response."""
         return {"error": "job-not-ready", "id": self.job.id,
                 "state": self.job.state.value, "message": str(self)}
+
+
+class DaemonStopped(ReproError):
+    """:meth:`StudyDaemon.start` was called after :meth:`StudyDaemon.stop`."""
+
+    def __init__(self, data_root: Path) -> None:
+        super().__init__(
+            f"this daemon was stopped, which closed its job queue and "
+            f"journal; start a new StudyDaemon on {data_root}: it replays "
+            f"the journal and resumes the jobs"
+        )
 
 
 @dataclass
@@ -141,14 +153,21 @@ class StudyDaemon:
         self._gc_stop = threading.Event()
         self._started = time.time()
         self._submit_lock = threading.Lock()
+        self._stopped = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Recover journalled jobs, start the workers, bind the API."""
+        """Recover journalled jobs, start the workers, bind the API.
+
+        Raises :class:`DaemonStopped` on a daemon that was stopped: a new
+        :class:`StudyDaemon` on the same data root is the restart.
+        """
         from repro.service.httpapi import build_server
 
+        if self._stopped:
+            raise DaemonStopped(self.data_root)
         self.data_root.mkdir(parents=True, exist_ok=True)
         (self.data_root / "jobs").mkdir(exist_ok=True)
         (self.data_root / "stores").mkdir(exist_ok=True)
@@ -180,11 +199,13 @@ class StudyDaemon:
         """Shut the API, wind down workers, close the journal.
 
         Jobs mid-run are re-queued (their committed chunks are durable),
-        so the next :meth:`start` against the same data root resumes them.
+        so a new daemon started on the same data root resumes them; this
+        one cannot start again.
         Held status requests (``GET /jobs/<id>?wait=``) are answered first,
         with their job's current state: the server's close waits for every
         request thread.
         """
+        self._stopped = True
         self.registry.release_waiters()
         if self._server is not None:
             self._server.shutdown()

@@ -90,7 +90,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         """Silence per-request stderr chatter (the CLI owns the terminal)."""
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        body = (json.dumps(payload) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

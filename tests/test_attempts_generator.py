@@ -52,16 +52,6 @@ class TestAttemptSchedule:
         index = schedule.attempt_index_completing_after(0, 25.0)
         assert schedule.attempt_completion(0, index) > 25.0
 
-    def test_completions_between(self):
-        schedule = AttemptSchedule(num_pairs=1, policy=AttemptPolicy.SYNCHRONOUS)
-        assert schedule.completions_between(0, 0.0, 35.0) == [10.0, 20.0, 30.0]
-        assert schedule.completions_between(0, 10.0, 20.0) == [20.0]
-
-    def test_completion_stream(self):
-        schedule = AttemptSchedule(num_pairs=1, policy=AttemptPolicy.SYNCHRONOUS)
-        stream = schedule.completion_stream(0)
-        assert [next(stream) for _ in range(3)] == [10.0, 20.0, 30.0]
-
     def test_validation(self):
         with pytest.raises(EntanglementError):
             AttemptSchedule(num_pairs=-1)
@@ -70,8 +60,6 @@ class TestAttemptSchedule:
         schedule = AttemptSchedule(num_pairs=2)
         with pytest.raises(EntanglementError):
             schedule.offset(5)
-        with pytest.raises(EntanglementError):
-            schedule.completions_between(0, 5.0, 1.0)
 
 
 class TestGenerator:
@@ -124,11 +112,6 @@ class TestGenerator:
         events = generator.successes_between(0, 500)
         keys = [(e.time, e.pair_index) for e in events]
         assert keys == sorted(keys)
-
-    def test_expected_rate(self):
-        generator = self._generator(psucc=0.4, pairs=10)
-        assert generator.expected_rate() == pytest.approx(0.4)
-        assert generator.expected_wait_for_next_success() > 0
 
     def test_invalid_probability(self):
         schedule = AttemptSchedule(num_pairs=1)

@@ -72,12 +72,6 @@ class TestBufferPool:
         assert pool.flush(10.0) == 2
         assert len(pool) == 0
 
-    def test_mean_consumed_age(self):
-        pool = BufferPool(capacity=2)
-        pool.store(0.0, 1.0)
-        pool.pop_available(5.0)
-        assert pool.statistics.mean_consumed_age == pytest.approx(5.0)
-
     def test_invalid_configuration(self):
         with pytest.raises(BufferError):
             BufferPool(capacity=-1)
@@ -161,13 +155,6 @@ class TestEntanglementService:
         service.advance_to(100.0)
         service.finalize(100.0)
         assert service.count_available(100.0) == 0
-
-    def test_mean_consumed_fidelity_reasonable(self):
-        service = make_service(psucc=0.8, seed=2)
-        for t in range(20, 120, 10):
-            service.acquire(float(t))
-        fidelity = service.mean_consumed_fidelity()
-        assert 0.9 < fidelity <= 0.99
 
     def test_async_waits_shorter_than_sync_when_empty(self):
         sync = make_service(policy=AttemptPolicy.SYNCHRONOUS, psucc=1.0, seed=1)

@@ -126,14 +126,6 @@ class TestPersistentCache:
         assert cache.get("cell", "abc") is artifact  # memory still serves it
         assert PersistentArtifactCache(tmp_path).get("cell", "abc") is None
 
-    def test_bounded_memory_keeps_disk_complete(self, tmp_path):
-        cache = PersistentArtifactCache(tmp_path, max_entries=2)
-        for index in range(5):
-            cache.put("cell", f"k{index}", index)
-        assert len(cache) == 2  # memory evicted down to the bound
-        assert cache.disk_count() == 5  # the disk tier keeps everything
-        assert cache.get("cell", "k0") == 0  # evicted entries reload
-
     def test_stored_none_round_trips_through_disk(self, tmp_path):
         cache = PersistentArtifactCache(tmp_path)
         cache.put("cell", "abc", None)

@@ -182,8 +182,15 @@ class TestAnalysis:
         assert lines[0].startswith("a")
 
     def test_table_reports(self):
-        table2 = table2_report()
-        assert "EPR pair preparation" in table2
+        # Table II, printed from the GateTimes / GateFidelities defaults.
+        assert table2_report() == (
+            "Name                  Latency  Fidelity\n"
+            "--------------------  -------  --------\n"
+            "1Q gates              0.1      99.99%  \n"
+            "Local CNOT gates      1.0      99.90%  \n"
+            "Measurement           5.0      99.80%  \n"
+            "EPR pair preparation  10.0     99.00%  "
+        )
         table1 = table1_report(
             {"X": {"qubits": 4, "local_2q": 3, "remote_2q": 1,
                    "single_q": 2, "depth": 5}},

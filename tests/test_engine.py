@@ -85,33 +85,12 @@ class TestArtifactCache:
         assert cache.count("program") == 1
         assert cache.count() == 2
 
-    def test_fifo_eviction(self):
-        cache = ArtifactCache(max_entries=2)
-        cache.put("cell", "a", 1)
-        cache.put("cell", "b", 2)
-        cache.put("cell", "c", 3)
-        assert len(cache) == 2
-        assert cache.get("cell", "a") is None
-        assert cache.get("cell", "c") == 3
-
-    def test_overwrite_at_capacity_does_not_evict_others(self):
-        cache = ArtifactCache(max_entries=2)
-        cache.put("cell", "a", 1)
-        cache.put("cell", "b", 2)
-        cache.put("cell", "b", 22)  # overwrite must not evict "a"
-        assert cache.get("cell", "a") == 1
-        assert cache.get("cell", "b") == 22
-
     def test_clear_resets_stats(self):
         cache = ArtifactCache()
         cache.put("cell", "a", 1)
         cache.get("cell", "a")
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-
-    def test_invalid_max_entries(self):
-        with pytest.raises(ValueError):
-            ArtifactCache(max_entries=0)
 
     def test_fingerprint_sensitivity(self):
         base = SystemConfig()

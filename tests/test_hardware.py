@@ -1,4 +1,4 @@
-"""Unit tests for the hardware model (qubits, nodes, architecture, parameters)."""
+"""Unit tests for the hardware model (nodes, architecture, parameters)."""
 
 import pytest
 
@@ -7,69 +7,18 @@ from repro.hardware import (
     GateFidelities,
     GateTimes,
     HeraldedLinkModel,
-    OPERATION_TABLE,
     PhysicalConstants,
-    PhysicalQubit,
     QPUNode,
-    QubitRole,
     two_node_architecture,
 )
 from repro.exceptions import ArchitectureError, ConfigurationError
 
 
-class TestPhysicalQubit:
-    def test_occupy_and_release(self):
-        qubit = PhysicalQubit(0, 0, QubitRole.DATA)
-        finish = qubit.occupy(1.0, 2.0)
-        assert finish == 3.0
-        assert not qubit.is_free(2.0)
-        assert qubit.is_free(3.0)
-        assert qubit.total_busy_time == 2.0
-
-    def test_double_booking_rejected(self):
-        qubit = PhysicalQubit(0, 0, QubitRole.DATA)
-        qubit.occupy(0.0, 5.0)
-        with pytest.raises(ArchitectureError):
-            qubit.occupy(2.0, 1.0)
-
-    def test_idle_time(self):
-        qubit = PhysicalQubit(0, 0, QubitRole.BUFFER)
-        qubit.occupy(0.0, 1.0)
-        assert qubit.idle_time(4.0) == pytest.approx(3.0)
-
-    def test_reset(self):
-        qubit = PhysicalQubit(0, 1, QubitRole.COMMUNICATION)
-        qubit.occupy(0.0, 1.0)
-        qubit.reset_clock()
-        assert qubit.is_free(0.0)
-        assert qubit.total_busy_time == 0.0
-
-    def test_identifier(self):
-        assert PhysicalQubit(1, 3, QubitRole.BUFFER).identifier == "n1/buffer3"
-
-    def test_invalid_indices(self):
-        with pytest.raises(ArchitectureError):
-            PhysicalQubit(-1, 0, QubitRole.DATA)
-
-
 class TestQPUNode:
     def test_pools_built(self):
         node = QPUNode(0, 16, 10, 10)
-        assert len(node.data_qubits) == 16
-        assert len(node.comm_qubits) == 10
-        assert len(node.buffer_qubits) == 10
-        assert node.total_qubits == 36
-
-    def test_describe(self):
-        assert QPUNode(1, 4, 2, 3).describe() == {
-            "node": 1, "data": 4, "communication": 2, "buffer": 3,
-        }
-
-    def test_data_qubit_lookup(self):
-        node = QPUNode(0, 4, 1, 1)
-        assert node.data_qubit(3).index == 3
-        with pytest.raises(ArchitectureError):
-            node.data_qubit(4)
+        assert (node.num_data_qubits, node.num_comm_qubits,
+                node.num_buffer_qubits) == (16, 10, 10)
 
     def test_invalid_counts(self):
         with pytest.raises(ArchitectureError):
@@ -77,17 +26,13 @@ class TestQPUNode:
         with pytest.raises(ArchitectureError):
             QPUNode(0, 4, -1, 0)
 
-    def test_utilisation(self):
-        node = QPUNode(0, 2, 1, 1)
-        node.data_qubits[0].occupy(0.0, 5.0)
-        assert node.data_utilisation(10.0) == pytest.approx(0.25)
-
 
 class TestArchitecture:
     def test_two_node_defaults(self, paper_architecture):
         assert paper_architecture.num_nodes == 2
         assert paper_architecture.total_data_qubits == 32
-        assert paper_architecture.total_comm_qubits == 20
+        assert [node.num_comm_qubits for node in paper_architecture.nodes] \
+            == [10, 10]
         assert paper_architecture.comm_pairs_between(0, 1) == 10
         assert paper_architecture.buffer_capacity_between(0, 1) == 10
 
@@ -117,18 +62,14 @@ class TestArchitecture:
         with pytest.raises(ArchitectureError):
             DQCArchitecture(nodes=[QPUNode(1, 4, 1, 1)])
 
-    def test_describe(self, paper_architecture):
-        summary = paper_architecture.describe()
-        assert summary["psucc"] == 0.4
-        assert summary["epr_cycle"] == 10.0
-
 
 class TestParameters:
     def test_table2_values(self):
-        assert OPERATION_TABLE["single_qubit"].latency == pytest.approx(0.1)
-        assert OPERATION_TABLE["local_cnot"].fidelity == pytest.approx(0.999)
-        assert OPERATION_TABLE["measurement"].latency == pytest.approx(5.0)
-        assert OPERATION_TABLE["epr_preparation"].latency == pytest.approx(10.0)
+        times, fidelities = GateTimes(), GateFidelities()
+        assert (times.single_qubit, fidelities.single_qubit) == (0.1, 0.9999)
+        assert (times.local_cnot, fidelities.local_cnot) == (1.0, 0.999)
+        assert (times.measurement, fidelities.measurement) == (5.0, 0.998)
+        assert (times.epr_generation_cycle, fidelities.epr_pair) == (10.0, 0.99)
 
     def test_gate_time_lookup(self):
         times = GateTimes()
@@ -143,12 +84,6 @@ class TestParameters:
         no_frame = GateTimes(pauli_frame_tracking=False)
         assert no_frame.remote_gate_latency() == pytest.approx(6.2)
 
-    def test_fidelity_lookup(self):
-        fidelities = GateFidelities()
-        assert fidelities.fidelity_of("rx") == pytest.approx(0.9999)
-        assert fidelities.fidelity_of("cx") == pytest.approx(0.999)
-        assert fidelities.fidelity_of("measure") == pytest.approx(0.998)
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             GateTimes(local_cnot=-1.0)
@@ -160,7 +95,6 @@ class TestParameters:
     def test_physical_constants_conversion(self):
         physics = PhysicalConstants()
         assert physics.decoherence_rate_per_unit == pytest.approx(0.002)
-        assert physics.seconds(10.0) == pytest.approx(3.0e-6)
 
 
 class TestHeraldedLinkModel:

@@ -23,6 +23,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import PAPER_32Q_SYSTEM
+from repro.engine.compiler import CellCompiler
 from repro.entanglement import (
     AttemptPolicy,
     AttemptSchedule,
@@ -92,7 +94,6 @@ class ModelBufferPool:
         self.consumed_total = 0
         self.expired_total = 0
         self.rejected_total = 0
-        self.total_consumed_age = 0.0
 
     def count_available(self, time: float) -> int:
         return sum(1 for _, buffered in self.stored
@@ -113,7 +114,6 @@ class ModelBufferPool:
         created, _ = self.stored.pop(position)
         age = max(0.0, time - created)
         self.consumed_total += 1
-        self.total_consumed_age += age
         return created, age
 
     def _freshest(self, threshold: float) -> int:
@@ -161,7 +161,6 @@ class ModelService:
         self.generated_total = 0
         self.consumed_from_buffer = 0
         self.consumed_direct = 0
-        self.direct_consumed_age = 0.0
         for _ in range(prefill):
             self.buffer.store(0.0, 0.0)
 
@@ -199,7 +198,6 @@ class ModelService:
             age = max(0.0, start - created)
             self.generated_total += 1
             self.consumed_direct += 1
-            self.direct_consumed_age += age
         return start, created, model_werner(0.99, age, self.kappa)
 
     def finalize(self, time: float) -> None:
@@ -211,15 +209,14 @@ def assert_same_state(service: EntanglementService,
                       model: ModelService) -> None:
     statistics = service.statistics
     assert (statistics.generated_total, statistics.consumed_from_buffer,
-            statistics.consumed_direct, statistics.direct_consumed_age) == (
+            statistics.consumed_direct) == (
         model.generated_total, model.consumed_from_buffer,
-        model.consumed_direct, model.direct_consumed_age)
+        model.consumed_direct)
     pool, reference = service.buffer.statistics, model.buffer
     assert (pool.stored_total, pool.consumed_total, pool.expired_total,
-            pool.rejected_total, pool.total_consumed_age) == (
+            pool.rejected_total) == (
         reference.stored_total, reference.consumed_total,
-        reference.expired_total, reference.rejected_total,
-        reference.total_consumed_age)
+        reference.expired_total, reference.rejected_total)
     assert service.buffer.stored_links == reference.stored
     assert service._materialized_until == model.frontier
     assert service._delivered == model.delivered
@@ -307,3 +304,32 @@ def test_service_matches_the_model(data, config):
     assert_same_state(service, model)
     assert service.total_wasted == (model.buffer.expired_total
                                     + model.buffer.rejected_total)
+
+
+# ----------------------------------------------------------------------
+# link conservation per run, through the batched core
+# ----------------------------------------------------------------------
+def test_links_are_conserved_per_run():
+    """Every remote gate consumes one link, and every link is accounted for.
+
+    Over the five distributed designs of the Fig. 5/6 benchmarks, each run
+    consumes exactly ``num_remote`` links, and the links it generated plus
+    those pre-filled into the buffers (``init_buf`` only) equal the links
+    it consumed plus those it wasted.
+    """
+    compiler = CellCompiler(system=PAPER_32Q_SYSTEM)
+    architecture = compiler.architecture
+    capacity = sum(architecture.buffer_capacity_between(a, b)
+                   for a, b in architecture.node_pairs())
+    for benchmark in ("TLIM-32", "QAOA-r4-32", "QAOA-r8-32", "QFT-32"):
+        for design in ("original", "sync_buf", "async_buf", "adapt_buf",
+                       "init_buf"):
+            cell = compiler.compile(benchmark, design)
+            prefilled = capacity if cell.design.prefill_buffers else 0
+            for result in cell.execute_batch(range(10)):
+                links = result.epr_statistics
+                consumed = (links["consumed_from_buffer"]
+                            + links["consumed_direct"])
+                assert consumed == result.num_remote, (benchmark, design)
+                assert (links["generated"] + prefilled
+                        == consumed + links["wasted"]), (benchmark, design)

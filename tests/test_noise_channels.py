@@ -6,13 +6,10 @@ import pytest
 from repro.circuits.gate import Gate
 from repro.noise import (
     DensityMatrix,
-    amplitude_damping_kraus,
     average_gate_fidelity_of_depolarizing,
-    dephasing_kraus,
     depolarizing_kraus,
     depolarizing_parameter_for_fidelity,
     expand_operator,
-    pauli_channel_kraus,
     validate_kraus,
 )
 from repro.exceptions import NoiseError
@@ -23,14 +20,6 @@ class TestChannels:
     def test_depolarizing_is_trace_preserving(self, p):
         assert validate_kraus(depolarizing_kraus(p, 1))
         assert validate_kraus(depolarizing_kraus(p, 2))
-
-    def test_pauli_channel_completeness(self):
-        kraus = pauli_channel_kraus({"X": 0.05, "Y": 0.02, "Z": 0.03})
-        assert validate_kraus(kraus)
-
-    def test_dephasing_and_damping(self):
-        assert validate_kraus(dephasing_kraus(0.1))
-        assert validate_kraus(amplitude_damping_kraus(0.3))
 
     def test_fully_depolarizing_limit(self):
         rho = DensityMatrix(1)
@@ -49,13 +38,7 @@ class TestChannels:
         with pytest.raises(NoiseError):
             depolarizing_kraus(1.5, 1)
         with pytest.raises(NoiseError):
-            pauli_channel_kraus({"X": 0.9, "Z": 0.4})
-        with pytest.raises(NoiseError):
-            pauli_channel_kraus({"Q": 0.1})
-        with pytest.raises(NoiseError):
             depolarizing_parameter_for_fidelity(0.1, 1)
-        with pytest.raises(NoiseError):
-            amplitude_damping_kraus(1.2)
 
 
 class TestDensityMatrix:

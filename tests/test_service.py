@@ -366,6 +366,16 @@ class TestSubmitPollFetch:
         assert status["progress"]["latest"]["resumed_chunks"] == 6
         assert client.results(again["id"]) == client.results(first["id"])
 
+    def test_status_body_is_one_json_line(self, daemon, client):
+        # Compact JSON (the C encoder), not an indented document.
+        job = client.submit(small_spec())
+        client.wait(job["id"], timeout=60)
+        url = f"{daemon.address}/jobs/{job['id']}"
+        with urllib.request.urlopen(url) as response:
+            body = response.read().decode("utf-8")
+        assert body.count("\n") == 1 and body.endswith("\n")
+        assert json.loads(body)["state"] == "done"
+
 
 class TestApiErrors:
     def test_malformed_spec_is_structured_400(self, client):
@@ -845,6 +855,16 @@ class TestGracefulRestart:
             assert client.results(job["id"]) == foreground_json(spec)
         finally:
             second.stop(timeout=5)
+
+    def test_a_stopped_daemon_refuses_to_start(self, tmp_path):
+        # stop() closed the queue and the journal: a restarted object
+        # would answer /healthz and fail every submit.
+        daemon = StudyDaemon(ServiceConfig(data_root=tmp_path / "svc",
+                                           port=0))
+        daemon.start()
+        daemon.stop(timeout=5)
+        with pytest.raises(ReproError, match="start a new StudyDaemon"):
+            daemon.start()
 
 
 class TestPromptStop:

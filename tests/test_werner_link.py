@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.entanglement import (
-    WernerState,
-    werner_density_matrix,
-    werner_fidelity_after,
-)
+from repro.entanglement import werner_density_matrix, werner_fidelity_after
 from repro.exceptions import EntanglementError
 
 
@@ -57,20 +53,6 @@ class TestWernerState:
         rho = werner_density_matrix(1.0)
         assert np.linalg.matrix_rank(np.round(rho, 10)) == 1
 
-    def test_entanglement_threshold(self):
-        assert WernerState(0.6).is_entangled()
-        assert not WernerState(0.45).is_entangled()
-
-    def test_concurrence(self):
-        assert WernerState(1.0).concurrence() == pytest.approx(1.0)
-        assert WernerState(0.5).concurrence() == pytest.approx(0.0)
-
-    def test_after_idling(self):
-        state = WernerState(0.99).after_idling(50.0, 0.002)
-        assert state.fidelity < 0.99
-
     def test_out_of_range_rejected(self):
-        with pytest.raises(EntanglementError):
-            WernerState(0.1)
         with pytest.raises(EntanglementError):
             werner_density_matrix(0.2)
