@@ -2,7 +2,7 @@
 
 See :mod:`repro.faults.core` for the failpoint framework and spec grammar,
 and :mod:`repro.faults.chaos` for the soak harness behind ``repro chaos``
-and ``tools/chaos_soak.py``.
+(``PYTHONPATH=src python -m repro chaos`` from a source checkout).
 """
 
 from repro.faults.core import (

@@ -25,8 +25,8 @@ with faults stripped after a few injected deaths, so every schedule
 terminates; what byte-identity then proves is that no injected failure —
 at any catalogued site — can corrupt or duplicate a committed result.
 
-Entry points: ``python -m repro chaos`` and ``tools/chaos_soak.py``, both
-thin wrappers over :func:`run_chaos`.
+Entry point: ``python -m repro chaos`` (``PYTHONPATH=src python -m repro
+chaos`` from a source checkout), a thin wrapper over :func:`run_chaos`.
 """
 
 from __future__ import annotations

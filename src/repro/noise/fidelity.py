@@ -8,21 +8,20 @@ is estimated as the product of
 * the fidelities of all remote gates implemented through gate teleportation
   (each depending on the Werner fidelity of the consumed link at consumption
   time), and
-* an idling-decoherence factor ``exp(-kappa * t_idle)`` accounting for the
+* an idling-decoherence factor ``exp(-kappa * t)`` accounting for the
   latency of the execution.
 
-Two idling conventions are supported: ``"makespan"`` (the default) penalises
-the total circuit latency once, and ``"qubit-idle"`` sums the idle time of
-every data qubit.  The paper does not spell out its exact convention; the
-makespan form reproduces the reported magnitudes and, crucially, both forms
-preserve the cross-design ordering that the evaluation cares about.
+The paper does not spell out which latency ``t`` is; here it is the
+makespan, charged once per execution.  That form reproduces the reported
+magnitudes and preserves the cross-design ordering the evaluation cares
+about.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.hardware.parameters import GateFidelities
 from repro.noise.teleportation import remote_gate_product
@@ -62,28 +61,21 @@ class FidelityModel:
         Table II gate fidelities.
     kappa:
         Decoherence rate per depth unit.
-    idle_mode:
-        ``"makespan"`` (default) or ``"qubit-idle"``; see the module
-        docstring.
     """
 
     def __init__(self, fidelities: Optional[GateFidelities] = None,
-                 kappa: float = 0.002, idle_mode: str = "makespan") -> None:
-        if idle_mode not in ("makespan", "qubit-idle"):
-            raise NoiseError(f"unknown idle mode {idle_mode!r}")
+                 kappa: float = 0.002) -> None:
         if kappa < 0:
             raise NoiseError("decoherence rate must be non-negative")
         self.fidelities = fidelities or GateFidelities()
         self.kappa = kappa
-        self.idle_mode = idle_mode
 
     # ------------------------------------------------------------------
-    def idling_factor(self, makespan: float, qubit_idle_total: float = 0.0) -> float:
-        """Idling-decoherence factor for one execution."""
-        if makespan < 0 or qubit_idle_total < 0:
-            raise NoiseError("latency statistics must be non-negative")
-        exposure = makespan if self.idle_mode == "makespan" else qubit_idle_total
-        return math.exp(-self.kappa * exposure)
+    def idling_factor(self, makespan: float) -> float:
+        """Idling-decoherence factor ``exp(-kappa * makespan)``."""
+        if makespan < 0:
+            raise NoiseError("makespan must be non-negative")
+        return math.exp(-self.kappa * makespan)
 
     # ------------------------------------------------------------------
     def estimate(
@@ -93,7 +85,6 @@ class FidelityModel:
         remote_link_fidelities: Sequence[float],
         makespan: float,
         num_measurements: int = 0,
-        qubit_idle_total: float = 0.0,
     ) -> FidelityBreakdown:
         """Estimate the output fidelity of one execution.
 
@@ -105,9 +96,8 @@ class FidelityModel:
             The Werner fidelity of the link consumed by every remote gate, at
             its consumption time.
         makespan:
-            Total circuit latency in depth units.
-        qubit_idle_total:
-            Sum of data-qubit idle times (only used in ``"qubit-idle"`` mode).
+            Total circuit latency in depth units; the idling factor's
+            exposure.
         """
         if num_single_qubit < 0 or num_local_two_qubit < 0 or num_measurements < 0:
             raise NoiseError("gate counts must be non-negative")
@@ -123,7 +113,7 @@ class FidelityModel:
             measurement_fidelity=self.fidelities.measurement,
             correction_fidelity=self.fidelities.single_qubit,
         )
-        breakdown.idling_factor = self.idling_factor(makespan, qubit_idle_total)
+        breakdown.idling_factor = self.idling_factor(makespan)
         return breakdown
 
     def estimate_total(self, *args, **kwargs) -> float:

@@ -31,7 +31,9 @@ whose per-node-pair setup (attempt schedule, link and buffer counts) every
 run shares through :meth:`~repro.runtime.resources.EntanglementDirectory.for_seed`.
 The replay loop keeps its state in local variables and makes one
 :meth:`~repro.entanglement.service.EntanglementService.acquire` call per
-remote gate.  It builds no per-gate object: each remote gate adds its wait
+remote gate.  Of each qubit it keeps only the time the qubit is next free:
+idle decoherence is charged on the makespan, so no busy or idle time is
+tracked.  It builds no per-gate object: each remote gate adds its wait
 and its link fidelity to two running totals, in gate order, and its link
 fidelity to the list the fidelity model multiplies out.  Runs only read
 the compiled cell: each counts its own adaptive variant choices, so
@@ -61,7 +63,7 @@ from repro.runtime.gatestream import (
     SegmentStreams,
 )
 from repro.runtime.metrics import ExecutionResult
-from repro.runtime.resources import EntanglementDirectory, idle_total
+from repro.runtime.resources import EntanglementDirectory
 from repro.scheduling.lookup import ScheduleLookupTable
 from repro.scheduling.variants import SchedulingVariant
 
@@ -144,8 +146,6 @@ class BatchedExecutor:
                  directory: EntanglementDirectory) -> ExecutionResult:
         streams = self.streams
         avail = [0.0] * num_qubits
-        busy = [0.0] * num_qubits
-        first_use: List[Optional[float]] = [None] * num_qubits
         pair_list = streams.pair_list
         services = [None] * len(pair_list)
         remote_latency = streams.remote_latency
@@ -172,12 +172,6 @@ class BatchedExecutor:
                     finish = start + remote_latency
                     avail[a] = finish
                     avail[b] = finish
-                    busy[a] += remote_latency
-                    busy[b] += remote_latency
-                    if first_use[a] is None:
-                        first_use[a] = start
-                    if first_use[b] is None:
-                        first_use[b] = start
                     wait = start - ready
                     if wait > 0.0:
                         wait_total += wait
@@ -186,33 +180,20 @@ class BatchedExecutor:
                 elif op == OP_LOCAL_2Q:
                     time_a = avail[a]
                     time_b = avail[b]
-                    start = time_a if time_a >= time_b else time_b
-                    finish = start + duration
+                    finish = (time_a if time_a >= time_b else time_b) + duration
                     avail[a] = finish
                     avail[b] = finish
-                    busy[a] += duration
-                    busy[b] += duration
-                    if first_use[a] is None:
-                        first_use[a] = start
-                    if first_use[b] is None:
-                        first_use[b] = start
                 else:
-                    start = avail[a]
-                    avail[a] = start + duration
-                    busy[a] += duration
-                    if first_use[a] is None:
-                        first_use[a] = start
+                    avail[a] += duration
 
         makespan = max(avail)
         directory.finalize(makespan)
-        idle = idle_total(makespan, busy, first_use)
         breakdown = self.fidelity_model.estimate(
             num_single_qubit=streams.num_single,
             num_local_two_qubit=streams.num_local_two,
             remote_link_fidelities=link_fidelities,
             makespan=makespan,
             num_measurements=streams.num_measure,
-            qubit_idle_total=idle,
         )
         return ExecutionResult(
             design=self.design.name,
@@ -225,7 +206,6 @@ class BatchedExecutor:
             num_local_two_qubit=streams.num_local_two,
             num_remote=len(link_fidelities),
             num_measurements=streams.num_measure,
-            qubit_idle_total=idle,
             remote_wait_total=wait_total,
             link_fidelity_total=fidelity_total,
             epr_statistics=directory.aggregate_statistics(),
@@ -270,38 +250,23 @@ class BatchedExecutor:
         stream = streams.flat
         num_qubits = stream.num_qubits
         avail = [0.0] * num_qubits
-        busy = [0.0] * num_qubits
-        first_use: List[Optional[float]] = [None] * num_qubits
         for op, a, b, duration, _pair in stream.rows:
             if op == OP_LOCAL_2Q:
                 time_a = avail[a]
                 time_b = avail[b]
-                start = time_a if time_a >= time_b else time_b
-                finish = start + duration
+                finish = (time_a if time_a >= time_b else time_b) + duration
                 avail[a] = finish
                 avail[b] = finish
-                busy[a] += duration
-                busy[b] += duration
-                if first_use[a] is None:
-                    first_use[a] = start
-                if first_use[b] is None:
-                    first_use[b] = start
             else:
-                start = avail[a]
-                avail[a] = start + duration
-                busy[a] += duration
-                if first_use[a] is None:
-                    first_use[a] = start
+                avail[a] += duration
 
         makespan = max(avail)
-        idle = idle_total(makespan, busy, first_use)
         breakdown = self.fidelity_model.estimate(
             num_single_qubit=streams.num_single,
             num_local_two_qubit=streams.num_two_total,
             remote_link_fidelities=[],
             makespan=makespan,
             num_measurements=streams.num_measure,
-            qubit_idle_total=idle,
         )
         return [
             ExecutionResult(
@@ -315,7 +280,6 @@ class BatchedExecutor:
                 num_local_two_qubit=streams.num_two_total,
                 num_remote=0,
                 num_measurements=streams.num_measure,
-                qubit_idle_total=idle,
             )
             for seed in seeds
         ]

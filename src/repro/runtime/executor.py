@@ -111,9 +111,6 @@ class DesignExecutor:
         A :class:`~repro.runtime.designs.DesignSpec` or a design name.
     seed:
         Seed of the stochastic entanglement-generation process.
-    fidelity_model:
-        Optional custom fidelity model; by default one is built from the
-        architecture's Table II fidelities and decoherence rate.
     segment_length:
         Remote gates per segment ``m`` for adaptive scheduling; defaults to
         the paper's ``#comm-pairs * psucc``.
@@ -133,7 +130,6 @@ class DesignExecutor:
         architecture: DQCArchitecture,
         design,
         seed: int = 0,
-        fidelity_model: Optional[FidelityModel] = None,
         segment_length: Optional[int] = None,
         adaptive_policy: Optional[AdaptivePolicy] = None,
         lookup: Optional[ScheduleLookupTable] = None,
@@ -144,7 +140,7 @@ class DesignExecutor:
             design if isinstance(design, DesignSpec) else get_design(design)
         )
         self.seed = seed
-        self.fidelity_model = fidelity_model or FidelityModel(
+        self.fidelity_model = FidelityModel(
             fidelities=architecture.fidelities,
             kappa=architecture.decoherence_rate,
         )
@@ -190,7 +186,6 @@ class DesignExecutor:
             remote_link_fidelities=[],
             makespan=makespan,
             num_measurements=counts["measure"],
-            qubit_idle_total=tracker.total_idle_time(),
         )
         self.last_trace = trace
         return ExecutionResult(
@@ -204,7 +199,6 @@ class DesignExecutor:
             num_local_two_qubit=counts["two"],
             num_remote=0,
             num_measurements=counts["measure"],
-            qubit_idle_total=tracker.total_idle_time(),
         )
 
     # ------------------------------------------------------------------
@@ -265,7 +259,6 @@ class DesignExecutor:
             remote_link_fidelities=link_fidelities,
             makespan=makespan,
             num_measurements=counts["measure"],
-            qubit_idle_total=tracker.total_idle_time(),
         )
         self.last_trace = trace
         return ExecutionResult(
@@ -279,7 +272,6 @@ class DesignExecutor:
             num_local_two_qubit=counts["two"],
             num_remote=len(link_fidelities),
             num_measurements=counts["measure"],
-            qubit_idle_total=tracker.total_idle_time(),
             remote_wait_total=wait_total,
             link_fidelity_total=fidelity_total,
             epr_statistics=directory.aggregate_statistics(),

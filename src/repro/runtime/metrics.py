@@ -38,7 +38,6 @@ class ExecutionResult:
     num_local_two_qubit: int
     num_remote: int
     num_measurements: int
-    qubit_idle_total: float
     #: Summed wait of the remote gates for a link (``start - ready`` where
     #: positive), in gate order.
     remote_wait_total: float = 0.0

@@ -2,9 +2,10 @@
 
 Two trackers back the executors:
 
-* :class:`DataQubitTracker` — per-data-qubit availability and busy/idle
-  accounting.  Data qubits within a node are fully connected (paper
-  evaluation setting), so availability is the only constraint on local gates.
+* :class:`DataQubitTracker` — per-data-qubit availability.  Data qubits
+  within a node are fully connected (paper evaluation setting), so
+  availability is the only constraint on local gates.  Idle decoherence is
+  charged on the makespan, so no per-qubit busy or idle time is kept.
 * :class:`EntanglementDirectory` — one
   :class:`~repro.entanglement.service.EntanglementService` per connected node
   pair, created from the architecture and the design configuration; its
@@ -19,7 +20,7 @@ Two trackers back the executors:
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.entanglement.attempts import AttemptPolicy, AttemptSchedule
 from repro.entanglement.generator import EntanglementGenerator, VariateTable
@@ -27,31 +28,9 @@ from repro.entanglement.service import EntanglementService
 from repro.hardware.architecture import DQCArchitecture
 from repro.exceptions import RuntimeSimulationError
 
-__all__ = ["DataQubitTracker", "EntanglementDirectory", "idle_total"]
+__all__ = ["DataQubitTracker", "EntanglementDirectory"]
 
 NodePair = Tuple[int, int]
-
-
-def idle_total(horizon: float, busy: List[float],
-               first_use: List[Optional[float]]) -> float:
-    """Summed idle time of the used qubits from first use to ``horizon``.
-
-    A qubit idles for its span from first use to ``horizon`` less its busy
-    time, floored at zero.  The positive idle times are added in qubit
-    order, left to right from ``0.0``: both execution cores total idle time
-    here, and Python 3.12's compensated ``sum()`` would round differently.
-    """
-    total = 0.0
-    for first, busy_time in zip(first_use, busy):
-        if first is None:
-            continue
-        span = horizon - first
-        if span < 0.0:
-            span = 0.0
-        idle = span - busy_time
-        if idle > 0.0:
-            total += idle
-    return total
 
 
 class DataQubitTracker:
@@ -67,9 +46,6 @@ class DataQubitTracker:
             raise RuntimeSimulationError("tracker needs at least one qubit")
         self.num_qubits = num_qubits
         self._available = [0.0] * num_qubits
-        self._busy = [0.0] * num_qubits
-        self._first_use: List[Optional[float]] = [None] * num_qubits
-        self._last_release = [0.0] * num_qubits
 
     # ------------------------------------------------------------------
     def available_time(self, qubit: int) -> float:
@@ -94,11 +70,7 @@ class DataQubitTracker:
                 )
         finish = start + duration
         for qubit in qubits:
-            if self._first_use[qubit] is None:
-                self._first_use[qubit] = start
             self._available[qubit] = finish
-            self._busy[qubit] += duration
-            self._last_release[qubit] = finish
         return finish
 
     # ------------------------------------------------------------------
@@ -106,40 +78,6 @@ class DataQubitTracker:
     def makespan(self) -> float:
         """Latest qubit release time (total circuit latency so far)."""
         return max(self._available, default=0.0)
-
-    def busy_time(self, qubit: int) -> float:
-        """Total time the qubit spent executing gates."""
-        self._check(qubit)
-        return self._busy[qubit]
-
-    def idle_time(self, qubit: int, horizon: Optional[float] = None) -> float:
-        """Idle time of an *initialised* qubit up to ``horizon``.
-
-        A qubit is considered initialised from its first use; idle time is
-        the span from first use to ``horizon`` (default: the makespan) minus
-        its busy time.  Unused qubits contribute zero.
-        """
-        self._check(qubit)
-        if self._first_use[qubit] is None:
-            return 0.0
-        end = self.makespan if horizon is None else horizon
-        span = max(0.0, end - self._first_use[qubit])
-        return max(0.0, span - self._busy[qubit])
-
-    def total_idle_time(self, horizon: Optional[float] = None) -> float:
-        """Sum of idle times over all qubits (see :func:`idle_total`)."""
-        return idle_total(self.makespan if horizon is None else horizon,
-                          self._busy, self._first_use)
-
-    def utilisation(self) -> float:
-        """Mean busy fraction of qubits that were used at least once."""
-        makespan = self.makespan
-        if makespan <= 0:
-            return 0.0
-        used = [q for q in range(self.num_qubits) if self._first_use[q] is not None]
-        if not used:
-            return 0.0
-        return sum(self._busy[q] for q in used) / (makespan * len(used))
 
     def _check(self, qubit: int) -> None:
         if not (0 <= qubit < self.num_qubits):

@@ -1,7 +1,7 @@
 """Adaptive remote-gate scheduling (the paper's software contribution)."""
 
 from repro.scheduling.lookup import ScheduleLookupTable, build_lookup_table
-from repro.scheduling.policies import AdaptivePolicy, StaticPolicy
+from repro.scheduling.policies import AdaptivePolicy
 from repro.scheduling.segmentation import (
     CircuitSegment,
     default_segment_length,
@@ -23,5 +23,4 @@ __all__ = [
     "ScheduleLookupTable",
     "build_lookup_table",
     "AdaptivePolicy",
-    "StaticPolicy",
 ]

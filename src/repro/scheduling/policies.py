@@ -1,30 +1,17 @@
 """Remote-gate scheduling policies.
 
-Encodes the run-time decision rule of the adaptive scheduler (Sec. III-D)
-and a couple of static baselines used in ablation benchmarks.
+Encodes the run-time decision rule of the adaptive scheduler (Sec. III-D).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.scheduling.variants import SchedulingVariant
 from repro.exceptions import SchedulingError
 
-__all__ = ["StaticPolicy", "AdaptivePolicy"]
-
-
-class StaticPolicy(str, enum.Enum):
-    """Fixed segment orderings used by the non-adaptive designs."""
-
-    ORIGINAL = SchedulingVariant.ORIGINAL
-    ASAP = SchedulingVariant.ASAP
-    ALAP = SchedulingVariant.ALAP
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
+__all__ = ["AdaptivePolicy"]
 
 
 @dataclass(frozen=True)

@@ -221,17 +221,6 @@ class StudyDaemon:
         self.scheduler.stop(timeout=timeout)
         self.journal.close()
 
-    def serve_forever(self) -> None:
-        """Run until interrupted (the ``repro serve`` entry point)."""
-        self.start()
-        try:
-            while True:
-                time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
     # ------------------------------------------------------------------
     # the service operations (HTTP handlers call these)
     # ------------------------------------------------------------------

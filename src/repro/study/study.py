@@ -136,7 +136,7 @@ class Study:
         Optional override of ``system.partition_method`` (applied to the
         base system, so axes still take precedence per point).
     partition_seed:
-        Partitioner seed shared by every cell.
+        Partitioner seed shared by every cell, any integer.
     backend:
         Execute-stage strategy (instance, registered name, or ``None``,
         which honours the ``REPRO_BACKEND`` environment variable and falls
@@ -179,13 +179,13 @@ class Study:
         cache_dir: Union[None, str, Path] = None,
         name: Optional[str] = None,
     ) -> None:
-        if num_runs < 1:
-            raise ConfigurationError("study needs at least one run")
-        if (isinstance(base_seed, bool)
-                or not isinstance(base_seed, Integral) or base_seed < 0):
-            raise ConfigurationError(
-                f"base_seed must be a non-negative integer, got {base_seed!r}"
-            )
+        for key, value, minimum, kind in (
+                ("num_runs", num_runs, 1, "a positive integer"),
+                ("base_seed", base_seed, 0, "a non-negative integer"),
+                ("partition_seed", partition_seed, None, "an integer")):
+            if (isinstance(value, bool) or not isinstance(value, Integral)
+                    or (minimum is not None and value < minimum)):
+                raise ConfigurationError(f"{key} must be {kind}, got {value!r}")
         self.name = name
         self.num_runs = num_runs
         self.base_seed = base_seed
@@ -769,11 +769,11 @@ class Study:
                 benchmarks=spec.get("benchmarks"),
                 designs=designs,
                 axes=axes,
-                num_runs=int(spec.get("num_runs", 1)),
-                base_seed=int(spec.get("base_seed", 1)),
+                num_runs=spec.get("num_runs", 1),
+                base_seed=spec.get("base_seed", 1),
                 system=system,
                 partition_method=spec.get("partition_method"),
-                partition_seed=int(spec.get("partition_seed", 0)),
+                partition_seed=spec.get("partition_seed", 0),
                 backend=backend,
                 cache=cache,
                 cache_dir=cache_dir,
@@ -851,6 +851,7 @@ class Study:
         message = str(error)
         for token, field in (
             ("base_seed", "base_seed"),
+            ("partition_seed", "partition_seed"),
             ("benchmark", "benchmarks"),
             ("design", "designs"),
             ("axis", "axes"),

@@ -344,18 +344,3 @@ class TestBenchCli:
         assert main(["bench", "record",
                      "--ledger", str(tmp_path / "l.jsonl")]) != 0
         assert "at least one" in capsys.readouterr().err
-
-    def test_wrapper_script_delegates(self, tmp_path, capsys):
-        import importlib.util
-        from pathlib import Path
-
-        script = Path(__file__).parent.parent / "tools" / "bench_ledger.py"
-        spec = importlib.util.spec_from_file_location("bench_ledger_tool",
-                                                      script)
-        wrapper = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(wrapper)
-        ledger = tmp_path / "ledger.jsonl"
-        payload = self._payload(tmp_path, 1.0)
-        assert wrapper.main(["record", str(payload),
-                             "--ledger", str(ledger)]) == 0
-        assert ledger.exists()

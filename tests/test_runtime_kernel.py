@@ -36,26 +36,6 @@ class TestDataQubitTracker:
         with pytest.raises(RuntimeSimulationError):
             tracker.occupy((0,), 3.0, 1.0)
 
-    def test_idle_accounting(self):
-        tracker = DataQubitTracker(2)
-        tracker.occupy((0,), 0.0, 1.0)
-        tracker.occupy((1,), 0.0, 4.0)
-        # Qubit 0 idles from t=1 to the makespan (4).
-        assert tracker.idle_time(0) == pytest.approx(3.0)
-        assert tracker.idle_time(1) == pytest.approx(0.0)
-        assert tracker.total_idle_time() == pytest.approx(3.0)
-
-    def test_unused_qubits_do_not_idle(self):
-        tracker = DataQubitTracker(3)
-        tracker.occupy((0,), 0.0, 2.0)
-        assert tracker.idle_time(2) == 0.0
-
-    def test_utilisation(self):
-        tracker = DataQubitTracker(2)
-        tracker.occupy((0,), 0.0, 2.0)
-        tracker.occupy((1,), 0.0, 4.0)
-        assert tracker.utilisation() == pytest.approx((2.0 + 4.0) / (4.0 * 2))
-
     def test_validation(self):
         with pytest.raises(RuntimeSimulationError):
             DataQubitTracker(0)
@@ -144,7 +124,7 @@ class TestMetricsAndTrace:
             design="async_buf", benchmark="toy", seed=0, makespan=makespan,
             fidelity=fidelity, fidelity_breakdown=FidelityBreakdown(),
             num_single_qubit=4, num_local_two_qubit=3, num_remote=2,
-            num_measurements=0, qubit_idle_total=10.0,
+            num_measurements=0,
             remote_wait_total=2.0, link_fidelity_total=0.98 + 0.97,
             epr_statistics={"generated": 10, "wasted": 4},
         )
@@ -190,27 +170,12 @@ class TestSummationOrder:
     """
 
     VALUES = [1.0, 1e-16, 1e-16]
-    #: The tracker's inputs: exactly representable idle times that round
-    #: the same way (2**-53 is half an ulp of 1.0).
-    TINY = 2.0 ** -53
 
     def test_the_inputs_tell_the_two_orders_apart(self):
         from repro.analysis.statistics import ordered_sum
 
-        for values in (self.VALUES, [1.0, self.TINY, self.TINY]):
-            assert ordered_sum(values) == 1.0
-            assert math.fsum(values) == 1.0000000000000002
-
-    def test_tracker_idle_total_adds_in_qubit_order(self):
-        tracker = DataQubitTracker(4)
-        tracker.occupy((3,), 0.0, 1.0)  # sets the makespan, never idles
-        tracker.occupy((0,), 0.0, 0.0)  # idles 1.0
-        tracker.occupy((1,), 1.0 - self.TINY, 0.0)  # idles TINY
-        tracker.occupy((2,), 1.0 - self.TINY, 0.0)
-        idle = [tracker.idle_time(q) for q in range(4)]
-        assert idle == [1.0, self.TINY, self.TINY, 0.0]
-        assert tracker.total_idle_time() == 1.0
-        assert math.fsum(idle) != 1.0
+        assert ordered_sum(self.VALUES) == 1.0
+        assert math.fsum(self.VALUES) == 1.0000000000000002
 
     @pytest.fixture
     def three_remote_gates(self, monkeypatch):
@@ -264,7 +229,7 @@ class TestSummationOrder:
                 design="sync_buf", benchmark="toy", seed=seed, makespan=1.0,
                 fidelity=0.5, fidelity_breakdown=FidelityBreakdown(),
                 num_single_qubit=0, num_local_two_qubit=0, num_remote=1,
-                num_measurements=0, qubit_idle_total=0.0,
+                num_measurements=0,
                 remote_wait_total=value, link_fidelity_total=value)
             for seed, value in enumerate(self.VALUES)
         ]

@@ -9,7 +9,6 @@ from repro.scheduling import (
     AdaptivePolicy,
     ScheduleLookupTable,
     SchedulingVariant,
-    StaticPolicy,
     build_lookup_table,
     compile_segment_variants,
     default_segment_length,
@@ -114,9 +113,6 @@ class TestPolicies:
             AdaptivePolicy(asap_threshold=1, alap_threshold=3)
         with pytest.raises(SchedulingError):
             AdaptivePolicy().choose(-1, 2)
-
-    def test_static_policy_names(self):
-        assert StaticPolicy.ASAP.value == SchedulingVariant.ASAP
 
 
 class TestLookupTable:

@@ -399,6 +399,11 @@ class TestApiErrors:
             client.submit(small_spec(base_seed=-5000))
         assert excinfo.value.status == 400
         assert excinfo.value.payload["field"] == "base_seed"
+        # A fractional run count is refused, not truncated to 2 runs.
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(small_spec(num_runs=2.5))
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["field"] == "num_runs"
 
     def test_non_object_body_400(self, client):
         with pytest.raises(ServiceError) as excinfo:

@@ -120,6 +120,14 @@ class TestStudyPlan:
             with pytest.raises(ConfigurationError, match="base_seed"):
                 Study(benchmarks="TLIM-32", designs=["ideal", "original"],
                       num_runs=2, base_seed=seed)
+        # Run counts and seeds are integers, never silently truncated.
+        for key in ("num_runs", "base_seed", "partition_seed"):
+            for value in (2.5, True, "3"):
+                with pytest.raises(ConfigurationError, match=key):
+                    Study(benchmarks="TLIM-32", designs=["ideal"],
+                          **{key: value})
+        assert Study(benchmarks="TLIM-32", designs=["ideal"],
+                     partition_seed=-3).partition_seed == -3
 
     def test_negative_seed_axis_value_rejected(self):
         with pytest.raises(ConfigurationError, match="non-negative"):
@@ -135,6 +143,11 @@ class TestStudyPlan:
             Study.from_spec({**base, "axes": [
                 {"fields": ["seed"], "values": [-7000, 3]}]})
         assert excinfo.value.field == "axes"
+        for key in ("num_runs", "base_seed", "partition_seed"):
+            for value in (2.5, True, "3"):
+                with pytest.raises(SpecValidationError) as excinfo:
+                    Study.from_spec({**base, key: value})
+                assert excinfo.value.field == key
 
     def test_unknown_axis_field_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -81,14 +81,8 @@ class TestFidelityModel:
         assert breakdown.total == pytest.approx(0.9999 ** 10 * 0.999 ** 5)
 
     def test_idling_decay_makespan_mode(self):
-        model = FidelityModel(kappa=0.002, idle_mode="makespan")
+        model = FidelityModel(kappa=0.002)
         assert model.idling_factor(500.0) == pytest.approx(math.exp(-1.0))
-
-    def test_idling_decay_qubit_mode(self):
-        model = FidelityModel(kappa=0.002, idle_mode="qubit-idle")
-        assert model.idling_factor(500.0, qubit_idle_total=100.0) == pytest.approx(
-            math.exp(-0.2)
-        )
 
     def test_remote_gates_lower_fidelity(self):
         model = FidelityModel(kappa=0.0)
@@ -113,8 +107,6 @@ class TestFidelityModel:
         assert breakdown.local_two_qubit_factor == pytest.approx(0.99 ** 10)
 
     def test_validation(self):
-        with pytest.raises(NoiseError):
-            FidelityModel(idle_mode="weird")
         with pytest.raises(NoiseError):
             FidelityModel(kappa=-1.0)
         model = FidelityModel()
