@@ -10,6 +10,7 @@ experiment (benchmarks × designs × repetitions on a system) is a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 from repro.hardware.architecture import DQCArchitecture
 from repro.hardware.node import QPUNode
@@ -63,6 +64,12 @@ class SystemConfig:
     topology: str = "all_to_all"
 
     def __post_init__(self) -> None:
+        for name in ("num_nodes", "data_qubits_per_node",
+                     "comm_qubits_per_node", "buffer_qubits_per_node"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}")
         if self.num_nodes < 2:
             raise ConfigurationError("a DQC system needs at least 2 nodes")
         if self.data_qubits_per_node < 1:

@@ -1,8 +1,9 @@
 """Remote-entanglement-generation substrate.
 
 Werner-state decay, attempt scheduling (synchronous vs asynchronous),
-the stochastic generator, its success tape and the variate table generators
-share, buffer pools, and the interactive supply service used by the runtime.
+the stochastic generator, the variate table whose sources and success tapes
+generators share, buffer pools, and the interactive supply service used by
+the runtime.
 """
 
 from repro.entanglement.attempts import AttemptPolicy, AttemptSchedule

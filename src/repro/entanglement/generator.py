@@ -1,4 +1,4 @@
-"""Stochastic heralded entanglement generation on one merged success tape.
+"""Stochastic heralded entanglement generation on shared success tapes.
 
 Combines an :class:`~repro.entanglement.attempts.AttemptSchedule` with a
 Bernoulli success model: every attempt of every communication-qubit pair
@@ -12,21 +12,28 @@ is below ``psucc``.  All pairs are drawn in lockstep blocks: one
 NumPy draws the identical variates whether ``random()`` is called ``n``
 times or once with ``size=n``, so no block partition changes an outcome,
 and drawing further ahead than a query needs never changes a result.
-The streams and the success indices of every block drawn so far live in a
-source of a :class:`VariateTable`, keyed by ``(seed, num_pairs, psucc)``
-and not by the attempt schedule: block sizes depend only on the attempts
-already drawn, so every generator of one key reads the same read-only
-blocks, whichever design, schedule or benchmark it belongs to, and each
-still builds its own tape from them.  A generator given no table makes a
-private one.
+The streams and the success indices of every block drawn so far live in
+the :class:`LockstepBlocks` of a :class:`VariateSource` of a
+:class:`VariateTable`, keyed by ``(seed, num_pairs, psucc)`` and not by
+the attempt schedule: block sizes depend only on the attempts already
+drawn, so every generator of one key reads the same read-only blocks,
+whichever design, schedule or benchmark it belongs to.  A generator given
+no table makes a private one.
 
-*Tape.*  The successes of all pairs are kept as three parallel lists —
-completion time, pair, attempt — sorted by ``(time, pair)``.  After ``N``
-attempts per pair the tape is final below the :attr:`frontier`
-``min_p first_p + N * cycle``: every undrawn attempt completes at or after
-it.  When the pairs' first completions span more than one cycle, the
-earliest successes of a new block land before the tail of the previous
-one, so a block is merged into the tape, not appended.
+*Tape.*  A :class:`SuccessTape` holds the successes of all pairs as three
+parallel columns — completion time, pair, attempt — sorted by
+``(time, pair)``.  It depends only on the source and on the schedule's
+first completions and cycle time, so a source owns one tape per
+``(first_completions, cycle_time)`` and every generator of that schedule
+reads it: the designs and benchmarks of one run seed share a sync and an
+async tape.  After ``N`` attempts per pair the tape is final below its
+:attr:`~SuccessTape.frontier` ``min_p first_p + N * cycle``: every undrawn
+attempt completes at or after it.  When the pairs' first completions span
+more than one cycle, the earliest successes of a new block land before the
+tail of the previous one, so a block is merged into the tape, not
+appended.  Entries below the frontier never move, and a query's answer
+depends only on final entries, so drawing further for one generator never
+changes another's answers.
 
 *Interval semantics.*  A success ``(t, p, k)`` lies in ``(start, end]`` iff
 ``t > start + 1e-12``, ``t <= end + 1e-12`` and
@@ -45,9 +52,11 @@ of them per remote gate.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Collection, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Collection, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -55,7 +64,8 @@ from numpy.random import SeedSequence, default_rng
 from repro.entanglement.attempts import AttemptSchedule
 from repro.exceptions import EntanglementError
 
-__all__ = ["GenerationEvent", "EntanglementGenerator", "VariateTable"]
+__all__ = ["GenerationEvent", "EntanglementGenerator", "SuccessTape",
+           "VariateTable"]
 
 #: First lockstep block (attempts per pair); later blocks double up to
 #: :data:`_MAX_BLOCK` so long simulations stay O(log) in RNG calls.
@@ -64,6 +74,16 @@ _MAX_BLOCK = 8192
 
 #: Most sources one :class:`VariateTable` holds.
 VARIATE_TABLE_SIZE = 128
+
+#: Most communication-qubit pairs of one node pair: pair indices are
+#: stored in 16 bits.
+_MAX_PAIRS = 1 << 16
+
+#: Integer types of the pair and attempt indices in blocks and tapes, with
+#: their ``array`` typecodes.  Attempt indices stay far below the range of
+#: a C ``int``: 2**31 attempts of one pair would take 16 GB of uniforms.
+_PAIR_DTYPE, _PAIR_CODE = np.uint16, "H"
+_ATTEMPT_DTYPE, _ATTEMPT_CODE = np.intc, "i"
 
 #: One lockstep block: the attempts per pair drawn through it, then the
 #: pair and attempt indices of its successes (read-only arrays).
@@ -78,12 +98,16 @@ class GenerationEvent(NamedTuple):
     attempt_index: int
 
 
-class VariateSource:
+class LockstepBlocks:
     """The per-pair streams of one variate key and the blocks drawn so far."""
 
     __slots__ = ("_streams", "_psucc", "_blocks", "_drawn")
 
     def __init__(self, entropy: int, num_pairs: int, psucc: float) -> None:
+        if num_pairs > _MAX_PAIRS:
+            raise EntanglementError(
+                f"at most {_MAX_PAIRS} communication-qubit pairs per node "
+                f"pair, got {num_pairs}")
         self._streams = [
             default_rng(SeedSequence(entropy=entropy, spawn_key=(pair,)))
             for pair in range(num_pairs)
@@ -102,12 +126,122 @@ class VariateSource:
             for row, rng in zip(uniforms, self._streams):
                 rng.random(out=row)
             pairs, offsets = np.nonzero(uniforms < self._psucc)
-            attempts = offsets + drawn
+            pairs = pairs.astype(_PAIR_DTYPE)
+            attempts = offsets.astype(_ATTEMPT_DTYPE)
+            attempts += drawn
             pairs.flags.writeable = False
             attempts.flags.writeable = False
             self._drawn = drawn + size
             blocks.append((self._drawn, pairs, attempts))
         return blocks[index]
+
+
+class VariateSource:
+    """One variate key's lockstep blocks and the success tapes over them.
+
+    A tape reads the blocks, not the source, so a source and its tapes
+    form no reference cycle: they are freed as soon as the last table,
+    generator or service holding them lets go, not at the next cyclic
+    garbage collection.
+    """
+
+    __slots__ = ("blocks", "_tapes")
+
+    def __init__(self, entropy: int, num_pairs: int, psucc: float) -> None:
+        self.blocks = LockstepBlocks(entropy, num_pairs, psucc)
+        self._tapes: Dict[Tuple[Tuple[float, ...], float], SuccessTape] = {}
+
+    def tape(self, schedule: AttemptSchedule) -> "SuccessTape":
+        """The success tape of ``schedule``, shared by every caller of it.
+
+        Keyed by the schedule's first completions and cycle time, the only
+        parts of it a tape reads.
+        """
+        key = (schedule.first_completions, schedule.cycle_time)
+        found = self._tapes.get(key)
+        if found is None:
+            found = self._tapes[key] = SuccessTape(self.blocks, *key)
+        return found
+
+
+class SuccessTape:
+    """The successes of one variate source under one attempt schedule.
+
+    Attributes
+    ----------
+    times / pairs / attempts:
+        Parallel columns (``array('d')``, ``array('H')``, ``array('i')``)
+        of every success drawn so far, sorted by ``(time, pair)``.  They are
+        only ever extended or have a suffix above the frontier replaced, in
+        place, so a caller may hold on to them across draws.
+    frontier:
+        Every success completing before this time is on the tape.
+    drawn:
+        Attempts per pair drawn into the tape.
+    blocks_read:
+        Lockstep blocks of the source merged into the tape.
+    """
+
+    __slots__ = ("times", "pairs", "attempts", "frontier", "drawn",
+                 "blocks_read", "_blocks", "_firsts", "_first_min", "_cycle")
+
+    def __init__(self, blocks: LockstepBlocks,
+                 first_completions: Tuple[float, ...],
+                 cycle_time: float) -> None:
+        self._blocks = blocks
+        self._firsts = np.asarray(first_completions, dtype=float)
+        self._first_min = min(first_completions, default=float("inf"))
+        self._cycle = cycle_time
+        self.times = array("d")
+        self.pairs = array(_PAIR_CODE)
+        self.attempts = array(_ATTEMPT_CODE)
+        self.frontier = self._first_min
+        self.drawn = 0
+        self.blocks_read = 0
+
+    def ensure(self, threshold: float) -> None:
+        """Draw until the tape is final at and below ``threshold``."""
+        while self.frontier <= threshold:
+            self.draw_block()
+
+    def draw_block(self) -> None:
+        """Merge the source's next lockstep block into the tape."""
+        drawn, pairs, attempts = self._blocks.block(self.blocks_read)
+        self.blocks_read += 1
+        # first + k * cycle: the float arithmetic of
+        # AttemptSchedule.attempt_completion, element by element.
+        times = self._firsts[pairs] + attempts * self._cycle
+        order = np.lexsort((pairs, times))
+        self._merge(times[order], pairs[order], attempts[order])
+        self.drawn = drawn
+        self.frontier = self._first_min + drawn * self._cycle
+
+    def _merge(self, times: np.ndarray, pairs: np.ndarray,
+               attempts: np.ndarray) -> None:
+        """Merge one sorted block into the tape, in place."""
+        if not len(times):
+            return
+        tape_times, tape_pairs, tape_attempts = (self.times, self.pairs,
+                                                 self.attempts)
+        first = float(times[0])
+        cut = len(tape_times)
+        if cut and (first, int(pairs[0])) < (tape_times[-1], tape_pairs[-1]):
+            # The block starts before the tail: re-sort the overlapping
+            # suffix with it.  (time, pair) is unique, so the order is
+            # the tuple order of the entries.
+            cut = bisect_left(tape_times, first)
+            times = np.concatenate((np.frombuffer(tape_times[cut:]), times))
+            pairs = np.concatenate((np.frombuffer(tape_pairs[cut:],
+                                                  dtype=_PAIR_DTYPE), pairs))
+            attempts = np.concatenate((np.frombuffer(
+                tape_attempts[cut:], dtype=_ATTEMPT_DTYPE), attempts))
+            order = np.lexsort((pairs, times))
+            times, pairs, attempts = times[order], pairs[order], \
+                attempts[order]
+            del tape_times[cut:], tape_pairs[cut:], tape_attempts[cut:]
+        tape_times.frombytes(times.tobytes())
+        tape_pairs.frombytes(pairs.tobytes())
+        tape_attempts.frombytes(attempts.tobytes())
 
 
 class VariateTable:
@@ -116,16 +250,19 @@ class VariateTable:
     The entropy is a generator's seed, which
     :class:`~repro.runtime.resources.EntanglementDirectory` derives from the
     run seed and the node pair, so the generators of one run seed and node
-    pair that read one table share its streams and blocks, whatever their
-    design, schedule or benchmark.  The table holds at most
+    pair that read one table share its streams, blocks and tapes, whatever
+    their design, schedule or benchmark.  The table holds at most
     :data:`VARIATE_TABLE_SIZE` sources and evicts the least recently used
     one; a generator keeps reading the source it was given after that.  A
-    source of 10 pairs with one 128-attempt block takes about 22 KB, most
-    of it the 10 NumPy ``Generator`` objects, so a full table is about
-    3 MB.  A study whose cells each need more sources than the bound (seeds
-    per cell times node pairs) evicts every source before the next design
-    asks for it: it shares nothing, and draws every stream once per run,
-    as generators with private tables do.
+    source of 10 pairs with one 128-attempt block takes about 12 KB, most
+    of it the 10 NumPy ``Generator`` objects.  Its tapes are most of the
+    rest: 14 bytes per success, so a sync and an async tape over that
+    block (about 512 successes at ``psucc`` 0.4) add about 8.5 KB each,
+    and a full table of such sources is about 4 MB.
+    A study whose cells each need more sources than the bound (seeds per
+    cell times node pairs) evicts every source before the next design asks
+    for it: it shares nothing, and draws every stream once per run, as
+    generators with private tables do.
 
     A table is not thread-safe: each serial execute call owns one, and so
     does each process worker.
@@ -171,12 +308,11 @@ class EntanglementGenerator:
 
     Attributes
     ----------
+    tape:
+        The :class:`SuccessTape` of this generator's source and schedule,
+        shared with every generator of both.
     times / pairs / attempts:
-        The tape: parallel lists of every success drawn so far, sorted by
-        ``(time, pair)``.  Lists are only ever extended or have a suffix
-        replaced, so a caller may hold on to them across draws.
-    frontier:
-        Every success completing before this time is on the tape.
+        The tape's columns, sorted by ``(time, pair)``.
     """
 
     def __init__(self, schedule: AttemptSchedule,
@@ -194,58 +330,27 @@ class EntanglementGenerator:
         #: Entries this far after a query's start may fail its attempt bound.
         self._window = 2e-9 * self.cycle
         self._firsts = schedule.first_completions
-        self._first_min = min(self._firsts, default=float("inf"))
         if variates is None:
             variates = VariateTable()
-        self._variates = variates.source(seed, schedule.num_pairs,
-                                         success_probability)
-        self._blocks_read = 0
-        self.drawn = 0
-        self.times: List[float] = []
-        self.pairs: List[int] = []
-        self.attempts: List[int] = []
-        self.frontier = self._first_min
+        tape = self.tape = variates.source(
+            seed, schedule.num_pairs, success_probability).tape(schedule)
+        self.times = tape.times
+        self.pairs = tape.pairs
+        self.attempts = tape.attempts
 
-    # ------------------------------------------------------------------
-    # drawing
-    # ------------------------------------------------------------------
-    def _draw_block(self) -> None:
-        """Merge the next lockstep block of every pair into the tape."""
-        drawn, pair_index, attempts = self._variates.block(self._blocks_read)
-        self._blocks_read += 1
-        # first + k * cycle: the float arithmetic of
-        # AttemptSchedule.attempt_completion, element by element.
-        times = np.asarray(self._firsts)[pair_index] + attempts * self.cycle
-        order = np.lexsort((pair_index, times))
-        self._merge(times[order].tolist(), pair_index[order].tolist(),
-                    attempts[order].tolist())
-        self.drawn = drawn
-        self.frontier = self._first_min + drawn * self.cycle
+    @property
+    def frontier(self) -> float:
+        """Every success completing before this time is on the tape."""
+        return self.tape.frontier
 
-    def _merge(self, times: List[float], pairs: List[int],
-               attempts: List[int]) -> None:
-        """Merge one sorted block into the tape, in place."""
-        if not times:
-            return
-        tape_times, tape_pairs = self.times, self.pairs
-        if not tape_times or (times[0], pairs[0]) > (tape_times[-1],
-                                                     tape_pairs[-1]):
-            tape_times.extend(times)
-            tape_pairs.extend(pairs)
-            self.attempts.extend(attempts)
-            return
-        # The block starts before the tail: re-sort the overlapping suffix.
-        cut = bisect_left(tape_times, times[0])
-        merged = sorted(zip(tape_times[cut:] + times, tape_pairs[cut:] + pairs,
-                            self.attempts[cut:] + attempts))
-        tape_times[cut:] = [entry[0] for entry in merged]
-        tape_pairs[cut:] = [entry[1] for entry in merged]
-        self.attempts[cut:] = [entry[2] for entry in merged]
+    @property
+    def drawn(self) -> int:
+        """Attempts per pair drawn into the tape."""
+        return self.tape.drawn
 
     def ensure(self, threshold: float) -> None:
         """Draw until the tape is final at and below ``threshold``."""
-        while self.frontier <= threshold:
-            self._draw_block()
+        self.tape.ensure(threshold)
 
     # ------------------------------------------------------------------
     # interval semantics
@@ -281,8 +386,9 @@ class EntanglementGenerator:
         if end < start:
             return range(0)
         threshold = end + 1e-12
-        if self.frontier <= threshold:
-            self.ensure(threshold)
+        tape = self.tape
+        if tape.frontier <= threshold:
+            tape.ensure(threshold)
         times = self.times
         low = bisect_right(times, start + 1e-12)
         high = bisect_right(times, threshold, low)
@@ -314,22 +420,23 @@ class EntanglementGenerator:
         if not self._firsts:
             raise EntanglementError("no communication-qubit pairs to draw from")
         threshold = time + 1e-12
-        if self.frontier <= threshold:
-            self.ensure(threshold)
+        tape = self.tape
+        if tape.frontier <= threshold:
+            tape.ensure(threshold)
         times, pairs, attempts = self.times, self.pairs, self.attempts
         window = time + self._window
         index = bisect_right(times, threshold)
         while True:
             # An entry at the frontier could still tie with an undrawn
             # attempt of a lower pair; only entries below it are final.
-            if index < len(times) and times[index] < self.frontier:
+            if index < len(times) and times[index] < tape.frontier:
                 if ((times[index] <= window and self._fails_bound(index, time))
                         or (excluded
                             and (pairs[index], attempts[index]) in excluded)):
                     index += 1
                     continue
                 return index
-            self._draw_block()
+            tape.draw_block()
 
     def first_fresh_success(self, time: float,
                             excluded: Collection = ()) -> GenerationEvent:
@@ -349,8 +456,9 @@ class EntanglementGenerator:
             )
         completion = self._firsts[pair_index] + attempt_index * self.cycle
         self.ensure(completion)
-        index = bisect_left(self.times, completion)
-        while index < len(self.times) and self.times[index] == completion:
+        times = self.times
+        index = bisect_left(times, completion)
+        while index < len(times) and times[index] == completion:
             if (self.pairs[index] == pair_index
                     and self.attempts[index] == attempt_index):
                 return True

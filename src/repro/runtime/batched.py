@@ -23,8 +23,9 @@ topology, and the adaptive scheduling path.
 A batch's generators read their variates from the caller's
 :class:`~repro.entanglement.generator.VariateTable`: a backend passes one
 table to every batch of a call, so the designs and benchmarks of a run
-seed draw its variates once.  The reference executor reads a private table
-per generator; the variates, and so the results, are the same.
+seed draw its variates once, and those of one attempt schedule read one
+success tape.  The reference executor reads a private table per
+generator; the variates, and so the results, are the same.
 
 A batch builds one :class:`~repro.runtime.resources.EntanglementDirectory`,
 whose per-node-pair setup (attempt schedule, link and buffer counts) every

@@ -734,7 +734,7 @@ class Study:
         except (ConfigurationError, TypeError, ValueError) as error:
             raise SpecValidationError(
                 f"invalid system configuration in spec: {error}",
-                field="system",
+                field=cls._spec_field_of(error) or "system",
             ) from None
         try:
             axes = [
@@ -846,7 +846,7 @@ class Study:
                 ) from None
 
     @staticmethod
-    def _spec_field_of(error: ConfigurationError) -> Optional[str]:
+    def _spec_field_of(error: Exception) -> Optional[str]:
         """Best-effort spec field named by a constructor validation error."""
         message = str(error)
         for token, field in (
@@ -858,7 +858,7 @@ class Study:
             ("seed", "axes"),
             ("run", "num_runs"),
             ("partition_method", "partition_method"),
-            ("topology", "system.topology"),
+            *((name, f"system.{name}") for name in _SYSTEM_FIELDS),
         ):
             if token in message:
                 return field

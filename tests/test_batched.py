@@ -329,6 +329,33 @@ def test_serial_backend_draws_each_seeds_variates_once(monkeypatch):
     ]
 
 
+def test_serial_backend_builds_one_tape_per_seed_and_schedule(monkeypatch):
+    import repro.entanglement.generator as generator_module
+
+    compiler = CellCompiler(system=SystemConfig())
+    cells = [compiler.compile(benchmark, design)
+             for benchmark in ("TLIM-32", "QAOA-r4-32")
+             for design in list_designs() if design != "ideal"]
+    seeds = range(1, 9)
+    tapes = []
+
+    class CountedTape(generator_module.SuccessTape):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            tapes.append(self)
+
+    monkeypatch.setattr(generator_module, "SuccessTape", CountedTape)
+    SerialBackend().execute([ExecutionTask(cell, seed)
+                             for cell in cells for seed in seeds])
+    # One node pair, read under a sync and an async schedule: two tapes per
+    # seed, shared by both benchmarks and all five stochastic designs, not
+    # one per run (80).
+    assert len(tapes) == 2 * len(seeds)
+    assert len({(tape._blocks, tuple(tape._firsts)) for tape in tapes}) == 16
+
+
 class _SinkOfTwo:
     """A sink declaring a two-seed granularity; collects the results.
 

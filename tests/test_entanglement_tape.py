@@ -7,6 +7,7 @@ shares no code with the tape's lockstep blocks, merges, bisects or its
 attempt-bound window, nor with the variate table the generators share.
 """
 
+import gc
 import tracemalloc
 from bisect import bisect_left
 
@@ -166,18 +167,26 @@ def test_tape_queries_match_attempt_scan(data, schedule, psucc, seed):
 def test_sync_and_async_generators_share_one_table(
         data, num_pairs, cycle_time, num_groups, stagger, steady_state,
         psucc, seed):
+    # Two generators per schedule read one tape; one of them draws ahead
+    # first, and every later query of either is checked against its own
+    # reference.
     variates = VariateTable()
     generators, references = [], []
     for policy in (AttemptPolicy.SYNCHRONOUS, AttemptPolicy.ASYNCHRONOUS):
         schedule = AttemptSchedule(num_pairs=num_pairs, cycle_time=cycle_time,
                                    policy=policy, num_groups=num_groups,
                                    stagger=stagger, steady_state=steady_state)
-        generators.append(EntanglementGenerator(schedule, psucc, seed=seed,
-                                                variates=variates))
-        references.append(Reference(schedule, psucc, seed))
+        for _ in range(2):
+            generators.append(EntanglementGenerator(
+                schedule, psucc, seed=seed, variates=variates))
+            references.append(Reference(schedule, psucc, seed))
     assert len(variates) == 1
-    for _ in range(data.draw(st.integers(1, 10))):
-        which = data.draw(st.integers(0, 1))
+    assert generators[0].tape is generators[1].tape
+    assert generators[2].tape is generators[3].tape
+    ahead = data.draw(st.integers(0, len(generators) - 1))
+    check_query(data, generators[ahead], references[ahead], "ensure")
+    for _ in range(data.draw(st.integers(1, 12))):
+        which = data.draw(st.integers(0, len(generators) - 1))
         kind = data.draw(st.sampled_from(["between", "fresh", "ensure"]))
         check_query(data, generators[which], references[which], kind)
         for generator, reference in zip(generators, references):
@@ -187,7 +196,7 @@ def test_sync_and_async_generators_share_one_table(
 def test_variate_table_keeps_its_bound_and_redraws_evicted_sources():
     table = VariateTable()
     first = table.source(0, 3, 0.4)
-    blocks = [first.block(index) for index in range(3)]
+    blocks = [first.blocks.block(index) for index in range(3)]
     assert [drawn for drawn, _, _ in blocks] == [128, 256, 512]
     for entropy in range(1, VARIATE_TABLE_SIZE):
         table.source(entropy, 3, 0.4)
@@ -203,7 +212,7 @@ def test_variate_table_keeps_its_bound_and_redraws_evicted_sources():
     again = table.source(0, 3, 0.4)
     assert again is not first
     for index, (drawn, pairs, attempts) in enumerate(blocks):
-        redrawn, redrawn_pairs, redrawn_attempts = again.block(index)
+        redrawn, redrawn_pairs, redrawn_attempts = again.blocks.block(index)
         assert redrawn == drawn
         assert np.array_equal(redrawn_pairs, pairs)
         assert np.array_equal(redrawn_attempts, attempts)
@@ -224,7 +233,15 @@ def test_generators_of_one_key_read_the_same_block_arrays():
         generator.ensure(2000.0)
     assert len(variates) == 1
     source = variates.source(9, 4, 0.4)
-    assert all(generator._variates is source for generator in generators)
+    # One tape per schedule, both over the source's blocks.
+    assert generators[0].tape is not generators[1].tape
+    assert all(generator.tape._blocks is source.blocks
+               for generator in generators)
+    assert all(generator.tape.blocks_read == 2 for generator in generators)
+    # A generator of an existing schedule joins its tape, drawn or not.
+    again = EntanglementGenerator(AttemptSchedule(num_pairs=4), 0.4, seed=9,
+                                  variates=variates)
+    assert again.tape is generators[1].tape and again.drawn == 256
     # Another psucc or pair count is another key.
     EntanglementGenerator(AttemptSchedule(num_pairs=4), 0.3, seed=9,
                           variates=variates)
@@ -233,21 +250,60 @@ def test_generators_of_one_key_read_the_same_block_arrays():
     assert len(variates) == 3
 
 
-def test_variate_source_bytes():
-    # The VariateTable docstring states about 22 KB per source of 10 pairs
-    # with one 128-attempt block.
-    VariateTable().source(10**6, 10, 0.4).block(0)  # first-use allocations
-    count = 32
-    tracemalloc.start()
+def test_a_dropped_table_leaves_no_reference_cycles():
+    # Sources and tapes go by reference counting as soon as the table and
+    # its generators do; in a cycle, a daemon running jobs back to back
+    # would keep every finished job's tapes until a full collection.
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         table = VariateTable()
-        before = tracemalloc.get_traced_memory()[0]
-        for entropy in range(count):
-            table.source(entropy, 10, 0.4).block(0)
-        per_source = (tracemalloc.get_traced_memory()[0] - before) / count
+        for policy in AttemptPolicy:
+            EntanglementGenerator(AttemptSchedule(num_pairs=4, policy=policy),
+                                  0.4, seed=1, variates=table).ensure(3000.0)
+        EntanglementGenerator(AttemptSchedule(num_pairs=4), 0.4,
+                              seed=2).ensure(100.0)
+        del table
+        assert gc.collect() == 0
     finally:
-        tracemalloc.stop()
-    assert 16 * 1024 < per_source < 24 * 1024
+        if enabled:
+            gc.enable()
+
+
+def test_variate_source_bytes():
+    # The VariateTable docstring states about 12 KB per source of 10 pairs
+    # with one 128-attempt block, and about 8.5 KB for each of its sync and
+    # async tapes over that block (about 512 successes of 14 bytes).
+    schedules = [AttemptSchedule(num_pairs=10, policy=policy)
+                 for policy in AttemptPolicy]
+    warm = VariateTable().source(10**6, 10, 0.4)  # first-use allocations
+    for schedule in schedules:
+        warm.tape(schedule).draw_block()
+    count = 32
+    per_source = {}
+    for tapes in ((), schedules):
+        tracemalloc.start()
+        try:
+            table = VariateTable()
+            before = tracemalloc.get_traced_memory()[0]
+            for entropy in range(count):
+                source = table.source(entropy, 10, 0.4)
+                source.blocks.block(0)
+                for schedule in tapes:
+                    source.tape(schedule).draw_block()
+            per_source[len(tapes)] = \
+                (tracemalloc.get_traced_memory()[0] - before) / count
+        finally:
+            tracemalloc.stop()
+    assert 10 * 1024 < per_source[0] < 15 * 1024
+    assert 14 * 1024 < per_source[2] - per_source[0] < 20 * 1024
+
+
+def test_pair_indices_fit_sixteen_bits():
+    # Blocks and tapes store pair indices as 16-bit integers.
+    with pytest.raises(EntanglementError, match="at most 65536"):
+        EntanglementGenerator(AttemptSchedule(num_pairs=65537), 0.4)
 
 
 def test_negative_seed_is_rejected():
@@ -296,7 +352,7 @@ def test_sync_ties_are_ordered_by_pair():
 def test_block_draws_are_lockstep_and_lazy():
     schedule = AttemptSchedule(num_pairs=4)
     generator = EntanglementGenerator(schedule, 0.4, seed=1)
-    assert generator.drawn == 0 and generator.times == []
+    assert generator.drawn == 0 and len(generator.times) == 0
     generator.successes_between(0.0, 5.0)
     assert generator.drawn == 128
     generator.ensure(2000.0)

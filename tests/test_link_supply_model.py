@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import PAPER_32Q_SYSTEM
+from repro.core.config import PAPER_32Q_SYSTEM, PAPER_64Q_SYSTEM
 from repro.engine.compiler import CellCompiler
 from repro.entanglement import (
     AttemptPolicy,
@@ -312,24 +312,30 @@ def test_service_matches_the_model(data, config):
 def test_links_are_conserved_per_run():
     """Every remote gate consumes one link, and every link is accounted for.
 
-    Over the five distributed designs of the Fig. 5/6 benchmarks, each run
-    consumes exactly ``num_remote`` links, and the links it generated plus
-    those pre-filled into the buffers (``init_buf`` only) equal the links
-    it consumed plus those it wasted.
+    Over the five distributed designs of the Fig. 5/6 benchmarks (10
+    seeds) and of the Fig. 8 benchmarks on the 64-qubit system (5 seeds),
+    each run consumes exactly ``num_remote`` links, and the links it
+    generated plus those pre-filled into the buffers (``init_buf`` only)
+    equal the links it consumed plus those it wasted.
     """
-    compiler = CellCompiler(system=PAPER_32Q_SYSTEM)
-    architecture = compiler.architecture
-    capacity = sum(architecture.buffer_capacity_between(a, b)
-                   for a, b in architecture.node_pairs())
-    for benchmark in ("TLIM-32", "QAOA-r4-32", "QAOA-r8-32", "QFT-32"):
-        for design in ("original", "sync_buf", "async_buf", "adapt_buf",
-                       "init_buf"):
-            cell = compiler.compile(benchmark, design)
-            prefilled = capacity if cell.design.prefill_buffers else 0
-            for result in cell.execute_batch(range(10)):
-                links = result.epr_statistics
-                consumed = (links["consumed_from_buffer"]
-                            + links["consumed_direct"])
-                assert consumed == result.num_remote, (benchmark, design)
-                assert (links["generated"] + prefilled
-                        == consumed + links["wasted"]), (benchmark, design)
+    for system, benchmarks, seeds in (
+            (PAPER_32Q_SYSTEM, ("TLIM-32", "QAOA-r4-32", "QAOA-r8-32",
+                                "QFT-32"), range(10)),
+            (PAPER_64Q_SYSTEM, ("QAOA-r4-64", "QAOA-r8-64"), range(5))):
+        compiler = CellCompiler(system=system)
+        architecture = compiler.architecture
+        capacity = sum(architecture.buffer_capacity_between(a, b)
+                       for a, b in architecture.node_pairs())
+        for benchmark in benchmarks:
+            for design in ("original", "sync_buf", "async_buf", "adapt_buf",
+                           "init_buf"):
+                cell = compiler.compile(benchmark, design)
+                prefilled = capacity if cell.design.prefill_buffers else 0
+                for result in cell.execute_batch(seeds):
+                    links = result.epr_statistics
+                    consumed = (links["consumed_from_buffer"]
+                                + links["consumed_direct"])
+                    assert consumed == result.num_remote, (benchmark, design)
+                    assert (links["generated"] + prefilled
+                            == consumed + links["wasted"]), (benchmark,
+                                                             design)

@@ -405,6 +405,14 @@ class TestApiErrors:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["field"] == "num_runs"
 
+    def test_fractional_system_count_is_structured_400(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(small_spec(system={**SMALL_SYSTEM,
+                                             "comm_qubits_per_node": 2.5}))
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["field"] == \
+            "system.comm_qubits_per_node"
+
     def test_non_object_body_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/jobs", body=None,

@@ -149,6 +149,25 @@ class TestStudyPlan:
                     Study.from_spec({**base, key: value})
                 assert excinfo.value.field == key
 
+    def test_system_counts_must_be_integers(self):
+        # Unchecked, a fractional count fails mid-run with a raw TypeError
+        # or runs a 4.5-qubit buffer, and a bool runs as one qubit.
+        base = {"benchmarks": ["TLIM-32"], "designs": ["ideal", "original"]}
+        for key, value in (("comm_qubits_per_node", 2.5),
+                           ("buffer_qubits_per_node", 4.5),
+                           ("comm_qubits_per_node", True),
+                           ("num_nodes", 2.0),
+                           ("data_qubits_per_node", "16")):
+            with pytest.raises(ConfigurationError, match=key):
+                SystemConfig(**{key: value})
+            with pytest.raises(SpecValidationError) as excinfo:
+                Study.from_spec({**base, "system": {key: value}})
+            assert excinfo.value.field == f"system.{key}"
+        # Other system errors still name the system as a whole.
+        with pytest.raises(SpecValidationError) as excinfo:
+            Study.from_spec({**base, "system": {"num_nodes": 1}})
+        assert excinfo.value.field == "system"
+
     def test_unknown_axis_field_rejected(self):
         with pytest.raises(ConfigurationError):
             Study(benchmarks=["TLIM-32"], axes={"warp_factor": [9]})
