@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import backend_name, emit, repetitions
+from conftest import backend_name, design_means, emit, repetitions
 from repro.analysis import comparison_report, relative_depth_report
 from repro.core import PAPER_32Q_SYSTEM
 from repro.study import Study
@@ -23,21 +23,20 @@ def fig5_results():
     with Study(benchmarks=BENCHMARKS_32Q, num_runs=repetitions(),
                system=PAPER_32Q_SYSTEM, base_seed=1,
                backend=backend_name(), name="fig5-depth-32q") as study:
-        return study.run().to_comparisons()
+        return study.run()
 
 
 def test_fig5_depth_series(benchmark, fig5_results):
     """Print the Fig. 5 depth panels and check the paper's ordering."""
     def summary():
-        return relative_depth_report(fig5_results.values())
+        return relative_depth_report(fig5_results)
 
     emit("Figure 5 — depth relative to ideal (all designs)",
          benchmark.pedantic(summary, rounds=1, iterations=1))
-    for name, comparison in fig5_results.items():
-        emit(f"Figure 5 panel — {name}", comparison_report(comparison, "depth"))
+    for name, panel in fig5_results.group_by("benchmark").items():
+        emit(f"Figure 5 panel — {name}", comparison_report(panel, "depth"))
 
-    for name, comparison in fig5_results.items():
-        depth = comparison.depth_table()
+    for depth in design_means(fig5_results, "depth").values():
         # Buffering is the dominant effect (paper: ~60 % average reduction).
         assert depth["sync_buf"] < depth["original"]
         # Asynchronous generation does not hurt and usually helps.
@@ -53,8 +52,7 @@ def test_fig5_depth_series(benchmark, fig5_results):
 def test_fig5_buffering_reduction_magnitude(fig5_results):
     """The average depth reduction of sync_buf vs original is large (paper: 61.7%)."""
     reductions = []
-    for comparison in fig5_results.values():
-        depth = comparison.depth_table()
+    for depth in design_means(fig5_results, "depth").values():
         reductions.append(1.0 - depth["sync_buf"] / depth["original"])
     average = sum(reductions) / len(reductions)
     emit("Figure 5 — average depth reduction from buffering",

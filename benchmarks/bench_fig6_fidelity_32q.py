@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import backend_name, emit, repetitions
+from conftest import backend_name, design_means, emit, repetitions
 from repro.analysis import comparison_report
 from repro.core import PAPER_32Q_SYSTEM
 from repro.study import Study
@@ -23,22 +23,21 @@ def fig6_results():
     with Study(benchmarks=BENCHMARKS_32Q, num_runs=repetitions(),
                system=PAPER_32Q_SYSTEM, base_seed=11,
                backend=backend_name(), name="fig6-fidelity-32q") as study:
-        return study.run().to_comparisons()
+        return study.run()
 
 
 def test_fig6_fidelity_series(benchmark, fig6_results):
     """Print the Fig. 6 fidelity panels and check the cross-design ordering."""
     def render_all():
         return "\n\n".join(
-            comparison_report(comparison, "fidelity")
-            for comparison in fig6_results.values()
+            comparison_report(panel, "fidelity")
+            for panel in fig6_results.group_by("benchmark").values()
         )
 
     emit("Figure 6 — fidelity per design", benchmark.pedantic(render_all, rounds=1,
                                                               iterations=1))
 
-    for name, comparison in fig6_results.items():
-        fidelity = comparison.fidelity_table()
+    for fidelity in design_means(fig6_results, "fidelity").values():
         # Ideal execution is the upper bound.
         assert all(fidelity["ideal"] >= fidelity[d] - 1e-9 for d in fidelity)
         # Asynchronous buffered designs do not lose to the synchronous one.
@@ -52,8 +51,7 @@ def test_fig6_fidelity_series(benchmark, fig6_results):
 def test_fig6_async_improvement_over_original(fig6_results):
     """Async buffered fidelity improves on the original design (paper: ~2x average)."""
     ratios = []
-    for comparison in fig6_results.values():
-        fidelity = comparison.fidelity_table()
+    for fidelity in design_means(fig6_results, "fidelity").values():
         if fidelity["original"] > 1e-6:
             ratios.append(fidelity["async_buf"] / fidelity["original"])
     average = sum(ratios) / len(ratios)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import backend_name, emit, repetitions
+from conftest import backend_name, design_means, emit, repetitions
 from repro.analysis import comparison_report, relative_depth_report
 from repro.core import PAPER_64Q_SYSTEM
 from repro.study import Study
@@ -23,21 +23,20 @@ def fig8_results():
     with Study(benchmarks=BENCHMARKS_64Q, num_runs=repetitions(),
                system=PAPER_64Q_SYSTEM, base_seed=31,
                backend=backend_name(), name="fig8-depth-64q") as study:
-        return study.run().to_comparisons()
+        return study.run()
 
 
 def test_fig8_depth_series(benchmark, fig8_results):
     """Print the Fig. 8 panels and check the 64-qubit orderings."""
     def render():
-        return relative_depth_report(fig8_results.values())
+        return relative_depth_report(fig8_results)
 
     emit("Figure 8 — 64-qubit depth relative to ideal",
          benchmark.pedantic(render, rounds=1, iterations=1))
-    for name, comparison in fig8_results.items():
-        emit(f"Figure 8 panel — {name}", comparison_report(comparison, "depth"))
+    for name, panel in fig8_results.group_by("benchmark").items():
+        emit(f"Figure 8 panel — {name}", comparison_report(panel, "depth"))
 
-    for comparison in fig8_results.values():
-        depth = comparison.depth_table()
+    for depth in design_means(fig8_results, "depth").values():
         assert depth["sync_buf"] < depth["original"]
         assert depth["async_buf"] <= depth["sync_buf"] * 1.05
         assert depth["init_buf"] <= depth["sync_buf"]
@@ -51,8 +50,8 @@ def test_fig8_depth_series(benchmark, fig8_results):
 def test_fig8_init_buf_reduction_vs_sync(fig8_results):
     """init_buf reduces depth versus sync_buf at 64 qubits (paper: 12%)."""
     reductions = {
-        name: comparison.depth_reduction_vs("sync_buf", "init_buf")
-        for name, comparison in fig8_results.items()
+        name: 1.0 - depth["init_buf"] / depth["sync_buf"]
+        for name, depth in design_means(fig8_results, "depth").items()
     }
     emit("Figure 8 — init_buf depth reduction vs sync_buf",
          ", ".join(f"{name}: {value:.1%}" for name, value in reductions.items())

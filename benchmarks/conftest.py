@@ -39,3 +39,11 @@ def emit(title: str, body: str) -> None:
     print(title)
     print("=" * 72)
     print(body)
+
+
+def design_means(results, metric: str, by: str = "benchmark"):
+    """Mean of ``metric`` per design, for each value of ``by`` (each
+    benchmark, by default) in a result set."""
+    return {value: {design: stats.mean for design, stats in
+                    panel.aggregate(metric, by="design").items()}
+            for value, panel in results.group_by(by).items()}

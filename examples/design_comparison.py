@@ -28,13 +28,12 @@ def main() -> None:
                   system=PAPER_32Q_SYSTEM, base_seed=1,
                   name="fig5-fig6-design-comparison")
     results = study.run()
-    comparisons = results.to_comparisons()
 
     print("Figure 5 — circuit depth relative to the ideal execution")
-    print(relative_depth_report(comparisons.values()))
+    print(relative_depth_report(results))
     print()
-    for comparison in comparisons.values():
-        print(comparison_report(comparison, metric="fidelity"))
+    for panel in results.group_by("benchmark").values():
+        print(comparison_report(panel, metric="fidelity"))
         print()
 
     # Headline numbers of the paper, recomputed from the flat records.

@@ -18,12 +18,11 @@ from repro.analysis.report import (
     table1_report,
     table2_report,
 )
-from repro.analysis.statistics import SampleStatistics, relative_change, summarize
+from repro.analysis.statistics import SampleStatistics, summarize
 
 __all__ = [
     "SampleStatistics",
     "summarize",
-    "relative_change",
     "BenchLedger",
     "Regression",
     "check_metrics",

@@ -5,25 +5,23 @@ Table I (benchmark properties), Table II (operation properties), and the
 depth / fidelity bars of Figs. 5-8.  Everything is plain text so the output
 can be diffed and archived alongside EXPERIMENTS.md.
 
-Result-shaped reports accept any *source* of records via
-:func:`load_results`: an in-memory :class:`~repro.study.results.ResultSet`,
-a ``to_json`` results file, or a durable run-store directory — so a report
-can be rendered from a finished (or resumed) ``--store`` sweep without
-re-running anything.
+The figure reports read a :class:`~repro.study.results.ResultSet` through
+:meth:`~repro.study.results.ResultSet.aggregate`, the one place results are
+aggregated.  :func:`summary_report` accepts any *source* of records via
+:func:`load_results`: an in-memory set, a ``to_json`` results file, or a
+durable run-store directory — so a report can be rendered from a finished
+(or resumed) ``--store`` sweep without re-running anything.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-    Union,
-)
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
+from repro.exceptions import ConfigurationError
 from repro.hardware.parameters import GateFidelities, GateTimes
 
 if TYPE_CHECKING:  # pragma: no cover - import only for type checkers
-    from repro.core.results import BenchmarkComparison
     from repro.study.results import ResultSet
     from repro.study.store import RunStore
 
@@ -99,61 +97,78 @@ def table2_report() -> str:
     return format_table(["Name", "Latency", "Fidelity"], rows)
 
 
-def comparison_report(comparison: "BenchmarkComparison",
-                      metric: str = "depth") -> str:
-    """One panel of Fig. 5 (depth) or Fig. 6 (fidelity) as a text table."""
-    headers = ["Design", "Mean", "Std", "Relative to ideal"]
-    ideal_depth = comparison.ideal_depth()
-    ideal_fidelity = comparison.ideal_fidelity()
-    rows = []
-    for name, summary in comparison.summaries.items():
-        if metric == "depth":
-            stats = summary.depth
-            relative = (stats.mean / ideal_depth) if ideal_depth else float("nan")
-        elif metric == "fidelity":
-            stats = summary.fidelity
-            relative = (stats.mean / ideal_fidelity) if ideal_fidelity else float("nan")
-        else:
-            raise ValueError(f"unknown metric {metric!r}")
-        rows.append([name, f"{stats.mean:.2f}" if metric == "depth" else f"{stats.mean:.4f}",
-                     f"{stats.std:.2f}" if metric == "depth" else f"{stats.std:.4f}",
-                     f"{relative:.3f}"])
-    title = f"{comparison.benchmark} — {metric}"
-    return title + "\n" + format_table(headers, rows)
+#: Number format of each metric a figure reports.
+_METRIC_FORMATS = {"depth": "{:.2f}", "fidelity": "{:.4f}"}
 
 
-def sweep_report(sweep: Mapping[int, "BenchmarkComparison"],
-                 metric: str = "depth") -> str:
-    """Fig. 7 style report: one design × qubit-count table for a sweep.
+def _metric_format(metric: str) -> str:
+    try:
+        return _METRIC_FORMATS[metric]
+    except KeyError:
+        raise ValueError(f"unknown metric {metric!r}") from None
 
-    ``sweep`` maps communication/buffer qubit counts to the
-    :class:`BenchmarkComparison` evaluated at that count: the
-    ``to_comparisons(by="comm_qubits_per_node")`` of a
-    :class:`~repro.study.study.Study` with a zipped
-    ``("comm_qubits_per_node", "buffer_qubits_per_node")`` axis.
+
+def _require_single(results: "ResultSet", keys: Sequence[str]) -> None:
+    """Refuse a set whose records differ on ``keys``: a report averages
+    each design over its records, and an average across benchmarks or
+    system variants would be meaningless."""
+    if keys and len(results.group_by(*keys)) > 1:
+        raise ConfigurationError(
+            f"the report needs one value of each of {', '.join(keys)}; "
+            f"filter the set or group_by those columns first"
+        )
+
+
+def comparison_report(results: "ResultSet", metric: str = "depth") -> str:
+    """One panel of Fig. 5 (depth) or Fig. 6 (fidelity) as a text table.
+
+    ``results`` holds the runs of one benchmark on one system variant (a
+    ``group_by("benchmark")`` group of a study, say); each design's row
+    is its ``aggregate`` over those runs, relative to the ideal design's
+    mean when the set has one.
     """
-    if metric not in ("depth", "fidelity"):
-        raise ValueError(f"unknown metric {metric!r}")
-    if not sweep:
+    number = _metric_format(metric)
+    if not len(results):
         return "(no results)"
-    counts = sorted(sweep)
-    designs = sweep[counts[0]].designs
-    benchmark = sweep[counts[0]].benchmark
-    headers = ["Design"] + [f"{count}/{count}" for count in counts]
+    _require_single(results, [*results.param_keys(), "benchmark"])
+    stats = results.aggregate(metric, by="design")
+    ideal = stats["ideal"].mean if "ideal" in stats else None
     rows = []
-    for design in designs:
-        cells = []
-        for count in counts:
-            table = (sweep[count].depth_table() if metric == "depth"
-                     else sweep[count].fidelity_table())
-            value = table.get(design)
-            if value is None:
-                cells.append("-")
-            else:
-                cells.append(f"{value:.2f}" if metric == "depth"
-                             else f"{value:.4f}")
-        rows.append([design] + cells)
-    title = f"{benchmark} — {metric} vs #comm/#buffer qubits per node"
+    for design, summary in stats.items():
+        relative = (summary.mean / ideal) if ideal else float("nan")
+        rows.append([design, number.format(summary.mean),
+                     number.format(summary.std), f"{relative:.3f}"])
+    title = f"{results.benchmarks()[0]} — {metric}"
+    return title + "\n" + format_table(
+        ["Design", "Mean", "Std", "Relative to ideal"], rows)
+
+
+def sweep_report(results: "ResultSet", metric: str = "depth") -> str:
+    """Fig. 7 style report: one design × swept-value table for a sweep.
+
+    ``results`` holds one benchmark's runs over the study's swept
+    parameters. Each column is one combination of the values the records
+    carry, in sweep order, labelled with the values joined by ``/`` (a
+    zipped ``("comm_qubits_per_node", "buffer_qubits_per_node")`` axis
+    gives ``10/10``); each cell is a design's mean there.
+    """
+    number = _metric_format(metric)
+    if not len(results):
+        return "(no results)"
+    _require_single(results, ["benchmark"])
+    keys = results.param_keys()
+    # Grouping by the one benchmark too keeps every group key a tuple.
+    means = {group[1:]: stats.mean for group, stats in results.aggregate(
+        metric, by=["benchmark", *keys, "design"]).items()}
+    points = list(dict.fromkeys(group[:-1] for group in means))
+    rows = [
+        [design] + [number.format(means[(*point, design)])
+                    if (*point, design) in means else "-"
+                    for point in points]
+        for design in results.designs()
+    ]
+    headers = ["Design"] + ["/".join(map(str, point)) for point in points]
+    title = f"{results.benchmarks()[0]} — {metric} vs {'/'.join(keys)}"
     return title + "\n" + format_table(headers, rows)
 
 
@@ -228,17 +243,24 @@ def store_status_report(store: Union[str, Path, "RunStore"]) -> str:
             + format_table(["field", "value"], rows))
 
 
-def relative_depth_report(comparisons: Iterable["BenchmarkComparison"]) -> str:
-    """Fig. 5 style summary: relative depth of every design per benchmark."""
-    comparisons = list(comparisons)
-    if not comparisons:
+def relative_depth_report(results: "ResultSet") -> str:
+    """Fig. 5 style summary: relative depth of every design per benchmark.
+
+    Each cell is a design's mean depth over the ideal design's mean depth
+    on that benchmark (``nan`` where either is missing).
+    """
+    if not len(results):
         return "(no results)"
-    designs = comparisons[0].designs
-    headers = ["Benchmark"] + designs
+    _require_single(results, results.param_keys())
+    depth = {group: stats.mean for group, stats in
+             results.aggregate("depth", by=["benchmark", "design"]).items()}
+    designs = results.designs()
     rows = []
-    for comparison in comparisons:
-        relative = comparison.relative_depth_table()
-        rows.append([comparison.benchmark] + [
-            f"{relative.get(design, float('nan')):.2f}" for design in designs
+    for benchmark in results.benchmarks():
+        ideal = depth.get((benchmark, "ideal"))
+        rows.append([benchmark] + [
+            f"{depth[(benchmark, design)] / ideal:.2f}"
+            if ideal and (benchmark, design) in depth else "nan"
+            for design in designs
         ])
-    return format_table(headers, rows)
+    return format_table(["Benchmark"] + designs, rows)

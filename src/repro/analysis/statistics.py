@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["SampleStatistics", "summarize", "relative_change", "ordered_sum"]
+__all__ = ["SampleStatistics", "summarize", "ordered_sum"]
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,3 @@ def ordered_sum(values: Iterable[float]) -> float:
         total += value
     return total
 
-
-def relative_change(baseline: float, value: float) -> float:
-    """Relative change ``(baseline - value) / baseline`` (positive = reduction)."""
-    if baseline == 0:
-        return 0.0
-    return (baseline - value) / baseline

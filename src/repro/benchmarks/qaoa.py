@@ -9,9 +9,8 @@ mixer unitary (one RX per qubit).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from repro.benchmarks.graphs import is_regular, random_regular_graph
 from repro.circuits.circuit import QuantumCircuit

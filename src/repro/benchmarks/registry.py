@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.benchmarks.qaoa import qaoa_regular_circuit
 from repro.benchmarks.qft import qft_circuit

@@ -15,7 +15,6 @@ gate fraction in Table I.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.circuits.circuit import QuantumCircuit
@@ -109,20 +108,13 @@ def tlim_circuit(
     return circuit
 
 
-def tlim_bond_count(num_qubits: int) -> int:
-    """Number of nearest-neighbour bonds of the open chain."""
-    if num_qubits < 2:
-        raise BenchmarkError("TLIM needs at least 2 qubits")
-    return num_qubits - 1
-
-
 def tlim_expected_counts(num_qubits: int, num_steps: int) -> dict:
     """Expected gate counts for a TLIM circuit (used by tests and Table I).
 
     Returns a dict with keys ``two_qubit``, ``single_qubit``, ``depth``.
     """
     return {
-        "two_qubit": tlim_bond_count(num_qubits) * num_steps,
+        "two_qubit": (num_qubits - 1) * num_steps,
         "single_qubit": 2 * num_qubits * num_steps,
         "depth": 4 * num_steps if num_qubits > 2 else 3 * num_steps,
     }

@@ -6,11 +6,10 @@ adaptive scheduling.
 """
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.commutation import CommutationTable, commutes_with_all, gates_commute
+from repro.circuits.commutation import gates_commute
 from repro.circuits.dag import CircuitDAG, DAGNode
 from repro.circuits.drawer import draw_circuit
 from repro.circuits.gate import GATE_LIBRARY, Gate, GateSpec, gate_spec
-from repro.circuits.qasm import from_qasm, to_qasm
 from repro.circuits.transforms import (
     alap_variant,
     asap_variant,
@@ -28,11 +27,7 @@ __all__ = [
     "CircuitDAG",
     "DAGNode",
     "gates_commute",
-    "commutes_with_all",
-    "CommutationTable",
     "draw_circuit",
-    "to_qasm",
-    "from_qasm",
     "asap_variant",
     "alap_variant",
     "move_gates_earlier",

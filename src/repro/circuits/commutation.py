@@ -11,19 +11,13 @@ else.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, FrozenSet, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.gate import Gate
-from repro.exceptions import GateError
 
-__all__ = [
-    "gates_commute",
-    "commutes_with_all",
-    "CommutationTable",
-]
+__all__ = ["gates_commute"]
 
 # Single-qubit gates diagonal in the Z basis (commute with CX controls and
 # with any diagonal two-qubit gate).
@@ -157,60 +151,3 @@ def gates_commute(gate_a: Gate, gate_b: Gate, exact_fallback: bool = True) -> bo
     if not exact_fallback:
         return False
     return _exact_commute(gate_a, gate_b)
-
-
-def commutes_with_all(gate: Gate, others: Sequence[Gate]) -> bool:
-    """Return ``True`` if ``gate`` commutes with every gate in ``others``."""
-    return all(gates_commute(gate, other) for other in others)
-
-
-class CommutationTable:
-    """Memoised commutation oracle over a fixed gate list.
-
-    The segment-variant compiler repeatedly asks whether gate ``i`` commutes
-    with gate ``j`` while sliding remote gates through a segment; this class
-    caches those answers.
-    """
-
-    def __init__(self, gates: Sequence[Gate]) -> None:
-        self._gates: Tuple[Gate, ...] = tuple(gates)
-        self._cache: Dict[FrozenSet[int], bool] = {}
-
-    @property
-    def gates(self) -> Tuple[Gate, ...]:
-        """The gate list the table was built over."""
-        return self._gates
-
-    def commute(self, index_a: int, index_b: int) -> bool:
-        """Whether gates at positions ``index_a`` and ``index_b`` commute."""
-        if index_a == index_b:
-            return True
-        if not (0 <= index_a < len(self._gates)) or not (
-            0 <= index_b < len(self._gates)
-        ):
-            raise GateError("commutation query out of range")
-        key = frozenset((index_a, index_b))
-        if key not in self._cache:
-            self._cache[key] = gates_commute(
-                self._gates[index_a], self._gates[index_b]
-            )
-        return self._cache[key]
-
-    def can_move_before(self, index: int, barrier_indices: Sequence[int]) -> bool:
-        """Whether gate ``index`` commutes with all gates in ``barrier_indices``."""
-        return all(self.commute(index, other) for other in barrier_indices)
-
-    @property
-    def cache_size(self) -> int:
-        """Number of cached pair decisions (used by tests)."""
-        return len(self._cache)
-
-
-@lru_cache(maxsize=4096)
-def _cached_pair_commutes(name_a: str, qubits_a: Tuple[int, ...],
-                          params_a: Tuple[float, ...], name_b: str,
-                          qubits_b: Tuple[int, ...],
-                          params_b: Tuple[float, ...]) -> bool:
-    """Functional cache keyed by gate structure (helper for hot loops)."""
-    return gates_commute(Gate(name_a, qubits_a, params_a),
-                         Gate(name_b, qubits_b, params_b))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "Gate",
     "GATE_LIBRARY",
     "gate_spec",
-    "register_gate_spec",
     "is_two_qubit",
     "is_single_qubit",
 ]
@@ -128,22 +127,6 @@ def _build_library() -> Dict[str, GateSpec]:
 
 
 GATE_LIBRARY: Dict[str, GateSpec] = _build_library()
-
-
-def register_gate_spec(spec: GateSpec, overwrite: bool = False) -> None:
-    """Register a custom :class:`GateSpec` in the global library.
-
-    Parameters
-    ----------
-    spec:
-        The specification to register.
-    overwrite:
-        If ``False`` (default) registering a name that already exists raises
-        :class:`~repro.exceptions.GateError`.
-    """
-    if spec.name in GATE_LIBRARY and not overwrite:
-        raise GateError(f"gate spec {spec.name!r} already registered")
-    GATE_LIBRARY[spec.name] = spec
 
 
 def gate_spec(name: str) -> GateSpec:
@@ -256,10 +239,6 @@ class Gate:
         """
         new_qubits = tuple(mapping.get(q, q) for q in self.qubits)
         return Gate(self.name, new_qubits, self.params, self.label)
-
-    def on_qubit(self, qubit: int) -> bool:
-        """Return ``True`` if the gate acts on ``qubit``."""
-        return qubit in self.qubits
 
     def shares_qubit(self, other: "Gate") -> bool:
         """Return ``True`` if the two gates act on at least one common qubit."""
@@ -384,31 +363,3 @@ def _gate_matrix(name: str, params: Tuple[float, ...]) -> np.ndarray:
         )
         return np.diag(phases).astype(complex)
     raise GateError(f"no matrix implementation for gate {name!r}")
-
-
-def controlled_phase_angle(gate: Gate) -> float:
-    """Return the effective controlled-phase angle of a diagonal 2Q gate.
-
-    Used by tests to verify commutation of diagonal gates.  Raises
-    :class:`GateError` for gates that are not diagonal two-qubit gates.
-    """
-    if not (gate.is_two_qubit and gate.is_diagonal):
-        raise GateError(f"{gate.name!r} is not a diagonal two-qubit gate")
-    matrix = gate.matrix()
-    return float(np.angle(matrix[3, 3] / matrix[0, 0]))
-
-
-def gates_from_names(names: Iterable[str], qubit: int = 0) -> Tuple[Gate, ...]:
-    """Build a tuple of single-qubit :class:`Gate` objects on one qubit.
-
-    Convenience helper for tests and examples; parametric gates receive a
-    default angle of ``pi / 4``.
-    """
-    gates = []
-    for name in names:
-        spec = gate_spec(name)
-        params = tuple([math.pi / 4] * spec.num_params)
-        if spec.num_qubits != 1:
-            raise GateError(f"gates_from_names only supports 1Q gates, got {name!r}")
-        gates.append(Gate(name, (qubit,), params))
-    return tuple(gates)

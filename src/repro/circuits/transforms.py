@@ -12,13 +12,11 @@ isolation from the runtime.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.commutation import gates_commute
-from repro.circuits.dag import CircuitDAG
 from repro.circuits.gate import Gate
-from repro.exceptions import SchedulingError
 
 __all__ = [
     "move_gates_earlier",
@@ -174,50 +172,3 @@ def reorder_is_equivalent(original: QuantumCircuit,
                 if not gates_commute(original_gates[i], original_gates[j]):
                     return False
     return True
-
-
-def split_by_gate_indices(circuit: QuantumCircuit,
-                          boundaries: Sequence[int]) -> List[QuantumCircuit]:
-    """Split a circuit into contiguous chunks at the given gate indices.
-
-    ``boundaries`` are exclusive end indices of each chunk except the last,
-    e.g. ``boundaries=[3, 7]`` on a 10-gate circuit produces chunks
-    ``[0:3]``, ``[3:7]``, ``[7:10]``.
-    """
-    previous = 0
-    chunks: List[QuantumCircuit] = []
-    for boundary in list(boundaries) + [circuit.num_gates]:
-        if boundary < previous or boundary > circuit.num_gates:
-            raise SchedulingError(f"invalid split boundary {boundary}")
-        chunk = QuantumCircuit(circuit.num_qubits,
-                               name=f"{circuit.name}_seg{len(chunks)}")
-        chunk.extend(circuit.gates[previous:boundary])
-        chunks.append(chunk)
-        previous = boundary
-    return chunks
-
-
-def schedule_order_from_dag(circuit: QuantumCircuit,
-                            priority: Callable[[Gate], float]) -> QuantumCircuit:
-    """List-schedule the circuit greedily by a per-gate priority.
-
-    At each step all ready gates (dependencies satisfied) are candidates and
-    the one with the smallest priority value is emitted first.  The output
-    is a dependency-legal reordering of the input; it is used as a reference
-    scheduler in tests and ablations.
-    """
-    dag = CircuitDAG(circuit)
-    indegree = {i: len(dag.predecessors(i)) for i in range(dag.num_nodes)}
-    ready = [i for i, d in indegree.items() if d == 0]
-    emitted: List[int] = []
-    while ready:
-        ready.sort(key=lambda i: (priority(dag.gate(i)), i))
-        current = ready.pop(0)
-        emitted.append(current)
-        for successor in sorted(dag.successors(current)):
-            indegree[successor] -= 1
-            if indegree[successor] == 0:
-                ready.append(successor)
-    if len(emitted) != dag.num_nodes:
-        raise SchedulingError("list scheduling failed to emit all gates")
-    return dag.to_circuit(emitted)

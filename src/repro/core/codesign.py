@@ -28,15 +28,13 @@ True
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.config import SystemConfig
 from repro.engine.compiler import CellCompiler
 from repro.exceptions import ConfigurationError
-from repro.hardware.architecture import DQCArchitecture
 from repro.partitioning.assigner import DistributedProgram
-from repro.runtime.designs import list_designs
 from repro.runtime.executor import DesignExecutor
 from repro.runtime.metrics import ExecutionResult
 from repro.scheduling.policies import AdaptivePolicy
@@ -85,27 +83,6 @@ class DQCSimulator:
         self.last_executor: Optional[DesignExecutor] = None
 
     # ------------------------------------------------------------------
-    @property
-    def compiler(self) -> CellCompiler:
-        """The compile stage backing this simulator."""
-        return self._compiler
-
-    @property
-    def architecture(self) -> DQCArchitecture:
-        """The materialised hardware architecture (built lazily)."""
-        return self._compiler.architecture
-
-    # ------------------------------------------------------------------
-    def prepare(self, circuit: CircuitLike) -> DistributedProgram:
-        """Resolve a benchmark name / circuit into a distributed program.
-
-        Benchmark names are cached: the same partition is reused across
-        designs and repetitions, matching the paper's methodology where the
-        METIS partition is computed once per benchmark.
-        """
-        return self._compiler.resolve_program(circuit)
-
-    # ------------------------------------------------------------------
     def simulate(
         self,
         circuit: CircuitLike,
@@ -149,37 +126,3 @@ class DQCSimulator:
         result = executor.run(cell.program, benchmark_name=cell.benchmark)
         self.last_executor = executor
         return result
-
-    def simulate_all_designs(
-        self,
-        circuit: CircuitLike,
-        designs: Optional[Sequence[str]] = None,
-        seed: int = 0,
-        **kwargs,
-    ) -> Dict[str, ExecutionResult]:
-        """Simulate one run of every design on the same circuit and seed."""
-        designs = list(designs) if designs is not None else list_designs()
-        return {
-            name: self.simulate(circuit, design=name, seed=seed, **kwargs)
-            for name in designs
-        }
-
-    # ------------------------------------------------------------------
-    def ideal_reference(self, circuit: CircuitLike) -> ExecutionResult:
-        """Depth / fidelity of the monolithic (ideal) execution."""
-        return self.simulate(circuit, design="ideal", seed=0)
-
-    def describe(self) -> Dict[str, object]:
-        """Configuration summary (used by reports and examples)."""
-        return {
-            "system": {
-                "nodes": self.system.num_nodes,
-                "data_per_node": self.system.data_qubits_per_node,
-                "comm_per_node": self.system.comm_qubits_per_node,
-                "buffer_per_node": self.system.buffer_qubits_per_node,
-                "psucc": self.system.epr_success_probability,
-            },
-            "partition_method": self.partition_method,
-            "topology": self.system.topology,
-            "designs": list_designs(),
-        }

@@ -9,7 +9,7 @@ experiment (benchmarks × designs × repetitions on a system) is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral
 
 from repro.hardware.architecture import DQCArchitecture
@@ -120,10 +120,6 @@ class SystemConfig:
             nodes=nodes, gate_times=self.gate_times,
             fidelities=self.fidelities, physics=physics,
             links=get_topology(self.topology).links(self.num_nodes))
-
-    def with_comm_and_buffer(self, comm: int, buffer: int) -> "SystemConfig":
-        """Copy with different communication / buffer qubit counts (Fig. 7)."""
-        return replace(self, comm_qubits_per_node=comm, buffer_qubits_per_node=buffer)
 
 
 #: The paper's 2-node, 32-data-qubit configuration (Sec. V-A).

@@ -15,11 +15,9 @@ from repro.faults.core import (
     FaultRule,
     FaultSite,
     InjectedFault,
-    active_spec,
     crash_now,
     failpoint,
     fault_stats,
-    faults_active,
     install_faults,
     install_faults_from_env,
     parse_faults,
@@ -36,11 +34,9 @@ __all__ = [
     "FaultRule",
     "FaultSite",
     "InjectedFault",
-    "active_spec",
     "crash_now",
     "failpoint",
     "fault_stats",
-    "faults_active",
     "install_faults",
     "install_faults_from_env",
     "parse_faults",

@@ -81,8 +81,6 @@ __all__ = [
     "crash_now",
     "failpoint",
     "fault_stats",
-    "faults_active",
-    "active_spec",
     "install_faults",
     "install_faults_from_env",
     "parse_faults",
@@ -473,16 +471,6 @@ def uninstall_faults() -> None:
     """Clear the installed plan; every failpoint goes inert again."""
     global _PLAN
     _PLAN = None
-
-
-def faults_active() -> bool:
-    """Whether a fault plan is currently installed."""
-    return _PLAN is not None
-
-
-def active_spec() -> Optional[str]:
-    """The source spec string of the installed plan, if any."""
-    return _PLAN.source if _PLAN is not None else None
 
 
 def fault_stats() -> Dict[str, Dict[str, object]]:

@@ -10,7 +10,7 @@ corresponding columns of Table I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.circuits.circuit import QuantumCircuit
@@ -64,10 +64,6 @@ class DistributedProgram:
     def node_of(self, qubit: int) -> int:
         """Node index hosting a given data qubit."""
         return self.partition.block_of(qubit)
-
-    def qubits_on_node(self, node: int) -> List[int]:
-        """Data qubits assigned to a node."""
-        return self.partition.block_members(node)
 
     # ------------------------------------------------------------------
     # gate statistics (Table I columns)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.exceptions import MissingDependencyError, PartitionError
@@ -89,11 +89,6 @@ class InteractionGraph:
     def num_edges(self) -> int:
         """Number of distinct weighted edges."""
         return len(self.weights)
-
-    @property
-    def total_edge_weight(self) -> float:
-        """Sum of all edge weights (total two-qubit gate count)."""
-        return sum(self.weights.values())
 
     @property
     def total_vertex_weight(self) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.partitioning.fiduccia_mattheyses import fm_refine
 from repro.partitioning.interaction_graph import InteractionGraph

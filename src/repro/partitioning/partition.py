@@ -8,8 +8,8 @@ common footing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Sequence
 
 from repro.partitioning.interaction_graph import InteractionGraph
 from repro.exceptions import PartitionError
@@ -68,10 +68,6 @@ class Partition:
     def block_sizes(self) -> List[int]:
         """Number of vertices per block."""
         return [len(self.block_members(b)) for b in range(self.num_blocks)]
-
-    def is_crossing(self, vertex_a: int, vertex_b: int) -> bool:
-        """Whether an edge between the two vertices crosses blocks."""
-        return self.block_of(vertex_a) != self.block_of(vertex_b)
 
     # ------------------------------------------------------------------
     # metrics

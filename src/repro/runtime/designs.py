@@ -20,7 +20,7 @@ ideal      —        —            —          —         monolithic executi
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.entanglement.attempts import AttemptPolicy

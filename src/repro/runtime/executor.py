@@ -21,7 +21,6 @@ executor only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.circuits.circuit import QuantumCircuit

@@ -52,19 +52,6 @@ class ExecutionResult:
         """Circuit depth in local-CNOT units (alias for the makespan)."""
         return self.makespan
 
-    def depth_relative_to(self, ideal_depth: float) -> float:
-        """Depth normalised by an ideal (monolithic) execution depth."""
-        if ideal_depth <= 0:
-            return float("inf")
-        return self.makespan / ideal_depth
-
-    def fidelity_relative_to(self, ideal_fidelity: float) -> float:
-        """Fidelity normalised by the ideal execution fidelity."""
-        if ideal_fidelity <= 0:
-            return 0.0
-        return self.fidelity / ideal_fidelity
-
-    # ------------------------------------------------------------------
     def mean_remote_wait(self) -> float:
         """Mean entanglement waiting time per remote gate."""
         if not self.num_remote:
@@ -76,25 +63,3 @@ class ExecutionResult:
         if not self.num_remote:
             return 0.0
         return self.link_fidelity_total / self.num_remote
-
-    def epr_waste_fraction(self) -> float:
-        """Fraction of generated EPR pairs that were never consumed."""
-        generated = self.epr_statistics.get("generated", 0)
-        wasted = self.epr_statistics.get("wasted", 0)
-        if generated <= 0:
-            return 0.0
-        return wasted / generated
-
-    def summary(self) -> Dict[str, float]:
-        """Flat summary used by reports and tests."""
-        return {
-            "design": self.design,
-            "benchmark": self.benchmark,
-            "depth": self.makespan,
-            "fidelity": self.fidelity,
-            "remote_gates": self.num_remote,
-            "mean_remote_wait": self.mean_remote_wait(),
-            "mean_link_fidelity": self.mean_link_fidelity(),
-            "epr_generated": self.epr_statistics.get("generated", 0),
-            "epr_wasted": self.epr_statistics.get("wasted", 0),
-        }

@@ -49,14 +49,6 @@ class ExecutionTrace:
         """Only the remote-gate entries."""
         return [entry for entry in self.entries if entry.is_remote]
 
-    def busy_intervals(self, qubit: int) -> List[Tuple[float, float]]:
-        """(start, finish) intervals during which ``qubit`` executed gates."""
-        return [
-            (entry.start, entry.finish)
-            for entry in self.entries
-            if qubit in entry.qubits
-        ]
-
     def is_consistent(self) -> bool:
         """No two gates overlap on the same qubit (schedule legality)."""
         per_qubit: Dict[int, List[Tuple[float, float]]] = {}

@@ -12,8 +12,8 @@ communication qubits and the per-attempt EPR generation probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.exceptions import SchedulingError

@@ -17,7 +17,6 @@ same unitary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.transforms import alap_variant, asap_variant, reorder_is_equivalent
@@ -60,18 +59,6 @@ class SegmentVariants:
         """Check that ASAP and ALAP are commutation-legal reorderings."""
         return reorder_is_equivalent(self.original, self.asap) and \
             reorder_is_equivalent(self.original, self.alap)
-
-    def remote_positions(self, variant: str) -> List[int]:
-        """Positions of remote gates within the chosen variant's gate list."""
-        circuit = self.get(variant)
-        return [index for index, gate in enumerate(circuit.gates) if gate.is_remote]
-
-    def mean_remote_position(self, variant: str) -> float:
-        """Average position of remote gates (ASAP should not exceed ALAP)."""
-        positions = self.remote_positions(variant)
-        if not positions:
-            return 0.0
-        return sum(positions) / len(positions)
 
 
 def compile_segment_variants(segment: CircuitSegment) -> SegmentVariants:

@@ -2,13 +2,12 @@
 
 Every simulated run of a study becomes one :class:`RunRecord` — a flat
 (benchmark, design, seed, swept-parameters, metrics) row — and a whole study
-one :class:`ResultSet`.  The flat shape replaces the nested
-``Dict[str, BenchmarkComparison]`` / ``Dict[int, BenchmarkComparison]``
-returns of the legacy helpers: any grouping can be recovered with
-:meth:`ResultSet.group_by` / :meth:`ResultSet.aggregate`, the legacy shapes
-with :meth:`ResultSet.to_comparisons`, and the whole set round-trips through
-JSON (:meth:`to_json` / :meth:`from_json`) so grids can be re-analysed
-without re-simulation.
+one :class:`ResultSet`.  Any grouping is recovered with
+:meth:`ResultSet.group_by`, and :meth:`ResultSet.aggregate` is the one way
+results are aggregated: the per-design means and spreads of the paper's
+figures, the analysis reports and ``repro run``'s summary table all read
+it.  The whole set round-trips through JSON (:meth:`to_json` /
+:meth:`from_json`) so grids can be re-analysed without re-simulation.
 
 Internally a :class:`ResultSet` holds one numpy array per column — float64 /
 int64 for uniformly-typed metric columns, object arrays for string axes and
@@ -20,12 +19,6 @@ same data.  Columnar aggregation feeds the *same* ``summarize`` reduction
 (``math.fsum``) with the same values in the same order as the record path,
 so every statistic — and every serialised byte — is identical to the
 pre-columnar implementation.
-
-Aggregation formulas mirror
-:meth:`~repro.core.results.DesignSummary.from_results` exactly (``summarize``
-for depth / fidelity, arithmetic means for the rest, in seed order), so
-comparisons rebuilt from records are bit-identical to ones aggregated
-directly from :class:`~repro.runtime.metrics.ExecutionResult` lists.
 """
 
 from __future__ import annotations
@@ -43,8 +36,7 @@ from typing import (
 
 import numpy as np
 
-from repro.analysis.statistics import SampleStatistics, ordered_sum, summarize
-from repro.core.results import BenchmarkComparison, DesignSummary
+from repro.analysis.statistics import SampleStatistics, summarize
 from repro.exceptions import ConfigurationError, StoreError
 from repro.runtime.metrics import ExecutionResult
 
@@ -507,70 +499,6 @@ class ResultSet:
         return {
             group: summarize(self._param_values(metric, indices))
             for group, indices in groups.items()
-        }
-
-    # ------------------------------------------------------------------
-    # legacy shape
-    # ------------------------------------------------------------------
-    def _summary(self, records: Sequence[RunRecord]) -> DesignSummary:
-        # Mirrors DesignSummary.from_results term for term so the rebuilt
-        # aggregate is bit-identical to one computed from ExecutionResults.
-        first = records[0]
-        return DesignSummary(
-            design=first.design,
-            benchmark=first.benchmark,
-            depth=summarize([r.depth for r in records]),
-            fidelity=summarize([r.fidelity for r in records]),
-            mean_remote_wait=ordered_sum(r.mean_remote_wait for r in records)
-            / len(records),
-            mean_link_fidelity=ordered_sum(r.mean_link_fidelity
-                                           for r in records) / len(records),
-            epr_generated=sum(r.epr_generated for r in records) / len(records),
-            epr_wasted=sum(r.epr_wasted for r in records) / len(records),
-            num_runs=len(records),
-        )
-
-    def _comparison(self, records: Sequence[RunRecord]) -> BenchmarkComparison:
-        benchmarks = list(dict.fromkeys(r.benchmark for r in records))
-        if len(benchmarks) != 1:
-            raise ConfigurationError(
-                f"comparison group spans several benchmarks: {benchmarks}; "
-                f"group by 'benchmark' first or filter the set"
-            )
-        variants = {tuple(sorted(r.params.items())) for r in records}
-        if len(variants) > 1:
-            varied = sorted({key for variant in variants for key, _ in variant})
-            raise ConfigurationError(
-                f"comparison group mixes several swept-parameter variants "
-                f"({', '.join(varied)}); averaging across system variants "
-                f"would be meaningless — use to_comparisons(by=...), "
-                f"group_by, or filter to isolate one variant per group"
-            )
-        comparison = BenchmarkComparison(benchmark=benchmarks[0])
-        by_design: Dict[str, List[RunRecord]] = {}
-        for record in records:
-            by_design.setdefault(record.design, []).append(record)
-        for design_records in by_design.values():
-            comparison.add(self._summary(design_records))
-        return comparison
-
-    def to_comparisons(self, by: Optional[str] = None
-                       ) -> Dict[Any, BenchmarkComparison]:
-        """Group the records into the comparisons the analysis reports read.
-
-        ``by=None`` maps each benchmark to its
-        :class:`~repro.core.results.BenchmarkComparison` (the Fig. 5/6/8
-        shape, for ``comparison_report``); ``by="<param>"`` maps each value
-        of a swept parameter to the comparison of its one benchmark (the
-        Fig. 7 shape with ``by="comm_qubits_per_node"``, for
-        ``sweep_report``).
-        """
-        if not self._n:
-            return {}
-        key = by if by is not None else "benchmark"
-        return {
-            group: self._comparison(subset.records)
-            for group, subset in self.group_by(key).items()
         }
 
     # ------------------------------------------------------------------

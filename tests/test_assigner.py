@@ -71,7 +71,7 @@ class TestDistributeCircuit:
     def test_node_queries(self):
         program = distribute_circuit(tlim_circuit(8, num_steps=1), num_nodes=2)
         for node in range(2):
-            qubits = program.qubits_on_node(node)
+            qubits = program.partition.block_members(node)
             assert len(qubits) == 4
             assert all(program.node_of(q) == node for q in qubits)
 

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.circuits.commutation import CommutationTable, commutes_with_all, gates_commute
+from repro.circuits.commutation import gates_commute
 from repro.circuits.gate import Gate
-from repro.exceptions import GateError
 
 
 def _matrix_commute(gate_a, gate_b):
@@ -82,25 +81,3 @@ class TestAgainstMatrices:
         gate_b = Gate("iswap", (0, 1))
         assert gates_commute(gate_a, gate_b, exact_fallback=False) is False
 
-
-class TestHelpers:
-    def test_commutes_with_all(self):
-        remote = Gate("rzz", (0, 1), (0.5,), label="remote")
-        others = [Gate("rz", (0,), (0.1,)), Gate("cz", (1, 2))]
-        assert commutes_with_all(remote, others)
-        assert not commutes_with_all(Gate("h", (0,)), others + [Gate("rz", (0,), (0.2,))])
-
-    def test_commutation_table(self):
-        gates = [Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rz", (1,), (0.3,))]
-        table = CommutationTable(gates)
-        assert table.commute(0, 0)
-        assert table.commute(1, 2) is False  # rz on target of cx
-        # Cached second query.
-        assert table.commute(2, 1) is False
-        assert table.cache_size == 1
-        assert table.can_move_before(2, [1]) is False
-
-    def test_commutation_table_range_check(self):
-        table = CommutationTable([Gate("h", (0,))])
-        with pytest.raises(GateError):
-            table.commute(0, 5)

@@ -8,31 +8,49 @@ import pytest
 from repro.analysis import (
     comparison_report,
     format_table,
-    relative_change,
     relative_depth_report,
     summarize,
+    sweep_report,
     table1_report,
     table2_report,
 )
 from repro.benchmarks import tlim_circuit
 from repro.core import (
-    DQCSimulator,
     PAPER_32Q_SYSTEM,
     PAPER_64Q_SYSTEM,
     SystemConfig,
 )
-from repro.core.results import BenchmarkComparison, DesignSummary
+from repro.engine import CellCompiler
 from repro.exceptions import ConfigurationError
-from repro.study import Axis, Study
+from repro.study import Axis, ResultSet, RunRecord, Study
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def design_comparisons(designs, num_runs, system):
-    """TLIM-32 under ``designs``, as comparisons keyed by benchmark."""
+def design_means(designs, num_runs, system):
+    """Mean TLIM-32 depth statistics of each of ``designs``."""
     with Study(benchmarks=["TLIM-32"], designs=designs, num_runs=num_runs,
                system=system) as study:
-        return study.run().to_comparisons()
+        return study.run().aggregate("depth", by="design")
+
+
+def record(benchmark, design, seed, depth, fidelity, **params):
+    """A hand-made run record with the given depth and fidelity."""
+    return RunRecord(benchmark=benchmark, design=design, seed=seed,
+                     depth=depth, fidelity=fidelity, num_remote=0,
+                     mean_remote_wait=0.0, mean_link_fidelity=0.0,
+                     epr_generated=0, epr_wasted=0, params=params)
+
+
+#: Two benchmarks, two runs of each design on ``A``, one on ``B``.
+HAND_MADE = ResultSet([
+    record("A", "original", 0, 30.0, 0.5),
+    record("A", "original", 1, 36.0, 0.7),
+    record("A", "ideal", 0, 11.0, 0.8),
+    record("A", "ideal", 1, 11.0, 0.8),
+    record("B", "original", 0, 20.0, 0.4),
+    record("B", "ideal", 0, 10.0, 0.9),
+])
 
 
 class TestSystemConfig:
@@ -45,11 +63,6 @@ class TestSystemConfig:
         architecture = small_system.build_architecture()
         assert architecture.total_data_qubits == small_system.total_data_qubits
         assert architecture.physics.epr_success_probability == pytest.approx(0.4)
-
-    def test_with_comm_and_buffer(self):
-        tweaked = PAPER_32Q_SYSTEM.with_comm_and_buffer(15, 15)
-        assert tweaked.comm_qubits_per_node == 15
-        assert PAPER_32Q_SYSTEM.comm_qubits_per_node == 10
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -76,22 +89,19 @@ class TestSimulatorAPI:
         assert result.depth > 0
         assert 0 < result.fidelity <= 1
 
-    def test_program_cache_reused(self, small_simulator):
+    def test_program_cache_reused(self, small_system):
+        compiler = CellCompiler(system=small_system)
         circuit = tlim_circuit(12, num_steps=1)
-        program = small_simulator.prepare(circuit)
-        assert small_simulator.prepare(program) is program
+        program = compiler.resolve_program(circuit)
+        assert compiler.resolve_program(program) is program
+        assert compiler.resolve_program(tlim_circuit(12, num_steps=1)) \
+            is program
 
     def test_named_benchmark_cached(self):
-        simulator = DQCSimulator()
-        first = simulator.prepare("TLIM-32")
-        second = simulator.prepare("tlim-32")
+        compiler = CellCompiler()
+        first = compiler.resolve_program("TLIM-32")
+        second = compiler.resolve_program("tlim-32")
         assert first is second
-
-    def test_simulate_all_designs(self, small_simulator):
-        circuit = tlim_circuit(12, num_steps=1)
-        results = small_simulator.simulate_all_designs(circuit, seed=2)
-        assert set(results) == {"original", "sync_buf", "async_buf", "adapt_buf",
-                                "init_buf", "ideal"}
 
     def test_negative_seed_rejected(self, small_simulator):
         with pytest.raises(ConfigurationError, match="non-negative"):
@@ -99,43 +109,31 @@ class TestSimulatorAPI:
 
     def test_circuit_too_large_rejected(self, small_simulator):
         with pytest.raises(ConfigurationError):
-            small_simulator.prepare(tlim_circuit(40, num_steps=1))
+            small_simulator.simulate(tlim_circuit(40, num_steps=1),
+                                     design="original")
 
     def test_invalid_input_type(self, small_simulator):
         with pytest.raises(ConfigurationError):
-            small_simulator.prepare(42)
-
-    def test_describe(self, small_simulator):
-        description = small_simulator.describe()
-        assert description["system"]["psucc"] == pytest.approx(0.4)
-        assert "adapt_buf" in description["designs"]
-
-    def test_ideal_reference(self, small_simulator):
-        circuit = tlim_circuit(12, num_steps=1)
-        ideal = small_simulator.ideal_reference(circuit)
-        assert ideal.design == "ideal"
+            small_simulator.simulate(42, design="original")
 
 
 class TestStudyComparisons:
     def test_runner_aggregates(self):
-        comparisons = design_comparisons(
+        depth = design_means(
             ["ideal"], num_runs=2,
             system=SystemConfig(data_qubits_per_node=16,
                                 comm_qubits_per_node=4,
                                 buffer_qubits_per_node=4))
-        assert comparisons["TLIM-32"].design("ideal").num_runs == 2
+        assert depth["ideal"].count == 2
 
     def test_design_comparison(self):
-        comparisons = design_comparisons(
+        depth = design_means(
             ["sync_buf", "async_buf", "ideal"], num_runs=2,
             system=SystemConfig(data_qubits_per_node=16, comm_qubits_per_node=6,
                                 buffer_qubits_per_node=6),
         )
-        comparison = comparisons["TLIM-32"]
-        relative = comparison.relative_depth_table()
-        assert relative["ideal"] == pytest.approx(1.0)
-        assert relative["sync_buf"] >= 1.0
-        assert comparison.depth_reduction_vs("sync_buf", "async_buf") > -0.5
+        assert depth["sync_buf"].mean >= depth["ideal"].mean
+        assert 1.0 - depth["async_buf"].mean / depth["sync_buf"].mean > -0.5
 
     def test_comm_qubit_sweep(self):
         study = Study(
@@ -146,10 +144,11 @@ class TestStudyComparisons:
                                 comm_qubits_per_node=4,
                                 buffer_qubits_per_node=4),
         )
-        sweep = study.run().to_comparisons(by="comm_qubits_per_node")
-        assert set(sweep) == {4, 8}
-        more = sweep[8].design("async_buf").depth.mean
-        fewer = sweep[4].design("async_buf").depth.mean
+        depth = study.run().aggregate(
+            "depth", by=["comm_qubits_per_node", "design"])
+        assert {count for count, _ in depth} == {4, 8}
+        more = depth[(8, "async_buf")].mean
+        fewer = depth[(4, "async_buf")].mean
         assert more <= fewer + 1e-9
 
 
@@ -170,10 +169,6 @@ class TestAnalysis:
     def test_summarize_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             summarize([])
-
-    def test_relative_change(self):
-        assert relative_change(10.0, 5.0) == pytest.approx(0.5)
-        assert relative_change(0.0, 5.0) == 0.0
 
     def test_format_table_alignment(self):
         text = format_table(["a", "bb"], [[1, 22], [333, 4]])
@@ -199,33 +194,69 @@ class TestAnalysis:
         )
         assert "(paper)" in table1
 
-    def test_comparison_report(self, small_system):
-        comparisons = design_comparisons(
-            ["async_buf", "ideal"], num_runs=1,
-            system=SystemConfig(data_qubits_per_node=16, comm_qubits_per_node=4,
-                                buffer_qubits_per_node=4),
+    def test_comparison_report(self):
+        panel = HAND_MADE.filter(benchmark="A")
+        assert comparison_report(panel, metric="depth") == (
+            "A — depth\n"
+            "Design    Mean   Std   Relative to ideal\n"
+            "--------  -----  ----  -----------------\n"
+            "original  33.00  4.24  3.000            \n"
+            "ideal     11.00  0.00  1.000            "
         )
-        comparison = comparisons["TLIM-32"]
-        depth_text = comparison_report(comparison, metric="depth")
-        fidelity_text = comparison_report(comparison, metric="fidelity")
-        assert "async_buf" in depth_text and "ideal" in fidelity_text
+        assert comparison_report(panel, metric="fidelity") == (
+            "A — fidelity\n"
+            "Design    Mean    Std     Relative to ideal\n"
+            "--------  ------  ------  -----------------\n"
+            "original  0.6000  0.1414  0.750            \n"
+            "ideal     0.8000  0.0000  1.000            "
+        )
+        # Without an ideal run there is nothing to be relative to.
+        assert comparison_report(panel.filter(design="original")).endswith(
+            "original  33.00  4.24  nan              ")
         with pytest.raises(ValueError):
-            comparison_report(comparison, metric="volume")
-        summary_text = relative_depth_report([comparison])
-        assert "TLIM-32" in summary_text
+            comparison_report(panel, metric="volume")
+        assert relative_depth_report(HAND_MADE) == (
+            "Benchmark  original  ideal\n"
+            "---------  --------  -----\n"
+            "A          3.00      1.00 \n"
+            "B          2.00      1.00 "
+        )
+        assert comparison_report(ResultSet([])) == "(no results)"
+        assert relative_depth_report(ResultSet([])) == "(no results)"
 
     def test_design_summary_from_results(self, small_simulator):
         circuit = tlim_circuit(12, num_steps=1)
         results = [small_simulator.simulate(circuit, design="async_buf", seed=s)
                    for s in (1, 2)]
-        summary = DesignSummary.from_results(results)
-        assert summary.num_runs == 2
-        assert summary.depth.mean > 0
-        comparison = BenchmarkComparison(benchmark="toy")
-        comparison.add(summary)
-        assert comparison.designs == ["async_buf"]
-        with pytest.raises(ValueError):
-            DesignSummary.from_results([])
+        runs = ResultSet([RunRecord.from_execution_result(result)
+                          for result in results])
+        assert runs.designs() == ["async_buf"]
+        depth = runs.aggregate("depth", by="design")["async_buf"]
+        assert depth.count == 2
+        assert depth.mean > 0
+        assert depth.mean == pytest.approx(
+            sum(result.makespan for result in results) / 2)
+        fidelity = runs.aggregate("fidelity")[()]
+        assert fidelity.minimum == min(result.fidelity for result in results)
+        with pytest.raises(ConfigurationError):
+            ResultSet([]).aggregate("depth")
+
+    def test_reports_reject_mixed_groups(self):
+        # Averaging across benchmarks or system variants is meaningless.
+        with pytest.raises(ConfigurationError, match="benchmark"):
+            comparison_report(HAND_MADE)
+        with pytest.raises(ConfigurationError, match="benchmark"):
+            sweep_report(HAND_MADE)
+        variants = ResultSet([
+            record("A", "ideal", 0, 11.0, 0.8, comm_qubits_per_node=4),
+            record("A", "ideal", 0, 10.0, 0.8, comm_qubits_per_node=8),
+        ])
+        with pytest.raises(ConfigurationError, match="comm_qubits_per_node"):
+            comparison_report(variants)
+        with pytest.raises(ConfigurationError, match="comm_qubits_per_node"):
+            relative_depth_report(variants)
+        for panel in variants.group_by("comm_qubits_per_node").values():
+            assert comparison_report(panel).startswith("A — depth\n")
 
 
 class TestApiRegistration:

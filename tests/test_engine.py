@@ -1,5 +1,7 @@
 """Tests for the compile-once / execute-many engine."""
 
+from dataclasses import replace
+
 import pytest
 
 import repro.runtime.executor as executor_module
@@ -95,7 +97,8 @@ class TestArtifactCache:
     def test_fingerprint_sensitivity(self):
         base = SystemConfig()
         same = SystemConfig()
-        tweaked = base.with_comm_and_buffer(5, 5)
+        tweaked = replace(base, comm_qubits_per_node=5,
+                          buffer_qubits_per_node=5)
         assert fingerprint(base) == fingerprint(same)
         assert fingerprint(base) != fingerprint(tweaked)
 
@@ -396,10 +399,11 @@ class TestSimulatorSatellites:
         assert simulator.last_executor is None
 
     def test_ideal_reference_before_simulate(self, small_system):
-        # Regression: ideal_reference() used to rely on simulate() having
-        # set last_executor; it must work on a fresh simulator.
+        # Regression: the ideal reference run used to rely on simulate()
+        # having set last_executor; it must work on a fresh simulator.
         simulator = DQCSimulator(system=small_system)
-        result = simulator.ideal_reference(tlim_circuit(12, num_steps=1))
+        result = simulator.simulate(tlim_circuit(12, num_steps=1),
+                                    design="ideal")
         assert result.design == "ideal"
         # Untraced runs replay through the batched core, not an executor.
         assert simulator.last_executor is None

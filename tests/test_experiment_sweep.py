@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import sweep_report
 from repro.core import SystemConfig
 from repro.engine import ArtifactCache, ProcessPoolBackend
-from repro.study import Axis, Study
+from repro.study import Axis, ResultSet, RunRecord, Study
 
 SWEEP_SYSTEM = SystemConfig(
     data_qubits_per_node=16, comm_qubits_per_node=4, buffer_qubits_per_node=4
@@ -18,7 +18,12 @@ def comm_sweep(counts, **kwargs):
                 [(count, count) for count in counts])
     with Study(benchmarks="TLIM-32", axes=[axis], system=SWEEP_SYSTEM,
                **kwargs) as study:
-        return study.run().to_comparisons(by="comm_qubits_per_node")
+        return study.run()
+
+
+def means(results, metric="depth"):
+    """Statistics of ``metric`` per (communication qubit count, design)."""
+    return results.aggregate(metric, by=["comm_qubits_per_node", "design"])
 
 
 @pytest.fixture(scope="module")
@@ -29,22 +34,22 @@ def small_sweep():
 
 class TestCommQubitSweep:
     def test_sweep_shape(self, small_sweep):
-        assert sorted(small_sweep) == [4, 8]
-        for comparison in small_sweep.values():
-            assert comparison.benchmark == "TLIM-32"
-            assert set(comparison.designs) == {"async_buf", "adapt_buf", "ideal"}
-            assert comparison.design("adapt_buf").num_runs == 2
+        assert small_sweep.benchmarks() == ["TLIM-32"]
+        depth = means(small_sweep)
+        assert set(depth) == {(count, design) for count in (4, 8)
+                              for design in ("async_buf", "adapt_buf", "ideal")}
+        assert depth[(4, "adapt_buf")].count == 2
 
     def test_more_comm_qubits_do_not_hurt(self, small_sweep):
+        depth = means(small_sweep)
         for design in ("async_buf", "adapt_buf"):
-            fewer = small_sweep[4].depth_table()[design]
-            more = small_sweep[8].depth_table()[design]
+            fewer = depth[(4, design)].mean
+            more = depth[(8, design)].mean
             assert more <= fewer + 1e-9
 
     def test_ideal_unaffected_by_comm_count(self, small_sweep):
-        assert small_sweep[4].depth_table()["ideal"] == pytest.approx(
-            small_sweep[8].depth_table()["ideal"]
-        )
+        depth = means(small_sweep)
+        assert depth[(4, "ideal")].mean == pytest.approx(depth[(8, "ideal")].mean)
 
     def test_sweep_reuses_partitioned_program(self):
         cache = ArtifactCache()
@@ -58,11 +63,8 @@ class TestCommQubitSweep:
         serial = comm_sweep([4, 8], backend="serial", **kwargs)
         with ProcessPoolBackend(max_workers=2) as backend:
             parallel = comm_sweep([4, 8], backend=backend, **kwargs)
-        for count in (4, 8):
-            serial_summary = serial[count].design("adapt_buf")
-            parallel_summary = parallel[count].design("adapt_buf")
-            assert serial_summary.depth.mean == parallel_summary.depth.mean
-            assert serial_summary.fidelity.mean == parallel_summary.fidelity.mean
+        for metric in ("depth", "fidelity"):
+            assert means(serial, metric) == means(parallel, metric)
 
     def test_design_comparison_accepts_shared_cache(self):
         cache = ArtifactCache()
@@ -70,15 +72,13 @@ class TestCommQubitSweep:
         def comparison():
             study = Study(benchmarks=["TLIM-32"], designs=["adapt_buf"],
                           num_runs=1, system=SWEEP_SYSTEM, cache=cache)
-            return study.run().to_comparisons()
+            return study.run().aggregate("depth", by="design")
 
         first = comparison()
         misses_after_first = cache.misses
         second = comparison()
         assert cache.misses == misses_after_first  # fully served from cache
-        a = first["TLIM-32"].design("adapt_buf")
-        b = second["TLIM-32"].design("adapt_buf")
-        assert a.depth.mean == b.depth.mean
+        assert first["adapt_buf"].mean == second["adapt_buf"].mean
 
 
 class TestSweepReport:
@@ -97,4 +97,41 @@ class TestSweepReport:
             sweep_report(small_sweep, "volume")
 
     def test_empty_sweep(self):
-        assert sweep_report({}) == "(no results)"
+        assert sweep_report(ResultSet([])) == "(no results)"
+
+    def test_columns_name_the_swept_values(self):
+        """The title names the swept key and each column the values the
+        records carry, whatever the key: not ``0.2/0.2`` for a psucc sweep
+        or ``2/2`` for communication qubits swept alone."""
+        def sweep(keys, points):
+            """Ideal and original TLIM-16 runs at each swept point."""
+            return ResultSet([
+                RunRecord(benchmark="TLIM-16", design=design, seed=0,
+                          depth=depth, fidelity=0.5, num_remote=0,
+                          mean_remote_wait=0.0, mean_link_fidelity=0.0,
+                          epr_generated=0, epr_wasted=0,
+                          params=dict(zip(keys, values)))
+                for values, depths in points
+                for design, depth in zip(("ideal", "original"), depths)
+            ])
+
+        assert sweep_report(sweep(["epr_success_probability"], [
+            ((0.2,), (10.0, 40.0)), ((0.8,), (10.0, 20.0))])) == (
+            "TLIM-16 — depth vs epr_success_probability\n"
+            "Design    0.2    0.8  \n"
+            "--------  -----  -----\n"
+            "ideal     10.00  10.00\n"
+            "original  40.00  20.00"
+        )
+        assert sweep_report(sweep(["comm_qubits_per_node"], [
+            ((2,), (10.0, 30.0)), ((4,), (10.0, 25.0))])).splitlines()[:2] == [
+            "TLIM-16 — depth vs comm_qubits_per_node",
+            "Design    2      4    ",
+        ]
+        zipped = sweep(["comm_qubits_per_node", "buffer_qubits_per_node"], [
+            ((10, 10), (10.0, 30.0)), ((15, 15), (10.0, 25.0)),
+            ((20, 20), (10.0, 20.0))])
+        assert sweep_report(zipped, "fidelity").splitlines()[:2] == [
+            "TLIM-16 — fidelity vs buffer_qubits_per_node/comm_qubits_per_node",
+            "Design    10/10   15/15   20/20 ",
+        ]

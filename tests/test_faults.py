@@ -21,11 +21,9 @@ from repro.faults import (
     CRASH_EXIT_CODE,
     SITES,
     InjectedFault,
-    active_spec,
     crash_now,
     failpoint,
     fault_stats,
-    faults_active,
     install_faults,
     install_faults_from_env,
     parse_faults,
@@ -171,7 +169,6 @@ class TestPlanSemantics:
 # ----------------------------------------------------------------------
 class TestFailpoint:
     def test_inert_without_a_plan(self):
-        assert not faults_active()
         assert failpoint("store.fsync") is None
         assert failpoint("not.even.a.site") is None
         assert fault_stats() == {}
@@ -217,27 +214,26 @@ class TestFailpoint:
         assert codes == [CRASH_EXIT_CODE]
 
     def test_install_and_uninstall(self):
-        install_faults("store.fsync:count=1", seed=3)
-        assert faults_active()
-        assert active_spec() == "store.fsync:count=1"
+        plan = install_faults("store.fsync:count=1", seed=3)
+        assert plan.source == "store.fsync:count=1"
+        assert "store.fsync" in fault_stats()
         uninstall_faults()
-        assert not faults_active()
-        assert active_spec() is None
+        assert fault_stats() == {}
 
     def test_install_empty_clears(self):
         install_faults("store.fsync")
         assert install_faults(None) is None
-        assert not faults_active()
+        assert fault_stats() == {}
         install_faults("store.fsync")
         assert install_faults("   ") is None
-        assert not faults_active()
+        assert fault_stats() == {}
 
     def test_install_from_env(self):
         plan = install_faults_from_env(
             {"REPRO_FAULTS": "store.fsync:count=1",
              "REPRO_FAULTS_SEED": "11"})
         assert plan.seed == 11
-        assert faults_active()
+        assert "store.fsync" in fault_stats()
 
     def test_install_from_env_absent_is_inert(self):
         assert install_faults_from_env({}) is None

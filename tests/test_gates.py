@@ -1,7 +1,5 @@
 """Unit tests for the gate library and Gate instances."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,10 +7,7 @@ from repro.circuits.gate import (
     GATE_LIBRARY,
     Gate,
     GateSpec,
-    controlled_phase_angle,
     gate_spec,
-    gates_from_names,
-    register_gate_spec,
 )
 from repro.exceptions import GateError
 
@@ -34,15 +29,6 @@ class TestGateSpec:
         assert gate_spec("rzz").diagonal
         assert gate_spec("cp").diagonal
         assert not gate_spec("cx").diagonal
-
-    def test_register_custom_spec(self):
-        spec = GateSpec("mygate", 1, num_params=0)
-        register_gate_spec(spec)
-        assert gate_spec("mygate") is spec
-        with pytest.raises(GateError):
-            register_gate_spec(spec)
-        register_gate_spec(spec, overwrite=True)
-        del GATE_LIBRARY["mygate"]
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(GateError):
@@ -136,26 +122,9 @@ class TestGateMatrices:
         with pytest.raises(GateError):
             Gate("measure", (0,)).matrix()
 
-    def test_controlled_phase_angle(self):
-        gate = Gate("cp", (0, 1), (0.8,))
-        assert controlled_phase_angle(gate) == pytest.approx(0.8)
-        with pytest.raises(GateError):
-            controlled_phase_angle(Gate("cx", (0, 1)))
-
     def test_rzz_phases(self):
         theta = 0.6
         matrix = Gate("rzz", (0, 1), (theta,)).matrix()
         assert np.allclose(matrix[0, 0], np.exp(-1j * theta / 2))
         assert np.allclose(matrix[1, 1], np.exp(1j * theta / 2))
 
-
-class TestHelpers:
-    def test_gates_from_names(self):
-        gates = gates_from_names(["h", "t", "rz"], qubit=2)
-        assert [g.name for g in gates] == ["h", "t", "rz"]
-        assert all(g.qubits == (2,) for g in gates)
-        assert gates[2].params == (math.pi / 4,)
-
-    def test_gates_from_names_rejects_two_qubit(self):
-        with pytest.raises(GateError):
-            gates_from_names(["cx"])

@@ -20,7 +20,7 @@ class TestConstruction:
         assert graph.weight(1, 2) == 1.0
         assert graph.weight(0, 2) == 0.0
         assert graph.num_edges == 2
-        assert graph.total_edge_weight == 3.0
+        assert sum(graph.weights.values()) == 3.0
 
     def test_single_qubit_gates_ignored(self):
         circuit = QuantumCircuit(2)
@@ -81,7 +81,7 @@ class TestQueries:
         graph = InteractionGraph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
         sub, back = graph.subgraph({0, 1, 2})
         assert sub.num_vertices == 3
-        assert sub.total_edge_weight == 2.0
+        assert sum(sub.weights.values()) == 2.0
         assert sorted(back.values()) == [0, 1, 2]
 
     def test_qft_graph_is_complete(self):

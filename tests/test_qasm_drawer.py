@@ -1,56 +1,6 @@
-"""Unit tests for the QASM round trip and the text drawer."""
+"""Unit tests for the text drawer."""
 
-import math
-
-import pytest
-
-from repro.benchmarks import qft_circuit
-from repro.circuits import QuantumCircuit, draw_circuit, from_qasm, to_qasm
-from repro.exceptions import CircuitError
-
-
-class TestQasm:
-    def test_round_trip_preserves_structure(self, small_remote_circuit):
-        text = to_qasm(small_remote_circuit)
-        parsed = from_qasm(text)
-        assert parsed.num_qubits == small_remote_circuit.num_qubits
-        assert parsed.num_gates == small_remote_circuit.num_gates
-        assert [g.name for g in parsed.gates] == [
-            g.name for g in small_remote_circuit.gates
-        ]
-
-    def test_round_trip_preserves_params(self):
-        circuit = QuantumCircuit(2)
-        circuit.rz(0.123456, 0)
-        circuit.cp(math.pi / 8, 0, 1)
-        parsed = from_qasm(to_qasm(circuit))
-        assert parsed.gates[0].params[0] == pytest.approx(0.123456)
-        assert parsed.gates[1].params[0] == pytest.approx(math.pi / 8)
-
-    def test_measure_round_trip(self):
-        circuit = QuantumCircuit(2)
-        circuit.h(0)
-        circuit.measure(0)
-        parsed = from_qasm(to_qasm(circuit))
-        assert parsed.num_measurements() == 1
-
-    def test_header_present(self, bell_circuit):
-        text = to_qasm(bell_circuit)
-        assert text.startswith("OPENQASM 2.0;")
-        assert "qreg q[2];" in text
-
-    def test_qft_round_trip(self):
-        circuit = qft_circuit(5)
-        parsed = from_qasm(to_qasm(circuit))
-        assert parsed.count_ops() == circuit.count_ops()
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(CircuitError):
-            from_qasm("OPENQASM 2.0;\nqreg q[2];\nnot a gate line\n")
-
-    def test_parse_requires_qreg(self):
-        with pytest.raises(CircuitError):
-            from_qasm("OPENQASM 2.0;\nh q[0];\n")
+from repro.circuits import QuantumCircuit, draw_circuit
 
 
 class TestDrawer:

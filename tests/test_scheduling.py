@@ -18,6 +18,10 @@ from repro.scheduling.segmentation import reassemble
 from repro.exceptions import SchedulingError
 
 
+def remote_positions(circuit):
+    return [i for i, g in enumerate(circuit.gates) if g.is_remote]
+
+
 @pytest.fixture
 def remote_heavy_circuit():
     """Distributed QFT-8: plenty of remote gates for segmentation tests."""
@@ -78,8 +82,10 @@ class TestVariants:
             if segment.num_remote == 0:
                 continue
             variants = compile_segment_variants(segment)
-            assert variants.mean_remote_position(SchedulingVariant.ASAP) <= \
-                variants.mean_remote_position(SchedulingVariant.ALAP) + 1e-9
+            # Both variants hold the same remote gates, so comparing the
+            # summed positions compares the mean positions.
+            assert sum(remote_positions(variants.asap)) <= \
+                sum(remote_positions(variants.alap))
 
     def test_get_by_name(self, small_remote_circuit):
         segments = segment_circuit(small_remote_circuit, 2)

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.analysis import comparison_report
 from repro.core import SystemConfig
-from repro.core.results import DesignSummary
 from repro.engine import ArtifactCache
 from repro.exceptions import ConfigurationError, SpecValidationError
 from repro.runtime import get_design
@@ -219,9 +219,11 @@ class TestStudyPlan:
         results = study.run()
         # Averaging across hardware variants would be meaningless.
         with pytest.raises(ConfigurationError):
-            results.to_comparisons()
-        by_count = results.to_comparisons(by="comm_qubits_per_node")
+            comparison_report(results)
+        by_count = results.group_by("comm_qubits_per_node")
         assert sorted(by_count) == [4, 8]
+        for panel in by_count.values():
+            assert "ideal" in comparison_report(panel)
 
     def test_benchmarks_required(self):
         with pytest.raises(ConfigurationError):
@@ -302,10 +304,10 @@ class TestStudyRun:
         assert len(results) == 6
         # One partitioned program serves every psucc variant.
         assert cache.count("program") == 1
-        comparisons = results.to_comparisons(by="epr_success_probability")
-        assert sorted(comparisons) == [0.2, 0.4, 0.8]
-        depths = [comparisons[p].depth_table()["adapt_buf"]
-                  for p in (0.2, 0.4, 0.8)]
+        depth = results.aggregate(
+            "depth", by=["epr_success_probability", "design"])
+        assert sorted({p for p, _ in depth}) == [0.2, 0.4, 0.8]
+        depths = [depth[(p, "adapt_buf")].mean for p in (0.2, 0.4, 0.8)]
         assert depths[2] <= depths[0]  # better links, shorter circuits
 
     def test_executor_knob_axes(self):
@@ -487,29 +489,6 @@ class TestResultSetSerialization:
     def test_unknown_column_rejected(self, sweep_results):
         with pytest.raises(KeyError):
             sweep_results.records[0].get("nonsense")
-
-
-# ----------------------------------------------------------------------
-# comparison shapes rebuilt from records
-# ----------------------------------------------------------------------
-class TestShimEquivalence:
-    def test_to_comparisons_matches_design_summary_formulas(self):
-        """Comparison aggregates rebuilt from records are exact."""
-        study = Study(benchmarks=["TLIM-32"], designs=["async_buf"],
-                      num_runs=3, base_seed=1, system=SMALL_SYSTEM)
-        [cell] = study.compile_plan()
-        expected = DesignSummary.from_results(
-            cell.execute_batch(study.seeds()))
-        rebuilt = study.run().to_comparisons()["TLIM-32"].design("async_buf")
-        assert rebuilt == expected
-
-    def test_comparison_rejects_mixed_benchmarks_per_group(self):
-        study = Study(benchmarks=["TLIM-32", "QFT-32"], designs=["ideal"],
-                      num_runs=1, system=SMALL_SYSTEM)
-        results = study.run()
-        with pytest.raises(ConfigurationError):
-            results.group_by("design")["ideal"]._comparison(
-                results.records)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Unit tests for circuit transforms (ASAP/ALAP motion, reordering checks)."""
 
-import pytest
-
 from repro.circuits import QuantumCircuit
 from repro.circuits.transforms import (
     alap_variant,
@@ -10,10 +8,7 @@ from repro.circuits.transforms import (
     move_gates_earlier,
     move_gates_later,
     reorder_is_equivalent,
-    schedule_order_from_dag,
-    split_by_gate_indices,
 )
-from repro.exceptions import SchedulingError
 
 
 def remote_positions(circuit):
@@ -94,18 +89,3 @@ class TestEquivalenceCheck:
         other.h(0)
         assert not reorder_is_equivalent(bell_circuit, other)
 
-
-class TestSplitAndListSchedule:
-    def test_split_by_gate_indices(self, small_remote_circuit):
-        chunks = split_by_gate_indices(small_remote_circuit, [2, 5])
-        assert [c.num_gates for c in chunks] == [2, 3, 2]
-
-    def test_split_invalid_boundary(self, small_remote_circuit):
-        with pytest.raises(SchedulingError):
-            split_by_gate_indices(small_remote_circuit, [100])
-
-    def test_list_schedule_is_legal_permutation(self, small_remote_circuit):
-        scheduled = schedule_order_from_dag(
-            small_remote_circuit, priority=lambda g: 0.0 if g.is_remote else 1.0
-        )
-        assert reorder_is_equivalent(small_remote_circuit, scheduled)
